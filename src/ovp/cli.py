@@ -168,10 +168,13 @@ def _cmd_verify(args, parser) -> int:
     )
 
     reports = [verify(fam, table, budget=budget) for fam in families]
-    chain_checks = []
+    chain_checks, chain_not_run = [], None
     if run_chain:
         chain_order = max(1, min(_CHAIN_ORDER_CAP, budget // 80))
-        chain_checks = verify_dissection_chain(chain_order, table)
+        if 80 * chain_order <= budget + 1:
+            chain_checks = verify_dissection_chain(chain_order, table)
+        else:
+            chain_not_run = f"needs pbar through argument 79, budget is {budget}"
 
     all_ok = all(r.ok for r in reports) and all(c.ok for c in chain_checks)
     if args.format == "json":
@@ -180,6 +183,7 @@ def _cmd_verify(args, parser) -> int:
             "pass": all_ok,
             "families": [r.to_json_dict() for r in reports],
             "dissection_chain": [c.to_dict() for c in chain_checks],
+            "dissection_chain_not_run": chain_not_run,
         }
         _emit(json.dumps(payload, indent=2), args.out)
     else:
@@ -196,6 +200,8 @@ def _cmd_verify(args, parser) -> int:
             mark = "PASS" if c.ok else "FAIL"
             where = "" if c.ok else f" (first difference at q^{c.first_difference})"
             lines.append(f"{mark} chain: {c.name} [order {c.order}]{where}")
+        if chain_not_run:
+            lines.append(f"NOT RUN chain: {chain_not_run}")
         lines.append(
             f"{'PASS' if all_ok else 'FAIL'}: {len(reports)} families"
             + (f" + {len(chain_checks)} chain identities" if chain_checks else "")

@@ -21,6 +21,8 @@ products, and zero-density reports for pbar modulo powers of 2.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -192,11 +194,16 @@ class VerifyReport:
 
 
 def _primes_where(mod: int, residues: tuple[int, ...]) -> Iterator[int]:
-    p = 3
-    while True:
-        if is_odd_prime(p) and p % mod in residues:
-            yield p
-        p += 2
+    """Odd primes p with p % mod in residues, ascending.
+
+    A residue coprime to mod admits infinitely many (Dirichlet); any other
+    admits only divisors of mod.  An axis admitting none is rejected.
+    """
+    infinite = any(math.gcd(r, mod) == 1 for r in residues if 0 <= r < mod)
+    odd = itertools.count(3, 2) if infinite else range(3, mod + 1, 2)
+    if not infinite and not any(p % mod in residues for p in odd if is_odd_prime(p)):
+        raise ValueError(f"prime axis p % {mod} in {residues} admits no odd prime")
+    return (p for p in odd if is_odd_prime(p) and p % mod in residues)
 
 
 def _min_arg(family: CongruenceFamily, params: dict[str, int]) -> int:

@@ -116,7 +116,7 @@ def overpartition_table(
 ) -> CoeffTable:
     """Table of pbar(0), ..., pbar(length - 1) in the given ring.
 
-    theta-inversion is the production route (O(length * sqrt(length)));
+    theta-inversion is the production route (O(length * log(length)) mod m);
     euler-product is quadratic and meant for cross-validation; enumeration
     is capped at length 64; two-adic evaluates the exact 2-adic expansion
     with big integers and is also quadratic.

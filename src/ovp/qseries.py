@@ -20,9 +20,6 @@ import numpy as np
 _MAGIC = b"QS01"
 _RING_TAG_MOD = 1
 _MAX_MODULUS = 1 << 31
-_SERIAL_CUTOFF = 4096
-_LEAF = 256
-_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -92,7 +89,8 @@ def _normalize_mod(coeffs, m: int) -> np.ndarray:
     if arr.dtype == object or arr.dtype.kind not in "iu":
         arr = np.array([int(c) % m for c in coeffs], dtype=np.int64)
     else:
-        arr = arr.astype(np.int64) % m
+        arr = arr.astype(np.int64)
+        arr %= m
     arr.flags.writeable = False
     return arr
 
@@ -258,7 +256,9 @@ class Series:
         """Multiplicative inverse to the same truncation order.
 
         The constant term must be a unit: +/-1 over ZZ, coprime to m over
-        Z/m.  Cost is O(T * nnz) in the number of nonzero terms of self.
+        Z/m.  Over ZZ the cost is O(T * nnz) in the number of nonzero terms
+        of self; over Z/m it is O(T log T), by Newton iteration with exact
+        float64 FFT products.
         """
         if self.order == 0:
             raise ValueError("cannot invert a series of order 0")
@@ -280,14 +280,7 @@ class Series:
                 f"constant term {a0} is not invertible modulo {m}: "
                 f"gcd({a0}, {m}) = {g}"
             )
-        u = pow(a0, -1, m)
-        monic = (self._coeffs * u) % m
-        offsets = np.nonzero(monic[1:])[0] + 1
-        kvals = monic[offsets]
-        rhs = np.zeros(T, dtype=np.int64)
-        rhs[0] = u
-        out = _solve_unit_toeplitz_mod(offsets, kvals, rhs, m)
-        return Series(self.ring, out)
+        return Series(self.ring, _invert_mod(self._coeffs, m))
 
     # -- reindexing ------------------------------------------------------
 
@@ -322,11 +315,7 @@ class Series:
             raise ValueError(f"residue must satisfy 0 <= r < {d}, got {r!r}")
         d, r = int(d), int(r)
         n_out = max(0, -((self.order - r) // -d))
-        if self.ring.is_exact:
-            data = self._coeffs[r::d][:n_out]
-        else:
-            data = self._coeffs[r::d][:n_out]
-        return Series(self.ring, data)
+        return Series(self.ring, self._coeffs[r::d][:n_out])
 
     def truncate(self, order: int) -> "Series":
         if not 0 <= order <= self.order:
@@ -428,7 +417,10 @@ def series_from_terms(
     """
     if not isinstance(order, (int, np.integer)) or order < 1:
         raise ValueError(f"order must be a positive int, got {order!r}")
-    data = [0] * int(order)
+    if ring.is_exact:
+        data = [0] * int(order)
+    else:  # a narrow temporary: Series copies it into int64
+        data = np.zeros(order, dtype=np.min_scalar_type(ring.modulus - 1))
     seen = set()
     for e, c in terms:
         e = int(e)
@@ -437,7 +429,7 @@ def series_from_terms(
         if e in seen:
             raise ValueError(f"duplicate exponent {e}")
         seen.add(e)
-        data[e] = int(c)
+        data[e] = ring.reduce(c)
     return Series(ring, data)
 
 
@@ -447,49 +439,6 @@ def zero(ring: CoefficientRing, order: int) -> Series:
 
 def one(ring: CoefficientRing, order: int) -> Series:
     return Series(ring, [1] + [0] * (order - 1)) if order else Series(ring, [])
-
-
-# -- operation aliases (functional spelling of the method API) -------------
-
-
-def add(a: Series, b: Series) -> Series:
-    return a + b
-
-
-def mul(a: Series, b: Series) -> Series:
-    return a * b
-
-
-def neg(a: Series) -> Series:
-    return -a
-
-
-def scalar_mul(c: int, a: Series) -> Series:
-    return a.scalar_mul(c)
-
-
-def invert(a: Series) -> Series:
-    return a.invert()
-
-
-def substitute_power(a: Series, d: int) -> Series:
-    return a.substitute_power(d)
-
-
-def extract_progression(a: Series, d: int, r: int) -> Series:
-    return a.extract_progression(d, r)
-
-
-def power(a: Series, e: int) -> Series:
-    return a**e
-
-
-def reduce_mod(a: Series, m: int) -> Series:
-    return a.reduce_mod(m)
-
-
-def first_difference(a: Series, b: Series) -> int | None:
-    return a.first_difference(b)
 
 
 def compare(name: str, a: Series, b: Series) -> IdentityCheck:
@@ -502,13 +451,6 @@ def compare(name: str, a: Series, b: Series) -> IdentityCheck:
 
 
 # -- multiplication kernels -------------------------------------------------
-
-
-def _sparse_terms(coeffs, exact: bool) -> list[tuple[int, int]]:
-    if exact:
-        return [(e, c) for e, c in enumerate(coeffs) if c]
-    idx = np.nonzero(coeffs)[0]
-    return [(int(e), int(coeffs[e])) for e in idx]
 
 
 def _mul_exact(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
@@ -527,12 +469,14 @@ def _mul_exact(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
 
 
 def _mul_mod(a: np.ndarray, b: np.ndarray, n: int, m: int) -> np.ndarray:
+    square = a is b
     a = a[:n]
     b = b[:n]
     nnz_a = int(np.count_nonzero(a))
     nnz_b = int(np.count_nonzero(b))
-    sparse_bound = 4 * math.isqrt(n)
-    if min(nnz_a, nnz_b) <= sparse_bound or n * (m - 1) * (m - 1) >= 1 << 62:
+    if min(nnz_a, nnz_b) <= 4 * math.isqrt(n):
+        # Shift-and-add over the sparser operand.  Each step adds terms below
+        # m^2, so reduce every ``stride`` steps to stay below 2^63.
         if nnz_b < nnz_a:
             a, b = b, a
         out = np.zeros(n, dtype=np.int64)
@@ -546,20 +490,19 @@ def _mul_mod(a: np.ndarray, b: np.ndarray, n: int, m: int) -> np.ndarray:
                 out %= m
                 applied = 0
         return out % m
-    return np.convolve(a, b)[:n] % m
-
-
-# -- unit lower-triangular Toeplitz solvers ---------------------------------
-#
-# Both solvers compute r with  r[n] = rhs[n] - sum(vals[j] * r[n - off[j]])
-# over offsets off[j] <= n, i.e. r * k = rhs for the monic kernel
-# k = 1 + sum(vals[j] * q^off[j]).  Series inversion calls these with
-# rhs = u * e_0.
+    size = _fft_len(2 * n - 1)
+    kernel = _FFTProduct(m, size)
+    kernel.spectra(a, size, 0)
+    if not square:
+        kernel.spectra(b, size, 1)
+    return kernel.product(0, 0 if square else 1, size, 0, n).astype(np.int64)
 
 
 def _solve_unit_toeplitz_exact(
     kernel: list[tuple[int, int]], rhs: Sequence[int]
 ) -> list[int]:
+    # r[n] = rhs[n] - sum(c * r[n - off]) over kernel offsets off <= n, i.e.
+    # r * k = rhs for the monic kernel k = 1 + sum(c * q^off).
     T = len(rhs)
     r = [0] * T
     for n in range(T):
@@ -572,94 +515,129 @@ def _solve_unit_toeplitz_exact(
     return r
 
 
-def _serial_solve_mod(
-    offsets: Sequence[int], vals: Sequence[int], rhs: Sequence[int], m: int
-) -> np.ndarray:
-    T = len(rhs)
-    kernel = [(int(o), int(c)) for o, c in zip(offsets, vals)]
-    r = [0] * T
-    for n in range(T):
-        s = int(rhs[n])
-        for off, c in kernel:
-            if off > n:
-                break
-            s -= c * r[n - off]
-        r[n] = s % m
-    return np.array(r, dtype=np.int64)
+# -- exact float64 FFT products mod m ---------------------------------------
 
 
-def _inverse_head_mod(
-    offsets: Sequence[int], vals: Sequence[int], m: int, length: int
-) -> np.ndarray:
-    e0 = [0] * length
-    e0[0] = 1
-    return _serial_solve_mod(offsets, vals, e0, m)
+def _fft_len(n: int) -> int:
+    """Smallest 5-smooth integer >= n, the sizes pocketfft transforms fastest."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p = p5
+        while p < best:
+            best = min(best, p << (-(-n // p) - 1).bit_length())
+            p *= 3
+        p5 *= 5
+    return best
 
 
-def _solve_unit_toeplitz_mod(
-    offsets: np.ndarray, vals: np.ndarray, rhs: np.ndarray, m: int
-) -> np.ndarray:
-    """Blocked solve of a unit lower-triangular Toeplitz system mod m.
+def _limb_plan(m: int, size: int) -> tuple[int, int]:
+    """Limb count c and width w that make cyclic products mod m exact.
 
-    Large blocks subtract contributions of the solved prefix with one numpy
-    slice per kernel offset; inside a block, leaf chunks are solved densely
-    by multiplying with the Toeplitz matrix of the kernel-inverse head.
-    Falls back to a serial scan when the size or modulus makes the int64
-    accumulation bounds unprovable.
+    Residues are centred into (-m/2, m/2] and split into c balanced limbs of
+    w bits, |limb| <= h = min(m // 2, 2^(w-1)), so limb vectors of length
+    N = ``size`` have 2-norms at most h sqrt(N).  Percival (Math. Comp. 72,
+    2003) bounds the error of a float64 FFT convolution by ||x|| ||y||
+    ((1+e)^(3n) (1+e sqrt(5))^(3n+1) (1+b)^(3n) - 1) for n = log2 N, unit
+    roundoff e = 2^-53 and twiddle error b <= e: below 15 n e ||x|| ||y||.
+    An output sums at most c limb convolutions, so c h^2 N ceil(log2 N) <=
+    2^48 keeps every error below 15/32 and every exact value below 2^53:
+    rounding recovers the integer convolution.
     """
-    T = len(rhs)
-    offsets = np.asarray(offsets, dtype=np.int64)
-    vals = np.asarray(vals, dtype=np.int64)
-    if T <= _SERIAL_CUTOFF:
-        return _serial_solve_mod(offsets, vals, rhs, m)
-    leaf = min(_LEAF, max(8, int((1 << 62) // max(1, m * m)) or 8))
-    if leaf * (m - 1) * (m - 1) >= 1 << 62 or ((1 << 62) - m) // (m * m) < 1:
-        return _serial_solve_mod(offsets, vals, rhs, m)
-    stride = max(1, ((1 << 62) - m) // (m * m))
+    half = m // 2
+    lg = max(1, (size - 1).bit_length())
+    for c in range(1, half.bit_length() + 2):
+        w = -(-(half.bit_length() + 1) // c)
+        h = min(half, 1 << (w - 1))
+        if c * h * h * size * lg <= 1 << 48:
+            return c, w
+    raise ValueError(f"no exact float64 FFT product mod {m} at size {size}")
 
-    kern = list(zip(offsets.tolist(), vals.tolist()))
-    block = max(_BLOCK, 2 * leaf)
-    kern_small = [(o, c) for o, c in kern if o < block]
 
-    inv_head = _inverse_head_mod(offsets, vals, m, leaf)
-    ii = np.arange(leaf)
-    diff = ii[:, None] - ii[None, :]
-    toep = np.where(diff >= 0, inv_head[np.clip(diff, 0, leaf - 1)], 0)
+class _FFTProduct:
+    """Exact cyclic products mod m through numpy's rfft and irfft.
 
-    r = np.zeros(T, dtype=np.int64)
-    for s in range(0, T, block):
-        e = min(s + block, T)
-        acc = rhs[s:e].astype(np.int64)
-        applied = 0
-        for off, c in kern:
-            if off >= e:
-                break
-            x0 = max(0, s - off)
-            x1 = min(s, e - off)
-            if x0 < x1:
-                t0 = x0 + off - s
-                acc[t0 : t0 + (x1 - x0)] -= c * r[x0:x1]
-                applied += 1
-                if applied >= stride:
-                    acc %= m
-                    applied = 0
-        acc %= m
-        for cs in range(s, e, leaf):
-            ce = min(cs + leaf, e)
-            w = ce - cs
-            applied = 0
-            for off, c in kern_small:
-                if off >= ce - s:
-                    break
-                x0 = max(s, cs - off)
-                x1 = min(cs, ce - off)
-                if x0 < x1:
-                    t0 = x0 + off - cs + (cs - s)
-                    acc[t0 : t0 + (x1 - x0)] -= c * r[x0:x1]
-                    applied += 1
-                    if applied >= stride:
-                        acc[cs - s : ce - s] %= m
-                        applied = 0
-            local = acc[cs - s : ce - s] % m
-            r[cs:ce] = (toep[:w, :w] @ local) % m
-    return r
+    One float64 buffer holds the centred input of each forward transform and
+    the output of each inverse one; two slots hold one spectrum per limb.
+    """
+
+    def __init__(self, m: int, size: int) -> None:
+        self.m = m
+        self.c, self.w = _limb_plan(m, size)
+        self.buf = np.empty(size)
+        self.spec = np.empty((2, self.c, size // 2 + 1), dtype=np.complex128)
+
+    def spectra(self, x: np.ndarray, size: int, slot: int) -> None:
+        """Put the spectra of residues x in ``slot``.
+
+        Float x is a buffer view, as ``product`` returns, centred in place.
+        """
+        if x.dtype != np.float64:
+            self.buf[: len(x)] = x
+            x = self.buf[: len(x)]
+        np.subtract(x, self.m, out=x, where=x > self.m // 2)
+        radix = float(1 << self.w)
+        out = self.spec[slot, :, : size // 2 + 1]
+        for limb in out[:-1]:
+            low = np.mod(x + radix / 2, radix) - radix / 2
+            np.fft.rfft(low, size, out=limb)
+            x = (x - low) / radix
+        np.fft.rfft(x, size, out=out[-1])
+
+    def product(self, a: int, b: int, size: int, lo: int, hi: int) -> np.ndarray:
+        """Coefficients lo..hi-1 of the product of slots a and b.
+
+        Returns float residues in a buffer view valid until the next call,
+        and overwrites the first limb of slot a.  Limbs are combined by
+        Horner's rule in 2^w; each step stays below 2^62.
+        """
+        m, c = self.m, self.c
+        spec_a = self.spec[a, :, : size // 2 + 1]
+        spec_b = self.spec[b, :, : size // 2 + 1]
+        acc = 0
+        for k in reversed(range(2 * c - 1)):
+            if k:
+                i0 = max(0, k - c + 1)
+                spec = spec_a[i0] * spec_b[k - i0]
+                for i in range(i0 + 1, min(k, c - 1) + 1):
+                    spec += spec_a[i] * spec_b[k - i]
+            else:  # the last use of slot a, so multiply in place
+                spec = np.multiply(spec_a[0], spec_b[0], out=spec_a[0])
+            part = np.fft.irfft(spec, size, out=self.buf[:size])[lo:hi]
+            np.mod(np.rint(part, out=part), m, out=part)
+            if c > 1:
+                acc *= pow(2, self.w, m)
+                acc += part.astype(np.int64)
+                acc %= m
+        if c > 1:
+            part[...] = acc
+        return part
+
+
+def _invert_mod(f: np.ndarray, m: int) -> np.ndarray:
+    """Inverse mod m of the series f, whose constant term is a unit.
+
+    Newton iteration (Brent & Kung, J. ACM 25, 1978) lifts g = 1/f from
+    mod q^k to mod q^k2, k2 <= 2k, by g <- g - q^k g [f g]_{k..k2}.  Both
+    products come from cyclic products of size N >= k2, which share the
+    spectrum of g: the middle product [f g]_{k..k2} wraps only onto
+    coefficients below k (Hanrot, Quercia & Zimmermann, 2004).  g is built
+    in the narrowest dtype that holds a residue; the caller widens it.
+    """
+    T = len(f)
+    lengths = [T]
+    while lengths[-1] > 1:
+        lengths.append((lengths[-1] + 1) // 2)
+    lengths.reverse()
+    g = np.empty(T, dtype=np.min_scalar_type(m - 1))
+    g[0] = pow(int(f[0]), -1, m)
+    kernel = _FFTProduct(m, _fft_len(T))
+    for k, k2 in zip(lengths, lengths[1:]):
+        size = _fft_len(k2)
+        kernel.spectra(g[:k], size, 1)
+        kernel.spectra(f[:k2], size, 0)
+        kernel.spectra(kernel.product(0, 1, size, k, k2), size, 0)
+        corr = kernel.product(0, 1, size, 0, k2 - k)
+        np.subtract(m, corr, out=corr, where=corr > 0)
+        g[k:k2] = corr
+    return g

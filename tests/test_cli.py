@@ -145,6 +145,31 @@ def test_verify_all_json(capsys):
     assert all(c["pass"] for c in payload["dissection_chain"])
 
 
+def test_verify_all_below_chain_budget_reports_chain_not_run(capsys):
+    # the chain at order 1 reads pbar through argument 79
+    code, out, _ = _run(capsys, ["verify", "--all", "--budget", "78", "--no-cache"])
+    assert code == 0
+    assert "NOT RUN chain: needs pbar through argument 79, budget is 78" in out
+    assert out.rstrip().endswith("PASS: 29 families at budget 78")
+    code, out, _ = _run(
+        capsys,
+        ["verify", "--all", "--budget", "50", "--format", "json", "--no-cache"],
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["pass"] is True
+    assert payload["dissection_chain"] == []
+    assert "argument 79" in payload["dissection_chain_not_run"]
+    code, out, _ = _run(
+        capsys,
+        ["verify", "--all", "--budget", "79", "--format", "json", "--no-cache"],
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert len(payload["dissection_chain"]) == 9
+    assert payload["dissection_chain_not_run"] is None
+
+
 def test_verify_chain_only(capsys):
     code, out, _ = _run(
         capsys,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,9 @@ from ovp.congruence import (
     ArgMap,
     AxisFactor,
     CongruenceFamily,
+    PrimeAxis,
     _axis_assignments,
+    _primes_where,
     density_report,
     family_by_id,
     planted_false_family,
@@ -91,6 +95,18 @@ def test_axis_assignment_budgets():
     fam = family_by_id("pbar-845-13n-mod5")
     rs = [a["r"] for a in _axis_assignments(fam, tuple(fam.axes), {}, 10**5)]
     assert rs == [2, 5, 6, 7, 8, 11]
+
+
+def test_prime_axis_scans_terminate():
+    assert list(itertools.islice(_primes_where(4, (3,)), 4)) == [3, 7, 11, 19]
+    # only the prime 5 is 0 mod 5, so the scan ends after it
+    assert list(_primes_where(5, (0,))) == [5]
+    with pytest.raises(ValueError, match="admits no odd prime"):
+        _primes_where(4, (0,))
+    fam = family_by_id("pbar-4k-5l2-mod5")
+    axes = (PrimeAxis("l", mod=4, residues=(0, 2)),) + tuple(fam.axes[1:])
+    with pytest.raises(ValueError, match="admits no odd prime"):
+        list(_axis_assignments(fam, axes, {}, 10**4))
 
 
 def test_alternating_relation_counts(pbar_big):

@@ -12,18 +12,10 @@ import json
 import math
 import random
 
-import numpy as np
 import pytest
 
 from ovp import ZZ, CoefficientRing, Series, mod_ring, series_from_terms
-from ovp.qseries import (
-    IdentityCheck,
-    _serial_solve_mod,
-    _solve_unit_toeplitz_mod,
-    compare,
-    one,
-    zero,
-)
+from ovp.qseries import IdentityCheck, compare, one, zero
 from ovp.theta import ThetaKind, theta_series
 
 PBAR_FIRST_11 = (1, 2, 4, 8, 14, 24, 40, 64, 100, 154, 232)
@@ -168,8 +160,8 @@ def test_invert_round_trip_random(ring):
 
 
 def test_invert_blocked_path_round_trip():
-    # order far above the serial cutoff exercises the blocked solver,
-    # including prefix subtraction across block boundaries
+    # order 10^4 takes fourteen Newton steps; the last lifts 5000
+    # coefficients through cyclic products of size 10^4
     rng = random.Random(5)
     f = _random_series(rng, mod_ring(97), 10000, unit=True)
     assert f * f.invert() == one(mod_ring(97), 10000)
@@ -186,30 +178,36 @@ def test_invert_rejects_non_units():
         Series(ZZ, []).invert()
 
 
-def test_blocked_toeplitz_solver_matches_serial():
+@pytest.mark.parametrize(
+    "m", (2, 8, 97, 120, 1920, 46337, 65521, 998244353, 2**31 - 1)
+)
+def test_newton_inversion_matches_exact_reduction(m):
+    # orders 2^k - 1, 2^k and 2^k + 1 take different Newton step sequences,
+    # 10007 ends with a step from 5004; the wide moduli take several limbs
     rng = random.Random(31415)
-    T = 5000
-    for m in (97, 46337):
-        offsets = np.array(sorted(rng.sample(range(1, T), 40)), dtype=np.int64)
-        vals = np.array([rng.randrange(1, m) for _ in range(40)], dtype=np.int64)
-        rhs = np.array([rng.randrange(m) for _ in range(T)], dtype=np.int64)
-        blocked = _solve_unit_toeplitz_mod(offsets, vals, rhs, m)
-        serial = _serial_solve_mod(offsets, vals, rhs, m)
-        assert np.array_equal(blocked, serial)
+    T = 10007
+    exponents = sorted(rng.sample(range(1, T), 60))
+    terms = [(0, -1)] + [(e, rng.choice((-3, -2, -1, 1, 2, 3))) for e in exponents]
+    f = series_from_terms(ZZ, T, terms)
+    exact = f.invert()
+    fm = f.reduce_mod(m)
+    for order in (1, 2, 3, 255, 256, 257, 4095, 4096, 4097, T):
+        assert fm.truncate(order).invert() == exact.truncate(order).reduce_mod(m)
 
 
 # -- multiplication kernel agreement ------------------------------------------
 
 
 def test_mul_mod_matches_exact_reduction():
+    # dense orders run the FFT product: one limb mod 8 and 97, several
+    # limbs mod 2^31 - 1
     rng = random.Random(777)
-    for m in (8, 97, 2**31 - 1):
-        for order in (1, 2, 50, 300):
-            ea = _random_series(rng, ZZ, order)
-            eb = _random_series(rng, ZZ, order)
-            ma = ea.reduce_mod(m)
-            mb = eb.reduce_mod(m)
-            assert ma * mb == (ea * eb).reduce_mod(m)
+    for order in (1, 2, 50, 300, 2000, 5000):
+        ea = _random_series(rng, ZZ, order)
+        eb = _random_series(rng, ZZ, order)
+        exact = ea * eb
+        for m in (8, 97, 2**31 - 1):
+            assert ea.reduce_mod(m) * eb.reduce_mod(m) == exact.reduce_mod(m)
 
 
 def test_mul_sparse_operand_matches_dense():
