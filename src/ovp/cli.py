@@ -54,23 +54,19 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _series_text(values) -> str:
-    return ",".join(str(int(v)) for v in values)
-
-
-def _series_csv(values) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["n", "value"])
-    for n, v in enumerate(values):
-        writer.writerow([n, int(v)])
-    return buf.getvalue()
-
-
-def _series_json(series: Series, **extra) -> str:
-    payload = dict(extra)
-    payload.update(series.to_json_dict())
-    return json.dumps(payload, indent=2)
+def _emit_series(series: Series, args, **extra) -> None:
+    """Write coefficients as text, CSV, or JSON with ``extra`` fields first."""
+    if args.format == "text":
+        text = ",".join(str(int(v)) for v in series.coeffs)
+    elif args.format == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["n", "value"])
+        writer.writerows([n, int(v)] for n, v in enumerate(series.coeffs))
+        text = buf.getvalue()
+    else:
+        text = json.dumps({**extra, **series.to_json_dict()}, indent=2)
+    _emit(text, args.out)
 
 
 def _get_pbar_table(
@@ -95,25 +91,12 @@ def _cmd_compute(args, parser) -> int:
     if args.target == "pbar":
         method = canonical_method(args.method)
         table = _get_pbar_table(_ring_from(args.mod), args.order, method, args)
-        if args.format == "text":
-            _emit(_series_text(table.values), args.out)
-        elif args.format == "csv":
-            _emit(_series_csv(table.values), args.out)
-        else:
-            _emit(
-                _series_json(table.as_series(), name="pbar", method=method),
-                args.out,
-            )
+        _emit_series(table.as_series(), args, name="pbar", method=method)
         return 0
     if args.target == "theta":
         kind = _THETA_BY_NAME[args.kind]
         series = theta_series(kind, _ring_from(args.mod), args.order)
-        if args.format == "text":
-            _emit(_series_text(series.coeffs), args.out)
-        elif args.format == "csv":
-            _emit(_series_csv(series.coeffs), args.out)
-        else:
-            _emit(_series_json(series, name=f"theta:{args.kind}"), args.out)
+        _emit_series(series, args, name=f"theta:{args.kind}")
         return 0
     # ck: representation counts by ordered sums of positive squares
     table = squares_table(args.k, args.order)
@@ -171,10 +154,12 @@ def _cmd_verify(args, parser) -> int:
     chain_checks, chain_not_run = [], None
     if run_chain:
         chain_order = max(1, min(_CHAIN_ORDER_CAP, budget // 80))
-        if 80 * chain_order <= budget + 1:
+        try:
             chain_checks = verify_dissection_chain(chain_order, table)
-        else:
-            chain_not_run = f"needs pbar through argument 79, budget is {budget}"
+        except ValueError as exc:  # budget too small for the chain
+            if not families:
+                raise
+            chain_not_run = str(exc)
 
     all_ok = all(r.ok for r in reports) and all(c.ok for c in chain_checks)
     if args.format == "json":
@@ -246,12 +231,7 @@ def _cmd_hecke(args, parser) -> int:
         image = hecke_apply(f, params)
     except ValueError as exc:
         parser.error(str(exc))
-    if args.format == "text":
-        _emit(_series_text(image.coeffs), args.out)
-    elif args.format == "csv":
-        _emit(_series_csv(image.coeffs), args.out)
-    else:
-        _emit(_series_json(image, name=f"T({args.ell}^2) {args.f}"), args.out)
+    _emit_series(image, args, name=f"T({args.ell}^2) {args.f}")
     return 0
 
 
@@ -267,15 +247,7 @@ def _cmd_dissect(args, parser) -> int:
     else:
         base = theta_series(_THETA_BY_NAME[args.series], ring, args.order)
     part = base.extract_progression(args.d, args.r)
-    if args.format == "text":
-        _emit(_series_text(part.coeffs), args.out)
-    elif args.format == "csv":
-        _emit(_series_csv(part.coeffs), args.out)
-    else:
-        _emit(
-            _series_json(part, name=f"{args.series}[{args.d}n+{args.r}]"),
-            args.out,
-        )
+    _emit_series(part, args, name=f"{args.series}[{args.d}n+{args.r}]")
     return 0
 
 
@@ -286,15 +258,7 @@ def _cmd_export(args, parser) -> int:
     if args.table == "pbar":
         method = canonical_method(args.method)
         table = _get_pbar_table(_ring_from(args.mod), args.order, method, args)
-        if args.format == "csv":
-            buf = io.StringIO()
-            table.write_csv(buf)
-            _emit(buf.getvalue(), args.out)
-        else:
-            _emit(
-                _series_json(table.as_series(), name="pbar", method=method),
-                args.out,
-            )
+        _emit_series(table.as_series(), args, name="pbar", method=method)
         return 0
     sq = squares_table(args.k, args.order)
     if args.format == "csv":

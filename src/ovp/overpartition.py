@@ -27,9 +27,9 @@ from typing import IO
 
 import numpy as np
 
-from .qseries import CoefficientRing, Series, ZZ
+from .qseries import CoefficientRing, Series, inverse_from_terms
 from .squares import SquaresTable, c1_array, c2_array
-from .theta import ThetaKind, theta_series
+from .theta import ThetaKind, theta_terms
 
 
 class Method:
@@ -126,8 +126,8 @@ def overpartition_table(
     length = int(length)
     method = canonical_method(method)
     if method == Method.THETA_INVERSION:
-        inv = theta_series(ThetaKind.PHI_MINUS, ring, length).invert()
-        values = inv.coeffs
+        terms = theta_terms(ThetaKind.PHI_MINUS, length)
+        values = inverse_from_terms(ring, length, terms).coeffs
     elif method == Method.EULER_PRODUCT:
         if ring.is_exact:
             values = tuple(_euler_values_exact(length))

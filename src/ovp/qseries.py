@@ -273,14 +273,7 @@ class Series:
             rhs = [a0] + [0] * (T - 1)
             vals = _solve_unit_toeplitz_exact(kernel, rhs)
             return Series(self.ring, vals)
-        m = self.ring.modulus
-        g = math.gcd(a0, m)
-        if g != 1:
-            raise ValueError(
-                f"constant term {a0} is not invertible modulo {m}: "
-                f"gcd({a0}, {m}) = {g}"
-            )
-        return Series(self.ring, _invert_mod(self._coeffs, m))
+        return Series(self.ring, _invert_mod(self._coeffs, self.ring.modulus))
 
     # -- reindexing ------------------------------------------------------
 
@@ -415,11 +408,33 @@ def series_from_terms(
 
     Exponents must be distinct and lie in [0, order).
     """
+    return Series(ring, _terms_vector(ring, order, terms))
+
+
+def inverse_from_terms(
+    ring: CoefficientRing, order: int, terms: Iterable[tuple[int, int]]
+) -> Series:
+    """The inverse of ``series_from_terms(ring, order, terms)``.
+
+    Over Z/m the series is inverted from its narrow residue vector and never
+    widened to int64, which lowers the peak memory of long inversions.
+    """
+    data = _terms_vector(ring, order, terms)
+    if ring.is_exact:
+        return Series(ring, data).invert()
+    return Series(ring, _invert_mod(data, ring.modulus))
+
+
+def _terms_vector(
+    ring: CoefficientRing, order: int, terms: Iterable[tuple[int, int]]
+):
+    # A list of ints over ZZ; over Z/m residues in the narrowest unsigned
+    # dtype, which Series widens to int64.
     if not isinstance(order, (int, np.integer)) or order < 1:
         raise ValueError(f"order must be a positive int, got {order!r}")
     if ring.is_exact:
         data = [0] * int(order)
-    else:  # a narrow temporary: Series copies it into int64
+    else:
         data = np.zeros(order, dtype=np.min_scalar_type(ring.modulus - 1))
     seen = set()
     for e, c in terms:
@@ -430,7 +445,7 @@ def series_from_terms(
             raise ValueError(f"duplicate exponent {e}")
         seen.add(e)
         data[e] = ring.reduce(c)
-    return Series(ring, data)
+    return data
 
 
 def zero(ring: CoefficientRing, order: int) -> Series:
@@ -536,20 +551,28 @@ def _limb_plan(m: int, size: int) -> tuple[int, int]:
 
     Residues are centred into (-m/2, m/2] and split into c balanced limbs of
     w bits, |limb| <= h = min(m // 2, 2^(w-1)), so limb vectors of length
-    N = ``size`` have 2-norms at most h sqrt(N).  Percival (Math. Comp. 72,
-    2003) bounds the error of a float64 FFT convolution by ||x|| ||y||
-    ((1+e)^(3n) (1+e sqrt(5))^(3n+1) (1+b)^(3n) - 1) for n = log2 N, unit
-    roundoff e = 2^-53 and twiddle error b <= e: below 15 n e ||x|| ||y||.
-    An output sums at most c limb convolutions, so c h^2 N ceil(log2 N) <=
-    2^48 keeps every error below 15/32 and every exact value below 2^53:
-    rounding recovers the integer convolution.
+    N = ``size`` have 2-norms at most h sqrt(N).  For a radix-2 complex FFT
+    convolution in float64, Percival (Math. Comp. 72, 2003) bounds the error
+    by ||x|| ||y|| ((1+e)^(3n) (1+e sqrt(5))^(3n+1) (1+b)^(3n) - 1) for
+    n = log2 N, unit roundoff e = 2^-53 and twiddle error b <= e: below
+    15 n e ||x|| ||y||.  An output sums at most c limb convolutions, so
+    c h^2 N ceil(log2 N) <= 2^48 would keep every error below 15/32, and
+    rounding would recover the integer convolution.
+
+    That proof covers radix-2 complex transforms only.  numpy's pocketfft
+    runs real transforms with radix-2, 3, 4 and 5 passes on the 5-smooth
+    sizes of ``_fft_len``, whose butterflies and twiddles carry other error
+    constants.  The plan therefore holds c h^2 N ceil(log2 N) <= 2^46, a
+    factor 4 below the radix-2 limit (error bound 15/128 there); exactness
+    of the transforms actually run rests on that reserve and on the tests
+    against exact integer products.
     """
     half = m // 2
     lg = max(1, (size - 1).bit_length())
     for c in range(1, half.bit_length() + 2):
         w = -(-(half.bit_length() + 1) // c)
         h = min(half, 1 << (w - 1))
-        if c * h * h * size * lg <= 1 << 48:
+        if c * h * h * size * lg <= 1 << 46:
             return c, w
     raise ValueError(f"no exact float64 FFT product mod {m} at size {size}")
 
@@ -615,7 +638,7 @@ class _FFTProduct:
 
 
 def _invert_mod(f: np.ndarray, m: int) -> np.ndarray:
-    """Inverse mod m of the series f, whose constant term is a unit.
+    """Inverse mod m of the residue vector f; its constant term must be a unit.
 
     Newton iteration (Brent & Kung, J. ACM 25, 1978) lifts g = 1/f from
     mod q^k to mod q^k2, k2 <= 2k, by g <- g - q^k g [f g]_{k..k2}.  Both
@@ -624,13 +647,19 @@ def _invert_mod(f: np.ndarray, m: int) -> np.ndarray:
     coefficients below k (Hanrot, Quercia & Zimmermann, 2004).  g is built
     in the narrowest dtype that holds a residue; the caller widens it.
     """
+    a0 = int(f[0])
+    d = math.gcd(a0, m)
+    if d != 1:
+        raise ValueError(
+            f"constant term {a0} is not invertible modulo {m}: gcd({a0}, {m}) = {d}"
+        )
     T = len(f)
     lengths = [T]
     while lengths[-1] > 1:
         lengths.append((lengths[-1] + 1) // 2)
     lengths.reverse()
     g = np.empty(T, dtype=np.min_scalar_type(m - 1))
-    g[0] = pow(int(f[0]), -1, m)
+    g[0] = pow(a0, -1, m)
     kernel = _FFTProduct(m, _fft_len(T))
     for k, k2 in zip(lengths, lengths[1:]):
         size = _fft_len(k2)

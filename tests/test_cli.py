@@ -149,7 +149,7 @@ def test_verify_all_below_chain_budget_reports_chain_not_run(capsys):
     # the chain at order 1 reads pbar through argument 79
     code, out, _ = _run(capsys, ["verify", "--all", "--budget", "78", "--no-cache"])
     assert code == 0
-    assert "NOT RUN chain: needs pbar through argument 79, budget is 78" in out
+    assert "NOT RUN chain: chain at order 1 needs pbar through argument 79" in out
     assert out.rstrip().endswith("PASS: 29 families at budget 78")
     code, out, _ = _run(
         capsys,
@@ -168,6 +168,22 @@ def test_verify_all_below_chain_budget_reports_chain_not_run(capsys):
     payload = json.loads(out)
     assert len(payload["dissection_chain"]) == 9
     assert payload["dissection_chain_not_run"] is None
+    # with a family, the family sets the exit code
+    argv = ["verify", "--family", "dissection-chain", "--budget", "50", "--no-cache"]
+    code, out, _ = _run(capsys, argv + ["--family", "planted-false"])
+    assert code == 1
+    assert "NOT RUN chain:" in out
+    assert out.rstrip().endswith("FAIL: 1 families at budget 50")
+
+
+def test_verify_chain_alone_below_its_budget_is_usage_error(capsys):
+    code, out, err = _run(
+        capsys,
+        ["verify", "--family", "dissection-chain", "--budget", "50", "--no-cache"],
+    )
+    assert code == 2
+    assert out == ""
+    assert "chain at order 1 needs pbar through argument 79" in err
 
 
 def test_verify_chain_only(capsys):

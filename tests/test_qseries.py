@@ -15,7 +15,7 @@ import random
 import pytest
 
 from ovp import ZZ, CoefficientRing, Series, mod_ring, series_from_terms
-from ovp.qseries import IdentityCheck, compare, one, zero
+from ovp.qseries import IdentityCheck, compare, inverse_from_terms, one, zero
 from ovp.theta import ThetaKind, theta_series
 
 PBAR_FIRST_11 = (1, 2, 4, 8, 14, 24, 40, 64, 100, 154, 232)
@@ -193,6 +193,17 @@ def test_newton_inversion_matches_exact_reduction(m):
     fm = f.reduce_mod(m)
     for order in (1, 2, 3, 255, 256, 257, 4095, 4096, 4097, T):
         assert fm.truncate(order).invert() == exact.truncate(order).reduce_mod(m)
+
+
+def test_inverse_from_terms_matches_series_inverse():
+    terms = [(0, 1)] + [(k * k, 2 * (-1) ** k) for k in range(1, 45)]
+    for ring in (ZZ, mod_ring(120), mod_ring(2**31 - 1)):
+        expected = series_from_terms(ring, 2000, terms).invert()
+        assert inverse_from_terms(ring, 2000, terms) == expected
+    with pytest.raises(ValueError, match=r"gcd\(2, 6\) = 2"):
+        inverse_from_terms(mod_ring(6), 10, [(0, 2), (1, 1)])
+    with pytest.raises(ValueError):
+        inverse_from_terms(mod_ring(6), 10, [(0, 1), (0, 1)])
 
 
 # -- multiplication kernel agreement ------------------------------------------
