@@ -3,10 +3,12 @@
 Resolution order for the cache directory: explicit argument, then the
 OVP_CACHE_DIR environment variable, then ~/.cache/ovp.  A table is keyed
 by (name, method, ring, length) and the package version; the payload is
-the binary series format for residue rings and JSON for exact tables,
-with a sidecar metadata file recording the payload digest.  Loads verify
-the digest and treat any mismatch as a miss; stores write a temp file in
-the target directory and rename it into place.  An unwritable directory
+the binary series format for residue rings (one narrowest unsigned word
+per residue; a file of int64 words fails its length check) and JSON for
+exact tables, with a sidecar metadata file recording the payload digest.
+Loads verify the digest and treat any mismatch or unreadable payload as a
+miss; stores write a temp file in the target directory, give it the mode
+0o666 & ~umask, and rename it into place.  An unwritable directory
 degrades to compute-only with a warning.
 """
 
@@ -58,6 +60,10 @@ def _atomic_write(target: Path, data: bytes) -> None:
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
+        # mkstemp creates mode 0600; give the file what open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, target)
     except BaseException:
         if os.path.exists(tmp):
@@ -101,8 +107,6 @@ def load_table(
     """Load a table if present and digest-verified; None on any miss."""
     directory = resolve_cache_dir(cache_dir)
     payload_path, meta_path = _paths(directory, name, method, ring, length)
-    if not payload_path.exists() or not meta_path.exists():
-        return None
     try:
         meta = json.loads(meta_path.read_text())
         payload = payload_path.read_bytes()

@@ -126,18 +126,15 @@ def _cmd_compute(args, parser) -> int:
 def _cmd_verify(args, parser) -> int:
     if not args.all and not args.family:
         parser.error("choose --all or at least one --family")
-    wanted: list[str] = []
-    run_chain = False
-    if args.all:
-        wanted = [fam.id for fam in registry()]
-        run_chain = True
-    for fid in args.family or []:
-        if fid == "dissection-chain":
-            run_chain = True
-        else:
-            wanted.append(fid)
+    # one registry build for --all; family_by_id builds it once per call
+    families = registry() if args.all else []
+    run_chain = args.all
     try:
-        families = [family_by_id(fid) for fid in wanted]
+        for fid in args.family or []:
+            if fid == "dissection-chain":
+                run_chain = True
+            else:
+                families.append(family_by_id(fid))
     except KeyError as exc:
         parser.error(str(exc.args[0]))
 
@@ -174,7 +171,7 @@ def _cmd_verify(args, parser) -> int:
     else:
         lines = []
         for r in reports:
-            mark = "PASS" if r.ok else "FAIL"
+            mark = "VACUOUS" if r.vacuous else "PASS" if r.ok else "FAIL"
             lines.append(
                 f"{mark} {r.family_id}: {r.statement} "
                 f"[cases={r.cases}, n<={r.n_max}, arg<={r.max_argument}]"
@@ -187,8 +184,10 @@ def _cmd_verify(args, parser) -> int:
             lines.append(f"{mark} chain: {c.name} [order {c.order}]{where}")
         if chain_not_run:
             lines.append(f"NOT RUN chain: {chain_not_run}")
+        vacuous = sum(r.vacuous for r in reports)
         lines.append(
             f"{'PASS' if all_ok else 'FAIL'}: {len(reports)} families"
+            + (f" ({vacuous} vacuous)" if vacuous else "")
             + (f" + {len(chain_checks)} chain identities" if chain_checks else "")
             + f" at budget {budget}"
         )
@@ -248,31 +247,6 @@ def _cmd_dissect(args, parser) -> int:
         base = theta_series(_THETA_BY_NAME[args.series], ring, args.order)
     part = base.extract_progression(args.d, args.r)
     _emit_series(part, args, name=f"{args.series}[{args.d}n+{args.r}]")
-    return 0
-
-
-# -- export ------------------------------------------------------------------
-
-
-def _cmd_export(args, parser) -> int:
-    if args.table == "pbar":
-        method = canonical_method(args.method)
-        table = _get_pbar_table(_ring_from(args.mod), args.order, method, args)
-        _emit_series(table.as_series(), args, name="pbar", method=method)
-        return 0
-    sq = squares_table(args.k, args.order)
-    if args.format == "csv":
-        buf = io.StringIO()
-        sq.write_csv(buf)
-        _emit(buf.getvalue(), args.out)
-    else:
-        payload = {
-            "name": "ck",
-            "k_max": sq.k_max,
-            "order": sq.order,
-            "rows": [list(row) for row in sq.rows],
-        }
-        _emit(json.dumps(payload, indent=2), args.out)
     return 0
 
 
@@ -365,8 +339,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, order_default=100)
     p.set_defaults(func=_cmd_dissect)
 
+    # export is compute with --out required and CSV by default
     p = sub.add_parser("export", help="write a table to --out")
-    p.add_argument("--table", choices=("pbar", "ck"), default="pbar")
+    p.add_argument("--table", dest="target", choices=("pbar", "ck"), default="pbar")
     p.add_argument("--method", default="theta")
     p.add_argument("--k", type=int, default=2)
     p.add_argument(
@@ -377,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--cache-dir", default=None)
     p.add_argument("--no-cache", action="store_true")
-    p.set_defaults(func=_cmd_export)
+    p.set_defaults(func=_cmd_compute)
 
     return parser
 

@@ -33,9 +33,6 @@ from .overpartition import CoeffTable, Method, overpartition_table
 from .qseries import IdentityCheck, Series, compare, mod_ring
 from .theta import ThetaKind, theta_series
 
-_CHUNK = 1 << 18
-
-
 # -- family description ------------------------------------------------------
 
 
@@ -171,6 +168,11 @@ class VerifyReport:
     def ok(self) -> bool:
         return self.violations == 0
 
+    @property
+    def vacuous(self) -> bool:
+        """True when the budget left no case to check; not a failure."""
+        return self.cases == 0
+
     def to_json_dict(self) -> dict:
         return {
             "family": self.family_id,
@@ -182,6 +184,7 @@ class VerifyReport:
             },
             "cases": self.cases,
             "pass": self.ok,
+            "vacuous": self.vacuous,
             "violations": self.violations,
             "counterexamples": [
                 {"n": n, "arg": arg, "lhs": lhs, "rhs": rhs}
@@ -267,32 +270,48 @@ def _fits_with_minimal_rest(
 # -- verification ------------------------------------------------------------
 
 
-def _table_residue_reader(table: CoeffTable, modulus: int):
+def _residues(table: CoeffTable, modulus: int) -> tuple[np.ndarray, int]:
+    """Narrow residues of the table mod some m that ``modulus`` divides, and m."""
     if table.ring.is_exact:
-        values = table.values
-
-        def read(args: np.ndarray) -> np.ndarray:
-            return np.array([values[a] % modulus for a in args.tolist()], dtype=np.int64)
-
-        return read
+        dtype = np.min_scalar_type(modulus - 1)
+        return np.array([v % modulus for v in table.values], dtype=dtype), modulus
     if table.ring.modulus % modulus != 0:
         raise ValueError(
             f"table modulus {table.ring.modulus} does not cover family "
             f"modulus {modulus}"
         )
-    arr = np.asarray(table.values)
+    return table.residues, table.ring.modulus
 
-    def read(args: np.ndarray) -> np.ndarray:
-        return arr[args] % modulus
 
-    return read
+def _read(res, m: int, M: int, amap: ArgMap, params: dict, n0: int, count: int):
+    """pbar(A(n)) mod M, n0 <= n < n0 + count, as a strided view of residues
+    mod m, reduced when M is a proper divisor of m (so M fits their dtype)."""
+    start = amap.evaluate(n0, params)
+    stride = amap.scale(params) * amap.step
+    view = res[start : start + stride * (count - 1) + 1 : stride]
+    if m == M:
+        return view
+    return view & (M - 1) if M & (M - 1) == 0 else view % M
 
 
 def _legendre_table(p: int, negate: bool) -> np.ndarray:
-    tab = np.zeros(p, dtype=np.int64)
-    for r in range(p):
-        tab[r] = legendre(-r if negate else r, p)
-    return tab
+    """legendre(r, p), or legendre(-r, p) when negating, for r = 0..p-1."""
+    if not is_odd_prime(p):
+        raise ValueError(f"legendre symbol needs an odd prime, got {p}")
+    tab = np.full(p, -1, dtype=np.int64)
+    tab[0] = 0
+    r = np.arange(1, p, dtype=np.int64)
+    tab[r * r % p] = 1
+    return tab[-np.arange(p) % p] if negate else tab
+
+
+def _side_pattern(side: SideCondition, p: int) -> np.ndarray:
+    """Which n mod p the side condition keeps."""
+    if side.kind == "legendre-minus-n":
+        return _legendre_table(p, negate=True) == side.value
+    if side.kind == "coprime":
+        return np.arange(p) != 0
+    raise ValueError(f"unknown side condition {side.kind!r}")
 
 
 def verify(
@@ -316,9 +335,11 @@ def verify(
             f"table has {table.length}"
         )
     M = family.modulus
-    read = _table_residue_reader(table, M)
+    res, m = _residues(table, M)
     rel = family.relation
     side = family.side
+    n0 = family.n_start
+    patterns: dict[int, np.ndarray] = {}
 
     cases = 0
     violations = 0
@@ -327,67 +348,60 @@ def verify(
     counterexamples: list[tuple[int, int, int, int]] = []
 
     for params in _axis_assignments(family, tuple(family.axes), {}, budget):
-        bound = budget
-        n_hi = None
-        for amap in family.arg_maps():
-            s = amap.scale(params)
-            off = amap.offset_value(params)
-            cap = (bound // s - off) // amap.step
-            n_hi = cap if n_hi is None else min(n_hi, cap)
-        if n_hi is None or n_hi < family.n_start:
+        count = 1 - n0 + min(
+            (budget // amap.scale(params) - amap.offset_value(params)) // amap.step
+            for amap in family.arg_maps()
+        )
+        if count < 1:
             continue
-        side_tab = None
-        side_p = None
-        if side is not None:
-            side_p = params[side.axis]
-            if side.kind == "legendre-minus-n":
-                side_tab = _legendre_table(side_p, negate=True)
-        split_tab = None
-        if rel.kind == "legendre-split":
-            split_tab = _legendre_table(rel.prime, negate=False)
 
-        for lo in range(family.n_start, n_hi + 1, _CHUNK):
-            hi = min(lo + _CHUNK, n_hi + 1)
-            n = np.arange(lo, hi, dtype=np.int64)
-            if side is not None:
-                if side.kind == "legendre-minus-n":
-                    n = n[side_tab[n % side_p] == side.value]
-                elif side.kind == "coprime":
-                    n = n[n % side_p != 0]
-                else:
-                    raise ValueError(f"unknown side condition {side.kind!r}")
-                if n.size == 0:
-                    continue
-            lhs_args = family.lhs.evaluate(n, params)
-            lhs = read(lhs_args)
-            if rel.kind == "zero":
-                rhs = np.zeros_like(lhs)
+        keep = None
+        last = count - 1
+        if side is not None:
+            p = params[side.axis]
+            if p not in patterns:
+                patterns[p] = _side_pattern(side, p)
+            keep = patterns[p][np.arange(n0, n0 + count) % p]
+            kept = int(np.count_nonzero(keep))
+            if not kept:
+                continue
+            last -= int(np.argmax(keep[::-1]))
+            cases += kept
+        else:
+            cases += count
+
+        lhs = _read(res, m, M, family.lhs, params, n0, count)
+        rhs = None
+        if rel.kind != "zero":
+            rhs = _read(res, m, M, rel.rhs, params, n0, count).astype(np.int64)
+            if rel.kind == "equal":
+                rhs = rel.sign * rhs % M
+            elif rel.kind == "alternating":
+                odd = rhs[(n0 + 1) % 2 :: 2]
+                np.negative(odd, out=odd)
+                odd %= M
+            elif rel.kind == "scaled":
+                rhs = rel.scalar * rhs % M
+            elif rel.kind == "legendre-split":
+                chi = _legendre_table(rel.prime, negate=False)
+                rhs = (rhs + chi[np.arange(n0, n0 + count) % rel.prime] * lhs) % M
             else:
-                rhs_args = rel.rhs.evaluate(n, params)
-                rhs_raw = read(rhs_args)
-                if rel.kind == "equal":
-                    rhs = (rel.sign * rhs_raw) % M
-                elif rel.kind == "alternating":
-                    rhs = np.where(n % 2 == 0, rhs_raw, (-rhs_raw) % M)
-                elif rel.kind == "scaled":
-                    rhs = (rel.scalar * rhs_raw) % M
-                elif rel.kind == "legendre-split":
-                    chi = split_tab[n % rel.prime]
-                    rhs = (rhs_raw + chi * lhs) % M
-                else:
-                    raise ValueError(f"unknown relation kind {rel.kind!r}")
-            bad = np.nonzero(lhs != rhs)[0]
-            cases += int(n.size)
-            n_max_seen = max(n_max_seen, int(n[-1]))
-            arg_max_seen = max(arg_max_seen, int(lhs_args[-1]))
-            if rel.kind != "zero":
-                arg_max_seen = max(arg_max_seen, int(rhs_args[-1]))
-            if bad.size:
-                violations += int(bad.size)
-                for i in bad[: max(0, max_counterexamples - len(counterexamples))]:
-                    counterexamples.append(
-                        (int(n[i]), int(lhs_args[i]), int(lhs[i]), int(rhs[i]))
-                    )
+                raise ValueError(f"unknown relation kind {rel.kind!r}")
+        bad = lhs if rhs is None else lhs != rhs
+        if keep is not None:
+            bad = np.logical_and(bad, keep)
+
+        n_max_seen = max(n_max_seen, n0 + last)
+        args = [amap.evaluate(n0 + last, params) for amap in family.arg_maps()]
+        arg_max_seen = max(arg_max_seen, *args)
+        found = int(np.count_nonzero(bad))
+        if found:
+            violations += found
+            room = max(0, max_counterexamples - len(counterexamples))
+            for i in np.flatnonzero(bad)[:room].tolist():
+                arg = family.lhs.evaluate(n0 + i, params)
+                rhs_i = 0 if rhs is None else int(rhs[i])
+                counterexamples.append((n0 + i, arg, int(lhs[i]), rhs_i))
     return VerifyReport(
         family_id=family.id,
         statement=family.statement,
@@ -629,15 +643,14 @@ def verify_dissection_chain(
     need = 80 * order
     if table is None:
         table = overpartition_table(mod_ring(5), need, Method.THETA_INVERSION)
-    reader = _table_residue_reader(table, 5)
+    res, _ = _residues(table, 5)
     if table.length < need:
         raise ValueError(
             f"chain at order {order} needs pbar through argument {need - 1}; "
             f"table has length {table.length}"
         )
     ring = mod_ring(5)
-    idx5 = np.arange(16 * order, dtype=np.int64) * 5
-    p5 = Series(ring, reader(idx5))  # pbar(5n) for n < 16 * order
+    p5 = Series(ring, res[:need:5])  # pbar(5n) for n < 16 * order
 
     checks = [
         compare(
@@ -655,25 +668,16 @@ def verify_dissection_chain(
     base = [phi2 * phi, phi2 * psi2, phi * psi2sq, psi2sq * psi2]
     side_names = ["phi^3", "phi^2 psi(q^2)", "phi psi(q^2)^2", "psi(q^2)^3"]
 
-    first_signs = (1, -1, 2, -3)
-    second_signs = (1, 1, 2, 3)
-    for i in range(4):
-        checks.append(
-            compare(
-                f"pbar(20n + {5 * i}) == {first_signs[i]} {side_names[i]} (mod 5)",
-                p5.extract_progression(4, i),
-                base[i].scalar_mul(first_signs[i]),
-            )
-        )
     p20 = p5.extract_progression(4, 0)
-    for i in range(4):
-        checks.append(
-            compare(
-                f"pbar(80n + {20 * i}) == {second_signs[i]} {side_names[i]} (mod 5)",
-                p20.extract_progression(4, i),
-                base[i].scalar_mul(second_signs[i]),
+    for top, step, signs in ((p5, 5, (1, -1, 2, -3)), (p20, 20, (1, 1, 2, 3))):
+        for i in range(4):
+            checks.append(
+                compare(
+                    f"pbar({4 * step}n + {step * i}) == {signs[i]} {side_names[i]} (mod 5)",
+                    top.extract_progression(4, i),
+                    base[i].scalar_mul(signs[i]),
+                )
             )
-        )
     return checks
 
 
@@ -695,7 +699,7 @@ def density_report(
             f"limit {limit} requires table length >= {limit + 1}, "
             f"table has {table.length}"
         )
-    read = _table_residue_reader(table, modulus)
-    args = np.arange(1, limit + 1, dtype=np.int64)
-    residues = read(args)
-    return float(np.count_nonzero(residues == 0) / limit)
+    res, m = _residues(table, modulus)
+    amap = ArgMap(offset=1)
+    zeros = limit - np.count_nonzero(_read(res, m, modulus, amap, {}, 0, limit))
+    return float(zeros / limit)

@@ -22,13 +22,13 @@ import csv
 import hashlib
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import IO
 
 import numpy as np
 
 from .qseries import CoefficientRing, Series, inverse_from_terms
-from .squares import SquaresTable, c1_array, c2_array
+from .squares import SquaresTable, _convolve_theta, c1_array, c2_array
 from .theta import ThetaKind, theta_terms
 
 
@@ -78,6 +78,21 @@ class CoeffTable:
     @property
     def length(self) -> int:
         return len(self.values)
+
+    @cached_property
+    def residues(self) -> np.ndarray:
+        """``values`` over Z/m as a read-only vector of the narrowest unsigned
+        dtype, built once.  ``values`` stays int64: ``-2 * values`` would
+        overflow an unsigned dtype."""
+        if self.ring.is_exact:
+            raise ValueError("an exact table has no residue vector")
+        m = self.ring.modulus
+        values = np.asarray(self.values)
+        if values.size and (values.min() < 0 or values.max() >= m):
+            values = values % m
+        res = values.astype(np.min_scalar_type(m - 1))
+        res.flags.writeable = False
+        return res
 
     def value(self, n: int) -> int:
         if n < 0:
@@ -139,11 +154,9 @@ def overpartition_table(
                 f"enumeration is limited to length <= {ENUMERATION_LIMIT}, "
                 f"got {length}"
             )
-        exact = _enumeration_values(length)
-        values = _coerce(exact, ring)
+        values = Series(ring, _enumeration_values(length)).coeffs
     else:  # two-adic
-        exact = _two_adic_values(length)
-        values = _coerce(exact, ring)
+        values = Series(ring, _two_adic_values(length)).coeffs
     return CoeffTable(
         name="pbar",
         method=method,
@@ -151,13 +164,6 @@ def overpartition_table(
         values=values,
         meta={"ring": str(ring), "length": length},
     )
-
-
-def _coerce(exact_values: list[int], ring: CoefficientRing):
-    if ring.is_exact:
-        return tuple(exact_values)
-    m = ring.modulus
-    return np.array([v % m for v in exact_values], dtype=np.int64)
 
 
 # -- euler product -----------------------------------------------------------
@@ -241,15 +247,7 @@ def _two_adic_values(length: int) -> list[int]:
         if k >= length:
             break
         # next row: c_(k)(n) = sum(c_(k-1)(n - s)); support starts at k
-        lo = k - 1
-        out = [0] * length
-        for s in squares:
-            hi = length - s
-            if hi <= lo:
-                break
-            seg = row[lo:hi]
-            out[lo + s :] = [r + v for r, v in zip(out[lo + s :], seg)]
-        row = out
+        row = _convolve_theta(row, squares, length, k - 1)
     return acc
 
 

@@ -18,6 +18,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 _MAGIC = b"QS01"
+_HEADER_SIZE = 21  # magic, ring tag, modulus and order
 _RING_TAG_MOD = 1
 _MAX_MODULUS = 1 << 31
 
@@ -89,8 +90,12 @@ def _normalize_mod(coeffs, m: int) -> np.ndarray:
     if arr.dtype == object or arr.dtype.kind not in "iu":
         arr = np.array([int(c) % m for c in coeffs], dtype=np.int64)
     else:
+        # Unsigned words below m, as the codec and the inversion produce,
+        # are canonical already.
+        canonical = arr.dtype.kind == "u" and (arr.size == 0 or int(arr.max()) < m)
         arr = arr.astype(np.int64)
-        arr %= m
+        if not canonical:
+            arr %= m
     arr.flags.writeable = False
     return arr
 
@@ -372,30 +377,45 @@ class Series:
     def to_bytes(self) -> bytes:
         """Binary form: magic, ring tag, modulus, order, little-endian words.
 
-        Only residue-ring series have a binary form; exact series serialize
-        through JSON (decimal strings) since coefficients may exceed 64 bits.
+        Each coefficient takes the narrowest unsigned word that holds a
+        residue mod m (1, 2 or 4 bytes), so the word width follows from the
+        modulus in the header.  Only residue-ring series have a binary form;
+        exact series serialize through JSON (decimal strings) since
+        coefficients may exceed 64 bits.
         """
         if self.ring.is_exact:
             raise ValueError("exact series have no binary form; use to_json")
         header = _MAGIC + struct.pack(
             "<BQQ", _RING_TAG_MOD, self.ring.modulus, self.order
         )
-        return header + np.ascontiguousarray(self._coeffs, dtype="<i8").tobytes()
+        return header + self._coeffs.astype(_word(self.ring.modulus)).tobytes()
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Series":
         if data[:4] != _MAGIC:
             raise ValueError(f"bad magic {data[:4]!r}, expected {_MAGIC!r}")
-        tag, modulus, order = struct.unpack("<BQQ", data[4:21])
+        if len(data) < _HEADER_SIZE:
+            raise ValueError(
+                f"payload holds {len(data)} bytes, "
+                f"shorter than the {_HEADER_SIZE}-byte header"
+            )
+        tag, modulus, order = struct.unpack("<BQQ", data[4:_HEADER_SIZE])
         if tag != _RING_TAG_MOD:
             raise ValueError(f"unknown ring tag {tag}")
-        body = data[21:]
-        if len(body) != 8 * order:
+        ring = CoefficientRing(int(modulus))
+        word = _word(ring.modulus)
+        body = data[_HEADER_SIZE:]
+        if len(body) != word.itemsize * order:
             raise ValueError(
-                f"payload holds {len(body) // 8} words, header promises {order}"
+                f"payload holds {len(body) // word.itemsize} words, "
+                f"header promises {order}"
             )
-        coeffs = np.frombuffer(body, dtype="<i8").astype(np.int64)
-        return cls(CoefficientRing(int(modulus)), coeffs)
+        return cls(ring, np.frombuffer(body, dtype=word))
+
+
+def _word(m: int) -> np.dtype:
+    """Little-endian unsigned word of the binary form for residues mod m."""
+    return np.dtype(np.min_scalar_type(m - 1)).newbyteorder("<")
 
 
 # -- construction ----------------------------------------------------------

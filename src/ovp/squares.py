@@ -22,12 +22,17 @@ def _positive_squares(order: int) -> list[int]:
     return [a * a for a in range(1, math.isqrt(max(order - 1, 0)) + 1)]
 
 
-def _convolve_theta(row: Sequence[int], squares: Sequence[int], order: int) -> list[int]:
-    """One multiplication by theta_+: out[n] = sum(row[n - s]) over squares s."""
+def _convolve_theta(
+    row: Sequence[int], squares: Sequence[int], order: int, lo: int = 0
+) -> list[int]:
+    """One multiplication by theta_+: out[n] = sum(row[n - s]) over squares s.
+
+    Entries of ``row`` below ``lo`` must be zero; they are skipped.
+    """
     out = [0] * order
     for s in squares:
-        seg = row[: order - s]
-        out[s:] = [r + v for r, v in zip(out[s:], seg)]
+        seg = row[lo : order - s]
+        out[lo + s :] = [r + v for r, v in zip(out[lo + s :], seg)]
     return out
 
 

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
+import struct
 
+import numpy as np
 import pytest
 
 from ovp import ZZ, Method, mod_ring, overpartition_table
 from ovp.cache import (
     ENV_VAR,
+    _paths,
     load_table,
     resolve_cache_dir,
     store_table,
@@ -97,3 +102,35 @@ def test_no_temp_files_left_behind(tmp_path):
     leftovers = [p.name for p in tmp_path.iterdir() if p.name.startswith(".tmp-")]
     assert leftovers == []
     assert len(list(tmp_path.iterdir())) == 4  # two payloads + two sidecars
+
+
+def test_residue_payload_is_one_byte_per_word_mod120(tmp_path):
+    table = overpartition_table(mod_ring(120), 1000)
+    path = store_table(table, tmp_path)
+    assert path.stat().st_size == 21 + 1000
+    hit = load_table("pbar", table.method, mod_ring(120), 1000, tmp_path)
+    assert np.array_equal(hit.values, table.values)
+
+
+def test_int64_word_payload_with_valid_digest_is_a_miss(tmp_path):
+    # the layout before residues took the narrowest word: 8 bytes each
+    table = overpartition_table(mod_ring(120), 300)
+    payload = b"QS01" + struct.pack("<BQQ", 1, 120, 300)
+    payload += np.asarray(table.values, dtype="<i8").tobytes()
+    payload_path, meta_path = _paths(tmp_path, "pbar", table.method, table.ring, 300)
+    payload_path.write_bytes(payload)
+    meta = {"sha256": hashlib.sha256(payload).hexdigest(), "length": 300}
+    meta_path.write_text(json.dumps(meta))
+    assert load_table("pbar", table.method, mod_ring(120), 300, tmp_path) is None
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
+def test_cache_files_follow_the_umask(tmp_path, umask, mode):
+    old = os.umask(umask)
+    try:
+        path = store_table(overpartition_table(mod_ring(8), 100), tmp_path)
+    finally:
+        os.umask(old)
+    meta_path = path.with_name(path.name[: -len(".qs")] + ".meta.json")
+    assert path.stat().st_mode & 0o777 == mode
+    assert meta_path.stat().st_mode & 0o777 == mode

@@ -150,7 +150,7 @@ def test_verify_all_below_chain_budget_reports_chain_not_run(capsys):
     code, out, _ = _run(capsys, ["verify", "--all", "--budget", "78", "--no-cache"])
     assert code == 0
     assert "NOT RUN chain: chain at order 1 needs pbar through argument 79" in out
-    assert out.rstrip().endswith("PASS: 29 families at budget 78")
+    assert out.rstrip().endswith("PASS: 29 families (10 vacuous) at budget 78")
     code, out, _ = _run(
         capsys,
         ["verify", "--all", "--budget", "50", "--format", "json", "--no-cache"],
@@ -174,6 +174,34 @@ def test_verify_all_below_chain_budget_reports_chain_not_run(capsys):
     assert code == 1
     assert "NOT RUN chain:" in out
     assert out.rstrip().endswith("FAIL: 1 families at budget 50")
+
+
+VACUOUS_AT_100 = [
+    "pbar-25n-vs-625n-mod5", "pbar-4k-5odd-5n1-mod5", "pbar-125-5n1-mod5",
+    "pbar-500-5n1-mod5", "pbar-180-3n1-mod5", "pbar-845-13n-mod5",
+    "treneer-5l3-mod5", "lovejoy-osburn-3l3-mod3", "pbar-5-5n2-scaled-mod5",
+    "pbar-5n-hecke-split-mod5",
+]
+
+
+def test_verify_marks_families_without_cases_vacuous(capsys):
+    code, out, _ = _run(capsys, ["verify", "--all", "--budget", "100", "--no-cache"])
+    assert code == 0
+    lines = out.splitlines()
+    marked = [line.split()[1].rstrip(":") for line in lines if line.startswith("VACUOUS ")]
+    assert marked == VACUOUS_AT_100
+    assert all("[cases=0," in line for line in lines if line.startswith("VACUOUS "))
+    assert not any("[cases=0," in line for line in lines if line.startswith("PASS "))
+    assert lines[-1] == "PASS: 29 families (10 vacuous) + 9 chain identities at budget 100"
+    code, out, _ = _run(
+        capsys,
+        ["verify", "--all", "--budget", "100", "--format", "json", "--no-cache"],
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["pass"] is True
+    assert [f["family"] for f in payload["families"] if f["vacuous"]] == VACUOUS_AT_100
+    assert all(f["vacuous"] == (f["cases"] == 0) for f in payload["families"])
 
 
 def test_verify_chain_alone_below_its_budget_is_usage_error(capsys):

@@ -13,7 +13,11 @@ from ovp.congruence import (
     AxisFactor,
     CongruenceFamily,
     PrimeAxis,
+    Relation,
+    SideCondition,
+    VerifyReport,
     _axis_assignments,
+    _legendre_table,
     _primes_where,
     density_report,
     family_by_id,
@@ -22,6 +26,8 @@ from ovp.congruence import (
     verify,
     verify_dissection_chain,
 )
+from ovp.hecke import is_odd_prime, legendre
+from ovp.overpartition import CoeffTable
 
 VALID_KINDS = {"zero", "equal", "alternating", "scaled", "legendre-split"}
 
@@ -76,6 +82,133 @@ def test_every_family_passes_small_budget(table_mod120):
     for fam in registry():
         report = verify(fam, table_mod120, budget=10**4)
         assert report.ok, (fam.id, report.counterexamples[:3])
+
+
+def _reference_verify(family, table, budget, max_counterexamples=16):
+    """verify() as a pure-Python loop over n through the family's ArgMaps."""
+    M = family.modulus
+    rel, side = family.relation, family.side
+    maps = family.arg_maps()
+    cases = violations = n_max = arg_max = 0
+    counterexamples = []
+    for params in _axis_assignments(family, tuple(family.axes), {}, budget):
+        n = family.n_start
+        while all(amap.evaluate(n, params) <= budget for amap in maps):
+            n, this_n = n + 1, n
+            if side is not None:
+                p = params[side.axis]
+                if side.kind == "legendre-minus-n" and legendre(-this_n, p) != side.value:
+                    continue
+                if side.kind == "coprime" and this_n % p == 0:
+                    continue
+            args = [amap.evaluate(this_n, params) for amap in maps]
+            lhs = int(table.values[args[0]]) % M
+            if rel.kind == "zero":
+                rhs = 0
+            else:
+                raw = int(table.values[args[1]])
+                if rel.kind == "equal":
+                    rhs = rel.sign * raw % M
+                elif rel.kind == "alternating":
+                    rhs = (-1) ** this_n * raw % M
+                elif rel.kind == "scaled":
+                    rhs = rel.scalar * raw % M
+                else:
+                    rhs = (raw + legendre(this_n, rel.prime) * lhs) % M
+            cases += 1
+            n_max = max(n_max, this_n)
+            arg_max = max(arg_max, *args)
+            if lhs != rhs:
+                violations += 1
+                if len(counterexamples) < max_counterexamples:
+                    counterexamples.append((this_n, args[0], lhs, rhs))
+    return VerifyReport(
+        family_id=family.id,
+        statement=family.statement,
+        modulus=M,
+        budget=budget,
+        n_max=n_max,
+        max_argument=arg_max,
+        cases=cases,
+        violations=violations,
+        counterexamples=counterexamples,
+    )
+
+
+SWEEP_FAMILIES = registry() + [
+    planted_false_family(),
+    CongruenceFamily(
+        id="equal-negated-from-2",
+        statement="pbar(5n) == -pbar(25n) (mod 5), n >= 2 [mostly false]",
+        modulus=5,
+        lhs=ArgMap(step=5),
+        relation=Relation(kind="equal", rhs=ArgMap(step=25), sign=-1),
+        n_start=2,
+    ),
+    CongruenceFamily(
+        id="alternating-from-3",
+        statement="pbar(n) == (-1)^n pbar(4n) (mod 8), n >= 3",
+        modulus=8,
+        lhs=ArgMap(step=1),
+        relation=Relation(kind="alternating", rhs=ArgMap(step=4)),
+        n_start=3,
+    ),
+    CongruenceFamily(
+        id="legendre-plus-from-7",
+        statement="pbar(5 l^2 n) == 0 (mod 5), l == 3 (mod 5), legendre(-n, l) = 1, n >= 7",
+        modulus=5,
+        lhs=ArgMap(base=5, factors=(AxisFactor("l", power=2),)),
+        axes=(PrimeAxis("l", mod=5, residues=(3,)),),
+        side=SideCondition(kind="legendre-minus-n", axis="l", value=1),
+        n_start=7,
+    ),
+    CongruenceFamily(
+        id="split-from-4",
+        statement="pbar(3n + 1) == pbar(7n + 2) + legendre(n, 7) pbar(3n + 1) (mod 3), n >= 4",
+        modulus=3,
+        lhs=ArgMap(step=3, offset=1),
+        relation=Relation(kind="legendre-split", rhs=ArgMap(step=7, offset=2), prime=7),
+        n_start=4,
+    ),
+    CongruenceFamily(
+        id="scaled-mod12",
+        statement="pbar(2n) == 7 pbar(6n + 1) (mod 12), n >= 1",
+        modulus=12,
+        lhs=ArgMap(step=2),
+        relation=Relation(kind="scaled", rhs=ArgMap(step=6, offset=1), scalar=7),
+        n_start=1,
+    ),
+]
+
+
+@pytest.mark.parametrize("budget", (1, 79, 257, 1237, 4999))
+def test_sweep_matches_reference_loop(budget, pbar_exact, table_mod120, pbar_big):
+    for table in (pbar_exact, table_mod120, pbar_big):
+        for fam in SWEEP_FAMILIES:
+            want = _reference_verify(fam, table, budget)
+            assert verify(fam, table, budget=budget) == want, (fam.id, table.ring)
+
+
+def test_sweep_matches_reference_loop_on_corrupted_table(table_mod120):
+    rng = np.random.default_rng(120)
+    values = np.array(table_mod120.values)
+    hits = rng.choice(np.arange(1, 5001), size=60, replace=False)
+    values[hits] = (values[hits] + rng.integers(1, 120, size=60)) % 120
+    corrupted = CoeffTable("pbar", "corrupted", mod_ring(120), values)
+    failing = 0
+    for fam in SWEEP_FAMILIES:
+        for cap in (0, 3, 16):
+            want = _reference_verify(fam, corrupted, 5000, cap)
+            assert verify(fam, corrupted, 5000, cap) == want, (fam.id, cap)
+        failing += not want.ok
+    assert failing >= 20
+
+
+def test_legendre_table_matches_symbol():
+    for p in filter(is_odd_prime, range(3, 200)):
+        for negate in (False, True):
+            want = [legendre(-r if negate else r, p) for r in range(p)]
+            assert _legendre_table(p, negate).tolist() == want, (p, negate)
 
 
 def test_axis_assignment_budgets():
@@ -166,10 +299,12 @@ def test_report_json_schema(table_mod120):
     report = verify(planted_false_family(), table_mod120, budget=5000)
     payload = report.to_json_dict()
     assert set(payload) == {
-        "family", "anchor", "range", "cases", "pass", "violations", "counterexamples",
+        "family", "anchor", "range", "cases", "pass", "vacuous", "violations",
+        "counterexamples",
     }
     assert payload["family"] == "planted-false"
     assert payload["pass"] is False
+    assert payload["vacuous"] is False
     assert payload["range"]["max_argument"] <= 5000
     first = payload["counterexamples"][0]
     assert first == {"n": 1, "arg": 5, "lhs": 4, "rhs": 0}

@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import io
 
+import numpy as np
 import pytest
 
 from ovp import ZZ, Method, mod_ring, overpartition_table, squares_table, two_adic_value
 from ovp.overpartition import (
     ENUMERATION_LIMIT,
+    CoeffTable,
     canonical_method,
     mod8_residues,
     mod8_truncation,
@@ -120,6 +122,21 @@ def test_table_as_series_and_hash():
     assert len(a.content_hash()) == 64
 
 
+def test_table_residues_are_narrow_and_read_only():
+    table = overpartition_table(mod_ring(1920), 500)
+    res = table.residues
+    assert res.dtype == np.uint16 and not res.flags.writeable
+    assert res is table.residues
+    assert res.tolist() == list(table.values)
+    assert np.asarray(table.values).dtype == np.int64
+    assert overpartition_table(mod_ring(120), 5).residues.dtype == np.uint8
+    assert overpartition_table(mod_ring(2**31 - 1), 5).residues.dtype == np.uint32
+    raw = CoeffTable("pbar", "raw", mod_ring(8), np.array([-1, 9, 3]))
+    assert raw.residues.tolist() == [7, 1, 3]
+    with pytest.raises(ValueError, match="exact table"):
+        overpartition_table(ZZ, 5).residues
+
+
 def test_table_write_csv():
     table = overpartition_table(ZZ, 5)
     buf = io.StringIO()
@@ -169,11 +186,10 @@ def test_mod8_truncation_matches_table():
         mod8_truncation(0)
 
 
-def test_mod8_residue_vector_sweep():
-    length = 10**5
-    fast = mod8_residues(length)
-    table = overpartition_table(mod_ring(8), length, Method.THETA_INVERSION)
-    assert list(fast) == list(table.values)
+def test_mod8_residue_vector_sweep(pbar_big):
+    # every n <= 10^6, against the shared mod-1920 table
+    fast = mod8_residues(pbar_big.length)
+    assert np.array_equal(fast, pbar_big.residues % 8)
     assert fast[0] == 1
 
 

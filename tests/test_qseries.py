@@ -384,6 +384,20 @@ def test_bytes_round_trip_mod():
     assert g == f and g.ring == f.ring and g.order == f.order
 
 
+@pytest.mark.parametrize(
+    "modulus, width",
+    [(2, 1), (120, 1), (256, 1), (257, 2), (1920, 2), (65536, 2), (65537, 4), (2**31 - 1, 4)],
+)
+def test_bytes_use_narrowest_word(modulus, width):
+    rng = random.Random(modulus)
+    f = _random_series(rng, mod_ring(modulus), 101)
+    f = f + series_from_terms(f.ring, 101, [(100, modulus - 1 - f.coefficient(100))])
+    blob = f.to_bytes()
+    assert len(blob) == 21 + width * 101
+    g = Series.from_bytes(blob)
+    assert g == f and g.coefficient(100) == modulus - 1
+
+
 def test_bytes_rejects_exact_and_malformed():
     with pytest.raises(ValueError, match="no binary form"):
         Series(ZZ, [1]).to_bytes()
@@ -392,3 +406,7 @@ def test_bytes_rejects_exact_and_malformed():
         Series.from_bytes(b"XXXX" + blob[4:])
     with pytest.raises(ValueError, match="payload holds"):
         Series.from_bytes(blob[:-8])
+    with pytest.raises(ValueError, match="21-byte header"):
+        Series.from_bytes(b"QS01" + bytes(5))
+    with pytest.raises(ValueError, match="payload holds 2 words"):
+        Series.from_bytes(blob[:-1])
