@@ -7,8 +7,8 @@ the binary series format for residue rings (one narrowest unsigned word
 per residue; a file of int64 words fails its length check) and JSON for
 exact tables, with a sidecar metadata file recording the payload digest.
 Loads verify the digest and treat any mismatch or unreadable payload as a
-miss; stores write a temp file in the target directory, give it the mode
-0o666 & ~umask, and rename it into place.  An unwritable directory
+miss; stores create a temp file of mode 0o666 less the umask in the
+target directory and rename it into place.  An unwritable directory
 degrades to compute-only with a warning.
 """
 
@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
+import secrets
 import warnings
 from pathlib import Path
 
@@ -56,14 +56,14 @@ def _paths(
 
 
 def _atomic_write(target: Path, data: bytes) -> None:
-    fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=".tmp-")
+    # Like mkstemp (exclusive create under a random name), but with mode
+    # 0o666 so that the kernel applies the umask, as open() would.
+    tmp = target.with_name(f".tmp-{secrets.token_hex(8)}")
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    fd = os.open(tmp, flags, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
-        # mkstemp creates mode 0600; give the file what open() would
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, target)
     except BaseException:
         if os.path.exists(tmp):
@@ -107,6 +107,8 @@ def load_table(
     """Load a table if present and digest-verified; None on any miss."""
     directory = resolve_cache_dir(cache_dir)
     payload_path, meta_path = _paths(directory, name, method, ring, length)
+    if not payload_path.exists() or not meta_path.exists():
+        return None
     try:
         meta = json.loads(meta_path.read_text())
         payload = payload_path.read_bytes()

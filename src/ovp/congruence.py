@@ -30,7 +30,7 @@ import numpy as np
 
 from .hecke import is_odd_prime, legendre
 from .overpartition import CoeffTable, Method, overpartition_table
-from .qseries import IdentityCheck, Series, compare, mod_ring
+from .qseries import IdentityCheck, Series, compare, mod_ring, narrow_residues
 from .theta import ThetaKind, theta_series
 
 # -- family description ------------------------------------------------------
@@ -273,8 +273,7 @@ def _fits_with_minimal_rest(
 def _residues(table: CoeffTable, modulus: int) -> tuple[np.ndarray, int]:
     """Narrow residues of the table mod some m that ``modulus`` divides, and m."""
     if table.ring.is_exact:
-        dtype = np.min_scalar_type(modulus - 1)
-        return np.array([v % modulus for v in table.values], dtype=dtype), modulus
+        return narrow_residues(table.values, modulus), modulus
     if table.ring.modulus % modulus != 0:
         raise ValueError(
             f"table modulus {table.ring.modulus} does not cover family "
@@ -284,8 +283,11 @@ def _residues(table: CoeffTable, modulus: int) -> tuple[np.ndarray, int]:
 
 
 def _read(res, m: int, M: int, amap: ArgMap, params: dict, n0: int, count: int):
-    """pbar(A(n)) mod M, n0 <= n < n0 + count, as a strided view of residues
-    mod m, reduced when M is a proper divisor of m (so M fits their dtype)."""
+    """pbar(A(n)) mod M, n0 <= n < n0 + count, from a strided view of the
+    residues mod m.  When M == m the view needs no reduction, and ``% M``
+    would raise: M need not fit the residues' dtype (m = 256 in uint8).
+    For M a power of two, ``& (M - 1)`` replaces ``% M``, which is about
+    four times slower on narrow words."""
     start = amap.evaluate(n0, params)
     stride = amap.scale(params) * amap.step
     view = res[start : start + stride * (count - 1) + 1 : stride]
@@ -668,16 +670,25 @@ def verify_dissection_chain(
     base = [phi2 * phi, phi2 * psi2, phi * psi2sq, psi2sq * psi2]
     side_names = ["phi^3", "phi^2 psi(q^2)", "phi psi(q^2)^2", "psi(q^2)^3"]
 
-    p20 = p5.extract_progression(4, 0)
-    for top, step, signs in ((p5, 5, (1, -1, 2, -3)), (p20, 20, (1, 1, 2, 3))):
-        for i in range(4):
-            checks.append(
-                compare(
-                    f"pbar({4 * step}n + {step * i}) == {signs[i]} {side_names[i]} (mod 5)",
-                    top.extract_progression(4, i),
-                    base[i].scalar_mul(signs[i]),
-                )
+    first_signs = (1, -1, 2, -3)
+    second_signs = (1, 1, 2, 3)
+    for i in range(4):
+        checks.append(
+            compare(
+                f"pbar(20n + {5 * i}) == {first_signs[i]} {side_names[i]} (mod 5)",
+                p5.extract_progression(4, i),
+                base[i].scalar_mul(first_signs[i]),
             )
+        )
+    p20 = p5.extract_progression(4, 0)
+    for i in range(4):
+        checks.append(
+            compare(
+                f"pbar(80n + {20 * i}) == {second_signs[i]} {side_names[i]} (mod 5)",
+                p20.extract_progression(4, i),
+                base[i].scalar_mul(second_signs[i]),
+            )
+        )
     return checks
 
 

@@ -27,7 +27,7 @@ from typing import IO
 
 import numpy as np
 
-from .qseries import CoefficientRing, Series, inverse_from_terms
+from .qseries import CoefficientRing, Series, inverse_from_terms, narrow_residues
 from .squares import SquaresTable, _convolve_theta, c1_array, c2_array
 from .theta import ThetaKind, theta_terms
 
@@ -86,13 +86,7 @@ class CoeffTable:
         overflow an unsigned dtype."""
         if self.ring.is_exact:
             raise ValueError("an exact table has no residue vector")
-        m = self.ring.modulus
-        values = np.asarray(self.values)
-        if values.size and (values.min() < 0 or values.max() >= m):
-            values = values % m
-        res = values.astype(np.min_scalar_type(m - 1))
-        res.flags.writeable = False
-        return res
+        return narrow_residues(self.values, self.ring.modulus)
 
     def value(self, n: int) -> int:
         if n < 0:
@@ -154,9 +148,11 @@ def overpartition_table(
                 f"enumeration is limited to length <= {ENUMERATION_LIMIT}, "
                 f"got {length}"
             )
-        values = Series(ring, _enumeration_values(length)).coeffs
+        exact = _enumeration_values(length)
+        values = _coerce(exact, ring)
     else:  # two-adic
-        values = Series(ring, _two_adic_values(length)).coeffs
+        exact = _two_adic_values(length)
+        values = _coerce(exact, ring)
     return CoeffTable(
         name="pbar",
         method=method,
@@ -164,6 +160,13 @@ def overpartition_table(
         values=values,
         meta={"ring": str(ring), "length": length},
     )
+
+
+def _coerce(exact_values: list[int], ring: CoefficientRing):
+    if ring.is_exact:
+        return tuple(exact_values)
+    m = ring.modulus
+    return np.array([v % m for v in exact_values], dtype=np.int64)
 
 
 # -- euler product -----------------------------------------------------------

@@ -85,17 +85,26 @@ def _normalize_exact(coeffs: Iterable[int]) -> tuple[int, ...]:
     return tuple(int(c) for c in coeffs)
 
 
-def _normalize_mod(coeffs, m: int) -> np.ndarray:
+def narrow_dtype(m: int) -> np.dtype:
+    """Narrowest unsigned dtype that holds a residue mod m."""
+    return np.dtype(np.min_scalar_type(m - 1))
+
+
+def narrow_residues(coeffs, m: int) -> np.ndarray:
+    """Canonical residues of integer coefficients mod m, as a read-only
+    vector of ``narrow_dtype(m)``."""
     arr = np.asarray(coeffs)
     if arr.dtype == object or arr.dtype.kind not in "iu":
         arr = np.array([int(c) % m for c in coeffs], dtype=np.int64)
-    else:
-        # Unsigned words below m, as the codec and the inversion produce,
-        # are canonical already.
-        canonical = arr.dtype.kind == "u" and (arr.size == 0 or int(arr.max()) < m)
-        arr = arr.astype(np.int64)
-        if not canonical:
-            arr %= m
+    elif arr.size and (int(arr.min()) < 0 or int(arr.max()) >= m):
+        arr = arr.astype(np.int64) % m
+    arr = arr.astype(narrow_dtype(m))
+    arr.flags.writeable = False
+    return arr
+
+
+def _normalize_mod(coeffs, m: int) -> np.ndarray:
+    arr = narrow_residues(coeffs, m).astype(np.int64)
     arr.flags.writeable = False
     return arr
 
@@ -415,7 +424,7 @@ class Series:
 
 def _word(m: int) -> np.dtype:
     """Little-endian unsigned word of the binary form for residues mod m."""
-    return np.dtype(np.min_scalar_type(m - 1)).newbyteorder("<")
+    return narrow_dtype(m).newbyteorder("<")
 
 
 # -- construction ----------------------------------------------------------
@@ -455,7 +464,7 @@ def _terms_vector(
     if ring.is_exact:
         data = [0] * int(order)
     else:
-        data = np.zeros(order, dtype=np.min_scalar_type(ring.modulus - 1))
+        data = np.zeros(order, dtype=narrow_dtype(ring.modulus))
     seen = set()
     for e, c in terms:
         e = int(e)
@@ -678,7 +687,7 @@ def _invert_mod(f: np.ndarray, m: int) -> np.ndarray:
     while lengths[-1] > 1:
         lengths.append((lengths[-1] + 1) // 2)
     lengths.reverse()
-    g = np.empty(T, dtype=np.min_scalar_type(m - 1))
+    g = np.empty(T, dtype=narrow_dtype(m))
     g[0] = pow(a0, -1, m)
     kernel = _FFTProduct(m, _fft_len(T))
     for k, k2 in zip(lengths, lengths[1:]):

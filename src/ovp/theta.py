@@ -13,7 +13,6 @@ phi(q) = phi(q^4) + 2q psi(q^8) and its -q variant.
 
 from __future__ import annotations
 
-import math
 from enum import Enum
 
 from .qseries import CoefficientRing, IdentityCheck, Series, compare, series_from_terms
@@ -30,20 +29,32 @@ def theta_terms(kind: ThetaKind, order: int) -> list[tuple[int, int]]:
     """Sparse (exponent, coefficient) support of a theta series below order."""
     if not isinstance(order, int) or order < 1:
         raise ValueError(f"order must be a positive int, got {order!r}")
-    if kind is ThetaKind.PSI:
-        t, terms = 0, []
+    terms: list[tuple[int, int]] = []
+    if kind is ThetaKind.PHI_PLUS:
+        terms.append((0, 1))
+        k = 1
+        while k * k < order:
+            terms.append((k * k, 2))
+            k += 1
+    elif kind is ThetaKind.PHI_MINUS:
+        terms.append((0, 1))
+        k = 1
+        while k * k < order:
+            terms.append((k * k, 2 * (-1) ** k))
+            k += 1
+    elif kind is ThetaKind.PSI:
+        t = 0
         while t * (t + 1) // 2 < order:
             terms.append((t * (t + 1) // 2, 1))
             t += 1
-        return terms
-    ks = range(1, math.isqrt(order - 1) + 1)
-    if kind is ThetaKind.POSITIVE_SQUARES:
-        return [(k * k, 1) for k in ks]
-    if kind is ThetaKind.PHI_PLUS:
-        return [(0, 1)] + [(k * k, 2) for k in ks]
-    if kind is ThetaKind.PHI_MINUS:
-        return [(0, 1)] + [(k * k, 2 * (-1) ** k) for k in ks]
-    raise ValueError(f"unknown theta kind {kind!r}")
+    elif kind is ThetaKind.POSITIVE_SQUARES:
+        k = 1
+        while k * k < order:
+            terms.append((k * k, 1))
+            k += 1
+    else:
+        raise ValueError(f"unknown theta kind {kind!r}")
+    return terms
 
 
 def theta_series(kind: ThetaKind, ring: CoefficientRing, order: int) -> Series:

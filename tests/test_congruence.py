@@ -204,6 +204,35 @@ def test_sweep_matches_reference_loop_on_corrupted_table(table_mod120):
     assert failing >= 20
 
 
+@pytest.mark.parametrize("m", (256, 65536))
+def test_sweep_family_modulus_equal_to_a_full_word_table(m, pbar_exact):
+    # residues mod 256 fill uint8 (mod 65536, uint16); m itself does not fit
+    table = overpartition_table(mod_ring(m), 3000)
+    families = [
+        CongruenceFamily(
+            id=f"zero-mod{m}",
+            statement=f"pbar(2n + 1) == 0 (mod {m}) [false]",
+            modulus=m,
+            lhs=ArgMap(step=2, offset=1),
+        ),
+        CongruenceFamily(
+            id=f"alternating-mod{m}",
+            statement=f"pbar(n) == (-1)^n pbar(2n) (mod {m}) [false]",
+            modulus=m,
+            lhs=ArgMap(step=1),
+            relation=Relation(kind="alternating", rhs=ArgMap(step=2)),
+        ),
+    ]
+    for fam in families:
+        for t in (table, pbar_exact):
+            want = _reference_verify(fam, t, 2999)
+            assert verify(fam, t, 2999) == want, (fam.id, t.ring)
+        assert not want.ok
+    for fam in registry():  # moduli 4 and 8 divide m
+        if m % fam.modulus == 0:
+            assert verify(fam, table, 2999) == _reference_verify(fam, table, 2999)
+
+
 def test_legendre_table_matches_symbol():
     for p in filter(is_odd_prime, range(3, 200)):
         for negate in (False, True):
