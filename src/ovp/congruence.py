@@ -28,7 +28,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .hecke import is_odd_prime, legendre
+from .hecke import _legendre_table, is_odd_prime, legendre
 from .overpartition import CoeffTable, Method, overpartition_table
 from .qseries import IdentityCheck, Series, compare, mod_ring, narrow_residues
 from .theta import ThetaKind, theta_series
@@ -294,17 +294,6 @@ def _read(res, m: int, M: int, amap: ArgMap, params: dict, n0: int, count: int):
     if m == M:
         return view
     return view & (M - 1) if M & (M - 1) == 0 else view % M
-
-
-def _legendre_table(p: int, negate: bool) -> np.ndarray:
-    """legendre(r, p), or legendre(-r, p) when negating, for r = 0..p-1."""
-    if not is_odd_prime(p):
-        raise ValueError(f"legendre symbol needs an odd prime, got {p}")
-    tab = np.full(p, -1, dtype=np.int64)
-    tab[0] = 0
-    r = np.arange(1, p, dtype=np.int64)
-    tab[r * r % p] = 1
-    return tab[-np.arange(p) % p] if negate else tab
 
 
 def _side_pattern(side: SideCondition, p: int) -> np.ndarray:

@@ -46,6 +46,17 @@ def legendre(a: int, ell: int) -> int:
     return 1 if r == 1 else -1
 
 
+def _legendre_table(p: int, negate: bool) -> np.ndarray:
+    """legendre(r, p), or legendre(-r, p) when negating, for r = 0..p-1."""
+    if not is_odd_prime(p):
+        raise ValueError(f"legendre symbol needs an odd prime, got {p}")
+    tab = np.full(p, -1, dtype=np.int64)
+    tab[0] = 0
+    r = np.arange(1, p, dtype=np.int64)
+    tab[r * r % p] = 1
+    return tab[-np.arange(p) % p] if negate else tab
+
+
 @dataclass(frozen=True)
 class HeckeParams:
     """Operator data: weight numerator k (odd), level N (4 | N), prime l."""
@@ -90,16 +101,20 @@ def hecke_apply(f: Series, params: HeckeParams) -> Series:
         )
     out_order = (f.order - 1) // l2 + 1
     twist = (-1) ** ((params.k - 1) // 2)
+    chi = _legendre_table(ell, negate=twist < 0).tolist()
     p_mid = _ell_power(ell, (params.k - 3) // 2, f.ring)
     p_low = _ell_power(ell, params.k - 2, f.ring)
+    a = f.coeffs
+    if not f.ring.is_exact:
+        a = a.tolist()  # Python ints, so products with powers of l cannot wrap
     coeffs = []
     for n in range(out_order):
-        b = f.coefficient(l2 * n)
-        chi = legendre(twist * n, ell)
-        if chi:
-            b += chi * p_mid * f.coefficient(n)
+        b = a[l2 * n]
+        sign = chi[n % ell]
+        if sign:
+            b += sign * p_mid * a[n]
         if n % l2 == 0:
-            b += p_low * f.coefficient(n // l2)
+            b += p_low * a[n // l2]
         coeffs.append(b)
     return Series(f.ring, coeffs)
 

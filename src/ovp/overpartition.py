@@ -23,12 +23,12 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import IO
+from typing import IO, Sequence
 
 import numpy as np
 
 from .qseries import CoefficientRing, Series, inverse_from_terms, narrow_residues
-from .squares import SquaresTable, _convolve_theta, c1_array, c2_array
+from .squares import SquaresTable, c1_array, c2_array
 from .theta import ThetaKind, theta_terms
 
 
@@ -148,11 +148,9 @@ def overpartition_table(
                 f"enumeration is limited to length <= {ENUMERATION_LIMIT}, "
                 f"got {length}"
             )
-        exact = _enumeration_values(length)
-        values = _coerce(exact, ring)
+        values = Series(ring, _enumeration_values(length)).coeffs
     else:  # two-adic
-        exact = _two_adic_values(length)
-        values = _coerce(exact, ring)
+        values = Series(ring, _two_adic_values(length)).coeffs
     return CoeffTable(
         name="pbar",
         method=method,
@@ -160,13 +158,6 @@ def overpartition_table(
         values=values,
         meta={"ring": str(ring), "length": length},
     )
-
-
-def _coerce(exact_values: list[int], ring: CoefficientRing):
-    if ring.is_exact:
-        return tuple(exact_values)
-    m = ring.modulus
-    return np.array([v % m for v in exact_values], dtype=np.int64)
 
 
 # -- euler product -----------------------------------------------------------
@@ -224,6 +215,23 @@ def _enumeration_values(length: int) -> list[int]:
 
 
 # -- exact 2-adic expansion --------------------------------------------------
+
+
+def _convolve_theta(
+    row: Sequence[int], squares: Sequence[int], order: int, lo: int = 0
+) -> list[int]:
+    """One multiplication by theta_+: out[n] = sum(row[n - s]) over squares s.
+
+    Entries of ``row`` below ``lo`` must be zero; they are skipped.  The
+    streamed 2-adic rows hold big integers, so the generic ZZ product would
+    run on object arrays without the ``lo`` skip: at length 1000 that took
+    1.8 s against 0.99 s for this list loop.
+    """
+    out = [0] * order
+    for s in squares:
+        seg = row[lo : order - s]
+        out[lo + s :] = [r + v for r, v in zip(out[lo + s :], seg)]
+    return out
 
 
 def _two_adic_values(length: int) -> list[int]:

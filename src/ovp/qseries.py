@@ -13,6 +13,7 @@ import json
 import math
 import struct
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -82,7 +83,7 @@ class IdentityCheck:
 
 
 def _normalize_exact(coeffs: Iterable[int]) -> tuple[int, ...]:
-    return tuple(int(c) for c in coeffs)
+    return tuple(map(int, coeffs))
 
 
 def narrow_dtype(m: int) -> np.dtype:
@@ -211,7 +212,7 @@ class Series:
         if self.ring.is_exact:
             data = [a + b for a, b in zip(self._coeffs, other._coeffs)]
         else:
-            data = (self._coeffs[:n] + other._coeffs[:n]) % self.ring.modulus
+            data = self._coeffs[:n] + other._coeffs[:n]
         return Series(self.ring, data)
 
     def __sub__(self, other: "Series") -> "Series":
@@ -219,20 +220,20 @@ class Series:
         if self.ring.is_exact:
             data = [a - b for a, b in zip(self._coeffs, other._coeffs)]
         else:
-            data = (self._coeffs[:n] - other._coeffs[:n]) % self.ring.modulus
+            data = self._coeffs[:n] - other._coeffs[:n]
         return Series(self.ring, data)
 
     def __neg__(self) -> "Series":
         if self.ring.is_exact:
             return Series(self.ring, [-c for c in self._coeffs])
-        return Series(self.ring, (-self._coeffs) % self.ring.modulus)
+        return Series(self.ring, -self._coeffs)
 
     def scalar_mul(self, c: int) -> "Series":
         c = int(c)
         if self.ring.is_exact:
             return Series(self.ring, [c * a for a in self._coeffs])
-        cm = c % self.ring.modulus
-        return Series(self.ring, (self._coeffs * cm) % self.ring.modulus)
+        # Both factors are residues below 2^31, so products stay below 2^62.
+        return Series(self.ring, self._coeffs * (c % self.ring.modulus))
 
     def __mul__(self, other):
         if isinstance(other, (int, np.integer)):
@@ -498,18 +499,29 @@ def compare(name: str, a: Series, b: Series) -> IdentityCheck:
 
 
 def _mul_exact(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
-    # Shift-and-add over the sparser operand: O(n * nnz) int operations.
-    na = sum(1 for c in a[:n] if c)
-    nb = sum(1 for c in b[:n] if c)
-    if nb < na:
-        a, b = b, a
-    out = [0] * n
-    for e, c in enumerate(a[:n]):
-        if not c:
-            continue
-        seg = b[: n - e]
-        out[e:] = [r + c * v for r, v in zip(out[e:], seg)]
-    return out
+    """Exact product through n terms by shift-and-add over the sparser operand.
+
+    One numpy slice update per sparse term, O(n * nnz) work in all.  Every
+    partial sum of an output coefficient is at most the Cauchy bound
+    sum(|sparse coefficients|) * max|dense coefficient|, computed in Python
+    ints: below 2^63 the loop runs in int64, otherwise on object arrays of
+    Python ints.
+    """
+    a, b = a[:n], b[:n]
+    exps_a = list(compress(range(n), a))
+    exps_b = list(compress(range(n), b))
+    if len(exps_b) < len(exps_a):
+        a, b, exps_a = b, a, exps_b
+    terms = [(e, a[e]) for e in exps_a]
+    bound = sum(abs(c) for _, c in terms) * max(map(abs, b), default=0)
+    if not bound:
+        return [0] * n
+    dtype = np.int64 if bound < 1 << 63 else object
+    dense = np.array(b, dtype=dtype)
+    out = np.zeros(n, dtype=dtype)
+    for e, c in terms:
+        out[e:] += c * dense[: n - e]
+    return out.tolist()
 
 
 def _mul_mod(a: np.ndarray, b: np.ndarray, n: int, m: int) -> np.ndarray:
@@ -519,20 +531,23 @@ def _mul_mod(a: np.ndarray, b: np.ndarray, n: int, m: int) -> np.ndarray:
     nnz_a = int(np.count_nonzero(a))
     nnz_b = int(np.count_nonzero(b))
     if min(nnz_a, nnz_b) <= 4 * math.isqrt(n):
-        # Shift-and-add over the sparser operand.  Each step adds terms below
-        # m^2, so reduce every ``stride`` steps to stay below 2^63.
+        # Shift-and-add over the sparser operand, whose coefficients are
+        # centred into (-m/2, m/2].  A step adds terms below cmax * m for
+        # cmax = max|c|, so sums that start from residues stay below
+        # m + stride * cmax * m <= 2^62 between reductions; cmax <= m/2
+        # keeps cmax * m < 2^61, so stride >= 1.
         if nnz_b < nnz_a:
             a, b = b, a
+        exps = np.nonzero(a)[0]
+        coeffs = a[exps]
+        coeffs = np.where(coeffs > m // 2, coeffs - m, coeffs)
+        cmax = int(np.abs(coeffs).max(initial=1))
+        stride = ((1 << 62) - m) // (cmax * m)
         out = np.zeros(n, dtype=np.int64)
-        stride = max(1, ((1 << 62) - m) // (m * m))
-        applied = 0
-        for e in np.nonzero(a)[0]:
-            c = int(a[e])
+        for i, (e, c) in enumerate(zip(exps.tolist(), coeffs.tolist()), 1):
             out[e:] += c * b[: n - e]
-            applied += 1
-            if applied >= stride:
+            if i % stride == 0:
                 out %= m
-                applied = 0
         return out % m
     size = _fft_len(2 * n - 1)
     kernel = _FFTProduct(m, size)

@@ -3,7 +3,10 @@
 c_k(n) counts tuples (a_1, ..., a_k) of positive integers with
 a_1^2 + ... + a_k^2 = n; order matters, so c_2(5) = 2 from (1,2) and (2,1).
 Row k of the table is the coefficient vector of theta_+(q)^k where
-theta_+(q) = sum(q^(a^2), a >= 1), built by iterated sparse convolution.
+theta_+(q) = sum(q^(a^2), a >= 1).  Row k + 1 is the ZZ series product of
+row k and theta_+, a shift-and-add over the sqrt(order) terms of theta_+
+that runs in int64 while its Cauchy bound fits (see qseries._mul_exact)
+and on Python ints beyond.
 """
 
 from __future__ import annotations
@@ -11,29 +14,15 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import IO, Sequence
+from typing import IO
 
 import numpy as np
 
-from .qseries import IdentityCheck
+from .qseries import ZZ, IdentityCheck, series_from_terms
 
 
 def _positive_squares(order: int) -> list[int]:
     return [a * a for a in range(1, math.isqrt(max(order - 1, 0)) + 1)]
-
-
-def _convolve_theta(
-    row: Sequence[int], squares: Sequence[int], order: int, lo: int = 0
-) -> list[int]:
-    """One multiplication by theta_+: out[n] = sum(row[n - s]) over squares s.
-
-    Entries of ``row`` below ``lo`` must be zero; they are skipped.
-    """
-    out = [0] * order
-    for s in squares:
-        seg = row[lo : order - s]
-        out[lo + s :] = [r + v for r, v in zip(out[lo + s :], seg)]
-    return out
 
 
 @dataclass(frozen=True)
@@ -67,19 +56,18 @@ class SquaresTable:
 
 
 def squares_table(k_max: int, order: int) -> SquaresTable:
-    """Build c_k(n) for all k <= k_max, n < order, by iterated convolution."""
+    """Build c_k(n) for all k <= k_max, n < order: row k + 1 is row k times
+    theta_+, an exact product of ZZ series."""
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    squares = _positive_squares(order)
-    row = [0] * order
-    for s in squares:
-        row[s] = 1
-    rows = [tuple(row)]
+    theta = series_from_terms(ZZ, order, ((s, 1) for s in _positive_squares(order)))
+    row = theta
+    rows = [theta.coeffs]
     for _ in range(k_max - 1):
-        row = _convolve_theta(row, squares, order)
-        rows.append(tuple(row))
+        row = row * theta
+        rows.append(row.coeffs)
     return SquaresTable(k_max=k_max, order=order, rows=tuple(rows))
 
 

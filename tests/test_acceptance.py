@@ -10,7 +10,7 @@ other timings are informational.
     1 <= n <= 2000.
  3. The exponent-parity split of phi holds through order 10^4.
  4. pbar(5n) matches the cube of phi(-q) coefficientwise mod 5 through
-    order 2 * 10^4.
+    order 2 * 10^5, every n with 5n <= 10^6.
  5. phi(q)^3 and phi(-q)^3 are T(l^2)-eigenforms with eigenvalue l + 1
     for l in {3, 5, 7, 11, 13} at order 10^4, exact integers.
  6. The weight-3/2 coefficient recursion holds for l in {3, 5, 7} and
@@ -89,13 +89,13 @@ def test_acceptance_03_theta_parity_split(capsys):
 
 def test_acceptance_04_pbar_multiples_of_five_match_theta_cube(capsys, pbar_big):
     t0 = time.perf_counter()
-    order = 2 * 10**4
+    order = 2 * 10**5
     arr = np.asarray(pbar_big.values)
     lhs = Series(mod_ring(5), arr[::5][:order] % 5)
     rhs = theta_series(ThetaKind.PHI_MINUS, mod_ring(5), order) ** 3
     diff = lhs.first_difference(rhs)
     ok = diff is None and lhs.order == order
-    _scoreboard(capsys, 4, ok, time.perf_counter() - t0, "order 2*10^4 mod 5")
+    _scoreboard(capsys, 4, ok, time.perf_counter() - t0, "order 2*10^5 mod 5")
     assert ok, f"first difference at q^{diff}"
 
 

@@ -17,7 +17,6 @@ from ovp.congruence import (
     SideCondition,
     VerifyReport,
     _axis_assignments,
-    _legendre_table,
     _primes_where,
     density_report,
     family_by_id,
@@ -26,7 +25,7 @@ from ovp.congruence import (
     verify,
     verify_dissection_chain,
 )
-from ovp.hecke import is_odd_prime, legendre
+from ovp.hecke import _legendre_table, is_odd_prime, legendre
 from ovp.overpartition import CoeffTable
 
 VALID_KINDS = {"zero", "equal", "alternating", "scaled", "legendre-split"}

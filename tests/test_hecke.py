@@ -116,6 +116,11 @@ def test_apply_matches_direct_formula(k, ell):
     f = Series(ZZ, [rng.randrange(-50, 50) for _ in range(400)])
     image = hecke_apply(f, HeckeParams(k=k, N=16, ell=ell))
     assert list(image.coeffs) == _manual_apply(f, k, ell)
+    # residues near 2^31 times l^(k - 2) pass 2^63 at k = 45
+    m = 2**31 - 1
+    for weight in (k, 45):
+        image = hecke_apply(f.reduce_mod(m), HeckeParams(k=weight, N=16, ell=ell))
+        assert list(image.coeffs) == [b % m for b in _manual_apply(f, weight, ell)]
 
 
 def test_apply_output_order_and_minimum_input():

@@ -12,9 +12,18 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 
-from ovp import ZZ, CoefficientRing, Series, mod_ring, series_from_terms
+from ovp import (
+    ZZ,
+    CoefficientRing,
+    Series,
+    mod_ring,
+    overpartition_table,
+    qseries,
+    series_from_terms,
+)
 from ovp.qseries import IdentityCheck, compare, inverse_from_terms, one, zero
 from ovp.theta import ThetaKind, theta_series
 
@@ -231,6 +240,108 @@ def test_mul_sparse_operand_matches_dense():
         ZZ, [int(c) for c in dense.coeffs]
     )
     assert sparse * dense == exact.reduce_mod(m)
+
+
+def _shift_add_reference(a, b, n: int) -> list[int]:
+    """Product through n terms with Python ints, one term of a at a time."""
+    out = [0] * n
+    for e, c in enumerate(a[:n]):
+        for j, v in enumerate(b[: n - e]):
+            out[e + j] += int(c) * int(v)
+    return out
+
+
+def _sparse(rng: random.Random, order: int, nnz: int, values) -> list[int]:
+    data = [0] * order
+    for e in rng.sample(range(order), nnz):
+        data[e] = rng.choice(values)
+    return data
+
+
+def test_mul_exact_matches_reference_int64_side():
+    rng = random.Random(2024)
+    for order, nnz in ((1, 1), (7, 3), (200, 5), (600, 40), (600, 600)):
+        for scale in (1, 10**6, 2**32):
+            a = _sparse(rng, order, nnz, [s * rng.randrange(1, 9) for s in (scale, -scale)])
+            b = [rng.randrange(-(2**16), 2**16) for _ in range(order)]
+            assert sum(map(abs, a)) * max(map(abs, b)) < 2**63
+            for n in (order, max(1, order // 3)):
+                want = _shift_add_reference(a, b, n)
+                assert qseries._mul_exact(tuple(a), tuple(b), n) == want
+                assert qseries._mul_exact(tuple(b), tuple(a), n) == want
+    assert qseries._mul_exact((0, 0, 0), (5, -6, 7), 3) == [0, 0, 0]
+    assert qseries._mul_exact((2**200, 0), (0, 0), 2) == [0, 0]
+
+
+def test_mul_exact_matches_reference_object_side():
+    rng = random.Random(7)
+    big = [s * rng.randrange(2**62, 2**70) for s in (1, -1) for _ in range(20)]
+    a = _sparse(rng, 300, 12, big)
+    b = [rng.choice(big + [0, 1, -1]) for _ in range(300)]
+    assert qseries._mul_exact(tuple(a), tuple(b), 300) == _shift_add_reference(a, b, 300)
+    pbar = overpartition_table(ZZ, 400).values  # pbar(399) > 2^63
+    assert pbar[-1] >= 2**63
+    theta = theta_series(ThetaKind.PHI_MINUS, ZZ, 400).coeffs
+    for x, y in ((pbar, pbar), (theta, pbar), (pbar, a + [0] * 100)):
+        assert qseries._mul_exact(x, y, 400) == _shift_add_reference(x, y, 400)
+    assert (Series(ZZ, pbar) * theta_series(ThetaKind.PHI_MINUS, ZZ, 400)) == one(ZZ, 400)
+
+
+class _ZerosDtypeSpy:
+    """Stands in for numpy inside qseries and records the dtype of np.zeros."""
+
+    def __init__(self):
+        self.dtypes = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def zeros(self, shape, dtype=float):
+        self.dtypes.append(np.dtype(dtype))
+        return np.zeros(shape, dtype=dtype)
+
+
+@pytest.mark.parametrize(
+    "a, b, dtype",
+    [
+        # sum |a| = 7, max |b| = (2^63 - 1) / 7: the bound is 2^63 - 1
+        ((3, -4), ((2**63 - 1) // 7, -((2**63 - 1) // 7)), np.int64),
+        ((4, 0, -3), ((2**63 - 1) // 7, (2**63 - 1) // 7, 5), np.int64),
+        # sum |a| = 2, max |b| = 2^62: the bound is 2^63, one past int64
+        ((1, 1), (2**62, 2**62), object),
+        ((-1, -1), (2**62, 2**62), object),
+    ],
+)
+def test_mul_exact_dtype_switches_at_the_int64_bound(monkeypatch, a, b, dtype):
+    spy = _ZerosDtypeSpy()
+    monkeypatch.setattr(qseries, "np", spy)
+    n = len(a)
+    assert qseries._mul_exact(a, b, n) == _shift_add_reference(a, b, n)
+    assert spy.dtypes == [np.dtype(dtype)]
+
+
+@pytest.mark.parametrize("m", [2**31 - 1, 998244353])
+def test_mul_mod_sparse_branch_matches_exact_reduction(m):
+    # 60 sparse terms against 4 * isqrt(500) = 88 take the shift-and-add
+    # branch.  Terms near +-m/2 against dense residues m - 1 make each step
+    # add about m^2 / 2 in magnitude, so the sums cross several reduction
+    # strides (about 2 terms mod 2^31 - 1, 9 mod 998244353).
+    rng = random.Random(m)
+    order, nnz = 500, 60
+    half = (m - 1) // 2
+    dense = [m - 1] * order
+    cases = [
+        _sparse(rng, order, nnz, [half]),  # all +(m - 1)/2 once centred
+        _sparse(rng, order, nnz, [half + 1]),  # all -(m - 1)/2 once centred
+        _sparse(rng, order, nnz, [half - 1, half, half + 1, half + 2, 1, m - 1]),
+    ]
+    assert nnz <= 4 * math.isqrt(order)
+    for sparse in cases:
+        want = [v % m for v in _shift_add_reference(sparse, dense, order)]
+        got = Series(mod_ring(m), sparse) * Series(mod_ring(m), dense)
+        assert got.coeffs.tolist() == want
+        got = Series(mod_ring(m), dense) * Series(mod_ring(m), sparse)
+        assert got.coeffs.tolist() == want
 
 
 def test_mul_truncates_to_min_order():
