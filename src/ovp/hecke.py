@@ -78,7 +78,7 @@ class HeckeParams:
 
 def _ell_power(ell: int, e: int, ring: CoefficientRing) -> int:
     if e >= 0:
-        return ell**e
+        return ring.reduce(ell**e)
     if ring.is_exact:
         raise ValueError(
             f"weight numerator gives exponent {e} on l; l^{e} is not an "
@@ -102,11 +102,10 @@ def hecke_apply(f: Series, params: HeckeParams) -> Series:
     out_order = (f.order - 1) // l2 + 1
     twist = (-1) ** ((params.k - 1) // 2)
     chi = _legendre_table(ell, negate=twist < 0).tolist()
+    # powers of l are reduced, so each residue-ring b stays below 2m^2 < 2^63
     p_mid = _ell_power(ell, (params.k - 3) // 2, f.ring)
     p_low = _ell_power(ell, params.k - 2, f.ring)
     a = f.coeffs
-    if not f.ring.is_exact:
-        a = a.tolist()  # Python ints, so products with powers of l cannot wrap
     coeffs = []
     for n in range(out_order):
         b = a[l2 * n]

@@ -98,7 +98,9 @@ def narrow_residues(coeffs, m: int) -> np.ndarray:
     if arr.dtype == object or arr.dtype.kind not in "iu":
         arr = np.array([int(c) % m for c in coeffs], dtype=np.int64)
     elif arr.size and (int(arr.min()) < 0 or int(arr.max()) >= m):
-        arr = arr.astype(np.int64) % m
+        # uint64 values past 2^63 would wrap as int64
+        wide = np.uint64 if arr.dtype.kind == "u" else np.int64
+        arr = arr.astype(wide) % wide(m)
     arr = arr.astype(narrow_dtype(m))
     arr.flags.writeable = False
     return arr

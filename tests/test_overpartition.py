@@ -75,6 +75,17 @@ def test_residue_table_is_reduction_of_exact():
     assert list(mod.values) == [v % 40 for v in exact.values]
 
 
+def test_two_adic_residues_where_pbar_passes_int64():
+    # the largest exact value lies in [2^63, 2^64) for these lengths
+    exact = overpartition_table(ZZ, 300).values
+    window = [n + 1 for n, v in enumerate(exact) if 2**63 <= v < 2**64]
+    assert window
+    ring = mod_ring(120)
+    for length in (window[0], window[-1]):
+        table = overpartition_table(ring, length, Method.TWO_ADIC)
+        assert list(table.values) == [v % 120 for v in exact[:length]], length
+
+
 def test_method_names_and_aliases():
     assert canonical_method("theta") == Method.THETA_INVERSION
     assert canonical_method("euler") == Method.EULER_PRODUCT

@@ -89,6 +89,17 @@ def test_mod_series_stores_canonical_residues():
         f.coeffs[0] = 3  # read-only
 
 
+def test_mod_series_reduces_values_past_int64():
+    # numpy reads non-negative lists below 2^64 as uint64, which must not
+    # wrap through int64 on reduction
+    ring = mod_ring(120)
+    assert list(Series(ring, [1, 2**63 + 5]).coeffs) == [1, (2**63 + 5) % 120]
+    big = [2**63, 2**63 + 5, 2**64 - 1]
+    assert list(Series(ring, big).coeffs) == [v % 120 for v in big]
+    words = np.array(big, dtype=np.uint64)
+    assert list(Series(ring, words).coeffs) == [v % 120 for v in big]
+
+
 def test_series_is_immutable():
     f = Series(ZZ, [1, 2])
     with pytest.raises(AttributeError):
