@@ -7,9 +7,10 @@ the binary series format for residue rings (one narrowest unsigned word
 per residue; a file of int64 words fails its length check) and JSON for
 exact tables, with a sidecar metadata file recording the payload digest.
 Loads verify the digest and treat any mismatch or unreadable payload as a
-miss; stores create a temp file of mode 0o666 less the umask in the
-target directory and rename it into place.  An unwritable directory
-degrades to compute-only with a warning.
+miss; a residue table loads as a read-only view of the payload's words.
+Stores create a temp file of mode 0o666 less the umask in the target
+directory and rename it into place.  An unwritable directory degrades to
+compute-only with a warning.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from pathlib import Path
 
 from . import __version__
 from .overpartition import CoeffTable
-from .qseries import CoefficientRing, Series
+from .qseries import CoefficientRing, Series, decode_residues
 
 ENV_VAR = "OVP_CACHE_DIR"
 
@@ -116,9 +117,10 @@ def load_table(
             return None
         if ring.is_exact:
             series = Series.from_json(payload.decode())
+            got, values = series.ring, series.coeffs
         else:
-            series = Series.from_bytes(payload)
-        if series.ring != ring or series.order != length:
+            got, values = decode_residues(payload)
+        if got != ring or len(values) != length:
             return None
     except (OSError, ValueError, KeyError, json.JSONDecodeError):
         return None
@@ -126,6 +128,6 @@ def load_table(
         name=name,
         method=method,
         ring=ring,
-        values=series.coeffs,
+        values=values,
         meta={"cache_path": str(payload_path)},
     )

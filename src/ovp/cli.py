@@ -14,7 +14,6 @@ Exit codes: 0 success, 1 verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
@@ -60,9 +59,7 @@ def _emit_series(series: Series, args, **extra) -> None:
         text = ",".join(str(int(v)) for v in series.coeffs)
     elif args.format == "csv":
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["n", "value"])
-        writer.writerows([n, int(v)] for n, v in enumerate(series.coeffs))
+        series.write_csv(buf)
         text = buf.getvalue()
     else:
         text = json.dumps({**extra, **series.to_json_dict()}, indent=2)

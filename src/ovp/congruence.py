@@ -331,6 +331,9 @@ def verify(
     side = family.side
     n0 = family.n_start
     patterns: dict[int, np.ndarray] = {}
+    # rhs values start in [0, M); sign, scalar, negation and the Legendre term
+    # keep them and M below this bound (M = 65536 needs int32, not int16)
+    rhs_dtype = np.min_scalar_type(-(abs(rel.sign) + abs(rel.scalar) + 2) * M)
 
     cases = 0
     violations = 0
@@ -364,7 +367,7 @@ def verify(
         lhs = _read(res, m, M, family.lhs, params, n0, count)
         rhs = None
         if rel.kind != "zero":
-            rhs = _read(res, m, M, rel.rhs, params, n0, count).astype(np.int64)
+            rhs = _read(res, m, M, rel.rhs, params, n0, count).astype(rhs_dtype)
             if rel.kind == "equal":
                 rhs = rel.sign * rhs % M
             elif rel.kind == "alternating":

@@ -18,16 +18,21 @@ squares.  Truncating at k = 2 gives pbar(n) mod 8 for n >= 1.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import IO, Sequence
 
 import numpy as np
 
-from .qseries import CoefficientRing, Series, inverse_from_terms, narrow_residues
+from .qseries import (
+    CoefficientRing,
+    Series,
+    encode_residues,
+    inverse_from_terms,
+    narrow_residues,
+)
 from .squares import SquaresTable, c1_array, c2_array
 from .theta import ThetaKind, theta_terms
 
@@ -66,7 +71,13 @@ class CoeffTable:
     """A named coefficient table with provenance metadata.
 
     ``values[n]`` is the n-th coefficient; ``value(n)`` additionally maps
-    negative arguments to 0 (the standard convention for pbar).
+    negative arguments to 0 (the standard convention for pbar).  Over Z/m
+    ``values`` is one read-only vector of canonical residues, which
+    ``residues`` returns too.  For m <= 2^16 it holds narrow unsigned words
+    (``narrow_dtype(m)``, one byte each mod 120): widen them
+    (``.astype(np.int64)``) before signed arithmetic, since under numpy 2
+    ``-2 * values`` raises on an unsigned dtype.  Wider moduli keep int64:
+    their tables serve library checks, which do such arithmetic directly.
     """
 
     name: str
@@ -75,18 +86,26 @@ class CoeffTable:
     values: tuple[int, ...] | np.ndarray
     meta: dict = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        m = self.ring.modulus
+        if m is None:
+            values = tuple(self.values)
+        elif m <= 1 << 16:
+            values = narrow_residues(self.values, m)
+        else:
+            values = Series(self.ring, self.values).coeffs
+        object.__setattr__(self, "values", values)
+
     @property
     def length(self) -> int:
         return len(self.values)
 
-    @cached_property
+    @property
     def residues(self) -> np.ndarray:
-        """``values`` over Z/m as a read-only vector of the narrowest unsigned
-        dtype, built once.  ``values`` stays int64: ``-2 * values`` would
-        overflow an unsigned dtype."""
+        """The residue vector, ``values`` itself."""
         if self.ring.is_exact:
             raise ValueError("an exact table has no residue vector")
-        return narrow_residues(self.values, self.ring.modulus)
+        return self.values
 
     def value(self, n: int) -> int:
         if n < 0:
@@ -105,19 +124,15 @@ class CoeffTable:
         return Series(self.ring, self.values)
 
     def payload_bytes(self) -> bytes:
-        series = self.as_series()
         if self.ring.is_exact:
-            return series.to_json().encode()
-        return series.to_bytes()
+            return self.as_series().to_json().encode()
+        return encode_residues(self.ring.modulus, self.values)
 
     def content_hash(self) -> str:
         return hashlib.sha256(self.payload_bytes()).hexdigest()
 
     def write_csv(self, fp: IO[str]) -> None:
-        writer = csv.writer(fp, lineterminator="\n")
-        writer.writerow(["n", "value"])
-        for n in range(self.length):
-            writer.writerow([n, int(self.values[n])])
+        self.as_series().write_csv(fp)
 
 
 def overpartition_table(
@@ -136,10 +151,10 @@ def overpartition_table(
     method = canonical_method(method)
     if method == Method.THETA_INVERSION:
         terms = theta_terms(ThetaKind.PHI_MINUS, length)
-        values = inverse_from_terms(ring, length, terms).coeffs
+        values = inverse_from_terms(ring, length, terms)
     elif method == Method.EULER_PRODUCT:
         if ring.is_exact:
-            values = tuple(_euler_values_exact(length))
+            values = _euler_values_exact(length)
         else:
             values = _euler_values_mod(length, ring.modulus)
     elif method == Method.ENUMERATION:
@@ -148,9 +163,9 @@ def overpartition_table(
                 f"enumeration is limited to length <= {ENUMERATION_LIMIT}, "
                 f"got {length}"
             )
-        values = Series(ring, _enumeration_values(length)).coeffs
+        values = _enumeration_values(length)
     else:  # two-adic
-        values = Series(ring, _two_adic_values(length)).coeffs
+        values = _two_adic_values(length)
     return CoeffTable(
         name="pbar",
         method=method,

@@ -9,12 +9,13 @@ minimum order of their operands.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import struct
 from dataclasses import dataclass
 from itertools import compress
-from typing import Iterable, Iterator, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -93,7 +94,8 @@ def narrow_dtype(m: int) -> np.dtype:
 
 def narrow_residues(coeffs, m: int) -> np.ndarray:
     """Canonical residues of integer coefficients mod m, as a read-only
-    vector of ``narrow_dtype(m)``."""
+    vector of ``narrow_dtype(m)``.  Input already of that dtype and in
+    [0, m) is not copied: the result is a read-only view of it."""
     arr = np.asarray(coeffs)
     if arr.dtype == object or arr.dtype.kind not in "iu":
         arr = np.array([int(c) % m for c in coeffs], dtype=np.int64)
@@ -101,7 +103,7 @@ def narrow_residues(coeffs, m: int) -> np.ndarray:
         # uint64 values past 2^63 would wrap as int64
         wide = np.uint64 if arr.dtype.kind == "u" else np.int64
         arr = arr.astype(wide) % wide(m)
-    arr = arr.astype(narrow_dtype(m))
+    arr = arr.astype(narrow_dtype(m), copy=False).view()
     arr.flags.writeable = False
     return arr
 
@@ -386,43 +388,55 @@ class Series:
     def from_json(cls, text: str) -> "Series":
         return cls.from_json_dict(json.loads(text))
 
-    def to_bytes(self) -> bytes:
-        """Binary form: magic, ring tag, modulus, order, little-endian words.
+    def write_csv(self, fp: IO[str]) -> None:
+        """Write ``n,value`` rows under that header."""
+        writer = csv.writer(fp, lineterminator="\n")
+        writer.writerow(["n", "value"])
+        writer.writerows([n, int(v)] for n, v in enumerate(self._coeffs))
 
-        Each coefficient takes the narrowest unsigned word that holds a
-        residue mod m (1, 2 or 4 bytes), so the word width follows from the
-        modulus in the header.  Only residue-ring series have a binary form;
-        exact series serialize through JSON (decimal strings) since
-        coefficients may exceed 64 bits.
-        """
+    def to_bytes(self) -> bytes:
+        """Binary form (``encode_residues``).  Exact series have none, since
+        coefficients may exceed 64 bits; they serialize through JSON."""
         if self.ring.is_exact:
             raise ValueError("exact series have no binary form; use to_json")
-        header = _MAGIC + struct.pack(
-            "<BQQ", _RING_TAG_MOD, self.ring.modulus, self.order
-        )
-        return header + self._coeffs.astype(_word(self.ring.modulus)).tobytes()
+        return encode_residues(self.ring.modulus, self._coeffs)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Series":
-        if data[:4] != _MAGIC:
-            raise ValueError(f"bad magic {data[:4]!r}, expected {_MAGIC!r}")
-        if len(data) < _HEADER_SIZE:
-            raise ValueError(
-                f"payload holds {len(data)} bytes, "
-                f"shorter than the {_HEADER_SIZE}-byte header"
-            )
-        tag, modulus, order = struct.unpack("<BQQ", data[4:_HEADER_SIZE])
-        if tag != _RING_TAG_MOD:
-            raise ValueError(f"unknown ring tag {tag}")
-        ring = CoefficientRing(int(modulus))
-        word = _word(ring.modulus)
-        body = data[_HEADER_SIZE:]
-        if len(body) != word.itemsize * order:
-            raise ValueError(
-                f"payload holds {len(body) // word.itemsize} words, "
-                f"header promises {order}"
-            )
-        return cls(ring, np.frombuffer(body, dtype=word))
+        return cls(*decode_residues(data))
+
+
+def encode_residues(m: int, residues) -> bytes:
+    """Binary form of residues mod m, canonical in [0, m): magic, ring tag,
+    modulus, order, then one narrowest unsigned little-endian word per
+    residue (1, 2 or 4 bytes, so the width follows from the header)."""
+    words = np.ascontiguousarray(residues, dtype=_word(m))
+    header = _MAGIC + struct.pack("<BQQ", _RING_TAG_MOD, m, len(words))
+    return b"".join((header, words.data))
+
+
+def decode_residues(data: bytes) -> tuple[CoefficientRing, np.ndarray]:
+    """Ring and canonical residues of a binary form: a read-only view of the
+    words in ``data``, copied only to reduce words >= m."""
+    if data[:4] != _MAGIC:
+        raise ValueError(f"bad magic {data[:4]!r}, expected {_MAGIC!r}")
+    if len(data) < _HEADER_SIZE:
+        raise ValueError(
+            f"payload holds {len(data)} bytes, "
+            f"shorter than the {_HEADER_SIZE}-byte header"
+        )
+    tag, modulus, order = struct.unpack_from("<BQQ", data, 4)
+    if tag != _RING_TAG_MOD:
+        raise ValueError(f"unknown ring tag {tag}")
+    ring = CoefficientRing(int(modulus))
+    word = _word(ring.modulus)
+    size = len(data) - _HEADER_SIZE
+    if size != word.itemsize * order:
+        raise ValueError(
+            f"payload holds {size // word.itemsize} words, header promises {order}"
+        )
+    words = np.frombuffer(data, dtype=word, count=order, offset=_HEADER_SIZE)
+    return ring, narrow_residues(words, ring.modulus)
 
 
 def _word(m: int) -> np.dtype:
@@ -445,16 +459,17 @@ def series_from_terms(
 
 def inverse_from_terms(
     ring: CoefficientRing, order: int, terms: Iterable[tuple[int, int]]
-) -> Series:
-    """The inverse of ``series_from_terms(ring, order, terms)``.
+):
+    """Coefficients of the inverse of ``series_from_terms(ring, order, terms)``:
+    a tuple of ints over ZZ; over Z/m a vector of ``narrow_dtype(m)``.
 
-    Over Z/m the series is inverted from its narrow residue vector and never
-    widened to int64, which lowers the peak memory of long inversions.
+    Over Z/m neither the series nor its inverse is widened to int64, which
+    lowers the peak memory of long inversions.
     """
     data = _terms_vector(ring, order, terms)
     if ring.is_exact:
-        return Series(ring, data).invert()
-    return Series(ring, _invert_mod(data, ring.modulus))
+        return Series(ring, data).invert().coeffs
+    return _invert_mod(data, ring.modulus)
 
 
 def _terms_vector(
@@ -691,7 +706,7 @@ def _invert_mod(f: np.ndarray, m: int) -> np.ndarray:
     products come from cyclic products of size N >= k2, which share the
     spectrum of g: the middle product [f g]_{k..k2} wraps only onto
     coefficients below k (Hanrot, Quercia & Zimmermann, 2004).  g is built
-    in the narrowest dtype that holds a residue; the caller widens it.
+    in ``narrow_dtype(m)``: ``Series`` widens it, a table keeps it.
     """
     a0 = int(f[0])
     d = math.gcd(a0, m)

@@ -6,6 +6,7 @@ import hashlib
 import json
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -134,3 +135,74 @@ def test_cache_files_follow_the_umask(tmp_path, umask, mode):
     meta_path = path.with_name(path.name[: -len(".qs")] + ".meta.json")
     assert path.stat().st_mode & 0o777 == mode
     assert meta_path.stat().st_mode & 0o777 == mode
+
+
+def _write_entry(cache_dir, modulus, words):
+    """A digest-valid QS01 entry for pbar mod ``modulus``, written by hand."""
+    length = len(words)
+    payload = b"QS01" + struct.pack("<BQQ", 1, modulus, length) + words.tobytes()
+    paths = _paths(cache_dir, "pbar", Method.THETA_INVERSION, mod_ring(modulus), length)
+    cache_dir.mkdir(exist_ok=True)
+    paths[0].write_bytes(payload)
+    meta = {"sha256": hashlib.sha256(payload).hexdigest(), "length": length}
+    paths[1].write_text(json.dumps(meta))
+    return payload
+
+
+def test_cache_hit_is_one_narrow_read_only_vector(tmp_path):
+    table = overpartition_table(mod_ring(120), 1000)
+    store_table(table, tmp_path)
+    hit = load_table("pbar", table.method, mod_ring(120), 1000, tmp_path)
+    assert hit.values is hit.residues
+    assert hit.values.dtype == np.uint8 and not hit.values.flags.writeable
+    assert np.array_equal(hit.values, table.values)
+
+
+# Digests of the payloads of pbar mod m at length 1000 in the QS01 layout
+# (header, then one narrowest little-endian word per residue); a change to
+# the bytes the cache writes fails here, and would turn old entries into misses.
+@pytest.mark.parametrize(
+    "modulus, dtype, digest",
+    [
+        (120, "<u1", "f3511afe171e7249bbdf1d708fc42adb89edb041c78a0f59f49e08327d536493"),
+        (1920, "<u2", "7632a336dfe969ef8295c33c3e72acb3d6a6d2cc46d10e714c66d8909f84029c"),
+        (2**31 - 1, "<u4", "ec7b53b8ee5e5fd2de4d58ccf5c8d810047ba2b55121a8663d0f6958bcf4c149"),
+    ],
+)
+def test_payload_bytes_are_pinned_and_hand_written_entries_hit(
+    tmp_path, modulus, dtype, digest
+):
+    table = overpartition_table(mod_ring(modulus), 1000)
+    payload = _write_entry(tmp_path / "hand", modulus, np.asarray(table.values, dtype))
+    assert hashlib.sha256(payload).hexdigest() == digest
+    hit = load_table("pbar", table.method, mod_ring(modulus), 1000, tmp_path / "hand")
+    assert hit is not None and np.array_equal(hit.values, table.values)
+
+    path = store_table(table, tmp_path / "stored")
+    assert path.read_bytes() == payload == table.payload_bytes()
+    meta = json.loads(path.with_name(path.name[: -len(".qs")] + ".meta.json").read_text())
+    assert meta["sha256"] == digest
+
+
+def test_digest_valid_words_past_the_modulus_load_as_canonical_residues(tmp_path):
+    words = np.array([1, 2, 119, 120, 200, 255], dtype="<u1")
+    _write_entry(tmp_path, 120, words)
+    hit = load_table("pbar", Method.THETA_INVERSION, mod_ring(120), 6, tmp_path)
+    assert hit.values.tolist() == [1, 2, 119, 0, 80, 15]
+    assert hit.values is hit.residues
+    assert hit.values.dtype == np.uint8 and not hit.values.flags.writeable
+
+
+def test_loading_a_residue_table_makes_no_wide_copy(tmp_path):
+    T = 10**6
+    words = np.random.default_rng(5).integers(0, 120, T, dtype=np.uint8)
+    _write_entry(tmp_path, 120, words)
+    tracemalloc.start()
+    try:
+        hit = load_table("pbar", Method.THETA_INVERSION, mod_ring(120), T, tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert hit is not None and np.array_equal(hit.residues, words)
+    # the payload is 1 MB; widening it to int64 would take 8 MB more
+    assert peak < 3 * 10**6, peak

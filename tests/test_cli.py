@@ -6,6 +6,7 @@ Exit code contract: 0 success, 1 verification failure, 2 usage error.
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -378,6 +379,20 @@ def test_cli_cache_round_trip(capsys, tmp_path):
     payload.write_bytes(bytes(blob))
     code, third, _ = _run(capsys, argv)
     assert code == 0 and third == first
+
+
+def test_cached_verify_all_allocates_no_wide_table(capsys, tmp_path):
+    argv = ["verify", "--all", "--budget", str(10**6), "--cache-dir", str(tmp_path)]
+    assert main(argv) == 0
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and capsys.readouterr().out.count("PASS") == 2 * (29 + 9 + 1)
+    # the mod-120 table is 1 MB of uint8; one int64 copy of it would be 8 MB
+    assert peak < 5 * 10**6, peak
 
 
 def test_cli_cache_env_var(capsys, tmp_path, monkeypatch):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -230,6 +231,18 @@ def test_sweep_family_modulus_equal_to_a_full_word_table(m, pbar_exact):
     for fam in registry():  # moduli 4 and 8 divide m
         if m % fam.modulus == 0:
             assert verify(fam, table, 2999) == _reference_verify(fam, table, 2999)
+
+
+def test_sweep_temporaries_stay_narrow(pbar_big):
+    tracemalloc.start()
+    try:
+        report = verify(family_by_id("pbar-n-vs-4n-mod8"), pbar_big)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.ok and report.cases == 250_001
+    # lhs and rhs each hold 250,001 values; an int64 rhs alone takes 2 MB
+    assert peak < 2 * 10**6, peak
 
 
 def test_legendre_table_matches_symbol():

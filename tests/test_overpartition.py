@@ -137,13 +137,19 @@ def test_table_residues_are_narrow_and_read_only():
     table = overpartition_table(mod_ring(1920), 500)
     res = table.residues
     assert res.dtype == np.uint16 and not res.flags.writeable
-    assert res is table.residues
-    assert res.tolist() == list(table.values)
-    assert np.asarray(table.values).dtype == np.int64
+    assert table.values is res and res is table.residues
+    assert res.tolist() == [v % 1920 for v in overpartition_table(ZZ, 500).values]
+    for method in (Method.EULER_PRODUCT, Method.ENUMERATION, Method.TWO_ADIC):
+        other = overpartition_table(mod_ring(120), 40, method)
+        assert other.values is other.residues and other.values.dtype == np.uint8
     assert overpartition_table(mod_ring(120), 5).residues.dtype == np.uint8
-    assert overpartition_table(mod_ring(2**31 - 1), 5).residues.dtype == np.uint32
+    # 4-byte residues stay int64, so callers of wide tables keep signed arithmetic
+    wide = overpartition_table(mod_ring(2**31 - 1), 5)
+    assert wide.values is wide.residues and wide.values.dtype == np.int64
+    assert not wide.values.flags.writeable
     raw = CoeffTable("pbar", "raw", mod_ring(8), np.array([-1, 9, 3]))
     assert raw.residues.tolist() == [7, 1, 3]
+    assert raw.values is raw.residues and raw.values.dtype == np.uint8
     with pytest.raises(ValueError, match="exact table"):
         overpartition_table(ZZ, 5).residues
 
