@@ -24,7 +24,7 @@ from . import cache
 from .congruence import family_by_id, registry, verify, verify_dissection_chain
 from .hecke import HeckeParams, eigenform_check, hecke_apply
 from .overpartition import CoeffTable, Method, canonical_method, overpartition_table
-from .qseries import ZZ, CoefficientRing, Series, mod_ring
+from .qseries import ZZ, CoefficientRing, Series, int_blocks, mod_ring, write_coeffs_csv
 from .squares import squares_table
 from .theta import ThetaKind, theta_series
 
@@ -53,16 +53,17 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _emit_series(series: Series, args, **extra) -> None:
-    """Write coefficients as text, CSV, or JSON with ``extra`` fields first."""
+def _emit_coeffs(ring: CoefficientRing, coeffs, args, **extra) -> None:
+    """Write coefficients, a tuple of ints or a residue vector, as text,
+    CSV, or JSON with ``extra`` fields first."""
     if args.format == "text":
-        text = ",".join(str(int(v)) for v in series.coeffs)
+        text = ",".join(",".join(map(str, block)) for block in int_blocks(coeffs))
     elif args.format == "csv":
         buf = io.StringIO()
-        series.write_csv(buf)
+        write_coeffs_csv(buf, coeffs)
         text = buf.getvalue()
     else:
-        text = json.dumps({**extra, **series.to_json_dict()}, indent=2)
+        text = json.dumps({**extra, **Series(ring, coeffs).to_json_dict()}, indent=2)
     _emit(text, args.out)
 
 
@@ -88,12 +89,12 @@ def _cmd_compute(args, parser) -> int:
     if args.target == "pbar":
         method = canonical_method(args.method)
         table = _get_pbar_table(_ring_from(args.mod), args.order, method, args)
-        _emit_series(table.as_series(), args, name="pbar", method=method)
+        _emit_coeffs(table.ring, table.values, args, name="pbar", method=method)
         return 0
     if args.target == "theta":
         kind = _THETA_BY_NAME[args.kind]
         series = theta_series(kind, _ring_from(args.mod), args.order)
-        _emit_series(series, args, name=f"theta:{args.kind}")
+        _emit_coeffs(series.ring, series.coeffs, args, name=f"theta:{args.kind}")
         return 0
     # ck: representation counts by ordered sums of positive squares
     table = squares_table(args.k, args.order)
@@ -227,7 +228,7 @@ def _cmd_hecke(args, parser) -> int:
         image = hecke_apply(f, params)
     except ValueError as exc:
         parser.error(str(exc))
-    _emit_series(image, args, name=f"T({args.ell}^2) {args.f}")
+    _emit_coeffs(image.ring, image.coeffs, args, name=f"T({args.ell}^2) {args.f}")
     return 0
 
 
@@ -239,11 +240,13 @@ def _cmd_dissect(args, parser) -> int:
         parser.error(f"need 0 <= r < d, got r={args.r}, d={args.d}")
     ring = _ring_from(args.mod)
     if args.series == "pbar":
-        base = _get_pbar_table(ring, args.order, Method.THETA_INVERSION, args).as_series()
+        table = _get_pbar_table(ring, args.order, Method.THETA_INVERSION, args)
+        values = table.values
     else:
-        base = theta_series(_THETA_BY_NAME[args.series], ring, args.order)
-    part = base.extract_progression(args.d, args.r)
-    _emit_series(part, args, name=f"{args.series}[{args.d}n+{args.r}]")
+        values = theta_series(_THETA_BY_NAME[args.series], ring, args.order).coeffs
+    # a slice of the table's own vector: nothing is widened but the output
+    part = values[args.r :: args.d]
+    _emit_coeffs(ring, part, args, name=f"{args.series}[{args.d}n+{args.r}]")
     return 0
 
 

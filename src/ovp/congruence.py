@@ -305,6 +305,14 @@ def _side_pattern(side: SideCondition, p: int) -> np.ndarray:
     raise ValueError(f"unknown side condition {side.kind!r}")
 
 
+def _periodic(pattern: np.ndarray, n0: int, count: int) -> np.ndarray:
+    """pattern[(n0 + i) % p] for i < count, where p = len(pattern): a tiling
+    of the pattern, with no index vector."""
+    shift = n0 % len(pattern)
+    reps = -(-(shift + count) // len(pattern))
+    return np.tile(pattern, reps)[shift : shift + count]
+
+
 def verify(
     family: CongruenceFamily,
     table: CoeffTable,
@@ -355,7 +363,7 @@ def verify(
             p = params[side.axis]
             if p not in patterns:
                 patterns[p] = _side_pattern(side, p)
-            keep = patterns[p][np.arange(n0, n0 + count) % p]
+            keep = _periodic(patterns[p], n0, count)
             kept = int(np.count_nonzero(keep))
             if not kept:
                 continue
@@ -378,7 +386,7 @@ def verify(
                 rhs = rel.scalar * rhs % M
             elif rel.kind == "legendre-split":
                 chi = _legendre_table(rel.prime, negate=False)
-                rhs = (rhs + chi[np.arange(n0, n0 + count) % rel.prime] * lhs) % M
+                rhs = (rhs + _periodic(chi, n0, count) * lhs) % M
             else:
                 raise ValueError(f"unknown relation kind {rel.kind!r}")
         bad = lhs if rhs is None else lhs != rhs

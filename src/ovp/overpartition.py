@@ -32,6 +32,7 @@ from .qseries import (
     encode_residues,
     inverse_from_terms,
     narrow_residues,
+    write_coeffs_csv,
 )
 from .squares import SquaresTable, c1_array, c2_array
 from .theta import ThetaKind, theta_terms
@@ -132,7 +133,7 @@ class CoeffTable:
         return hashlib.sha256(self.payload_bytes()).hexdigest()
 
     def write_csv(self, fp: IO[str]) -> None:
-        self.as_series().write_csv(fp)
+        write_coeffs_csv(fp, self.values)
 
 
 def overpartition_table(

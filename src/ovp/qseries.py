@@ -14,7 +14,7 @@ import json
 import math
 import struct
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress
 from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -258,16 +258,16 @@ class Series:
     def __pow__(self, e: int) -> "Series":
         if not isinstance(e, (int, np.integer)) or e < 0:
             raise ValueError(f"exponent must be a nonnegative int, got {e!r}")
-        result = one(self.ring, self.order)
+        result = None
         base = self
         e = int(e)
         while e:
             if e & 1:
-                result = result * base
+                result = base if result is None else result * base
             e >>= 1
             if e:
                 base = base * base
-        return result
+        return one(self.ring, self.order) if result is None else result
 
     # -- inversion -------------------------------------------------------
 
@@ -388,12 +388,6 @@ class Series:
     def from_json(cls, text: str) -> "Series":
         return cls.from_json_dict(json.loads(text))
 
-    def write_csv(self, fp: IO[str]) -> None:
-        """Write ``n,value`` rows under that header."""
-        writer = csv.writer(fp, lineterminator="\n")
-        writer.writerow(["n", "value"])
-        writer.writerows([n, int(v)] for n, v in enumerate(self._coeffs))
-
     def to_bytes(self) -> bytes:
         """Binary form (``encode_residues``).  Exact series have none, since
         coefficients may exceed 64 bits; they serialize through JSON."""
@@ -404,6 +398,22 @@ class Series:
     @classmethod
     def from_bytes(cls, data: bytes) -> "Series":
         return cls(*decode_residues(data))
+
+
+def int_blocks(coeffs, size: int = 1 << 12) -> Iterator[Sequence[int]]:
+    """Consecutive blocks of a coefficient sequence as Python ints, so that
+    a long residue vector is never converted to ints all at once."""
+    for i in range(0, len(coeffs), size):
+        block = coeffs[i : i + size]
+        yield block.tolist() if isinstance(block, np.ndarray) else block
+
+
+def write_coeffs_csv(fp: IO[str], coeffs) -> None:
+    """Write ``n,value`` rows under that header, from a tuple of ints or a
+    residue vector of any integer dtype."""
+    writer = csv.writer(fp, lineterminator="\n")
+    writer.writerow(["n", "value"])
+    writer.writerows(enumerate(chain.from_iterable(int_blocks(coeffs))))
 
 
 def encode_residues(m: int, residues) -> bytes:
@@ -542,36 +552,57 @@ def _mul_exact(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
 
 
 def _mul_mod(a: np.ndarray, b: np.ndarray, n: int, m: int) -> np.ndarray:
+    """Product of residue vectors a and b mod m through n terms.
+
+    An operand with at most 4 isqrt(n) nonzeros is multiplied by shift-and-
+    add: its terms, centred into (-m/2, m/2] with cmax = max|c|, each add a
+    slice of c * b, computed once per distinct c.  Every partial sum stays
+    below m + nnz * cmax * m in magnitude, so the accumulator is int16 or
+    int32 when that bound fits, and needs no reduction.  Otherwise it is
+    int64, reduced every ``stride`` terms: sums that start from residues
+    stay below m + stride * cmax * m <= 2^62, and cmax <= m/2 keeps
+    cmax * m < 2^61, so stride >= 1.  Denser operands go through
+    ``_FFTProduct``.
+    """
     square = a is b
     a = a[:n]
     b = b[:n]
     nnz_a = int(np.count_nonzero(a))
     nnz_b = int(np.count_nonzero(b))
     if min(nnz_a, nnz_b) <= 4 * math.isqrt(n):
-        # Shift-and-add over the sparser operand, whose coefficients are
-        # centred into (-m/2, m/2].  A step adds terms below cmax * m for
-        # cmax = max|c|, so sums that start from residues stay below
-        # m + stride * cmax * m <= 2^62 between reductions; cmax <= m/2
-        # keeps cmax * m < 2^61, so stride >= 1.
         if nnz_b < nnz_a:
             a, b = b, a
-        exps = np.nonzero(a)[0]
-        coeffs = a[exps]
-        coeffs = np.where(coeffs > m // 2, coeffs - m, coeffs)
-        cmax = int(np.abs(coeffs).max(initial=1))
+        exps = np.flatnonzero(a).tolist()
+        by_coeff: dict[int, list[int]] = {}
+        for e, c in zip(exps, a[exps].tolist()):
+            by_coeff.setdefault(c - m if c > m // 2 else c, []).append(e)
+        cmax = max(map(abs, by_coeff), default=1)
+        bound = m + len(exps) * cmax * m
+        if bound <= np.iinfo(np.int16).max:
+            acc = np.int16
+        elif bound <= np.iinfo(np.int32).max:
+            acc = np.int32
+        else:
+            acc = np.int64
         stride = ((1 << 62) - m) // (cmax * m)
-        out = np.zeros(n, dtype=np.int64)
-        for i, (e, c) in enumerate(zip(exps.tolist(), coeffs.tolist()), 1):
-            out[e:] += c * b[: n - e]
-            if i % stride == 0:
-                out %= m
+        b = b.astype(acc, copy=False)
+        out = np.zeros(n, dtype=acc)
+        i = 0
+        for c, es in by_coeff.items():
+            cb = c * b
+            for e in es:
+                out[e:] += cb[: n - e]
+                i += 1
+                if i % stride == 0:
+                    out %= m
         return out % m
     size = _fft_len(2 * n - 1)
     kernel = _FFTProduct(m, size)
     kernel.spectra(a, size, 0)
     if not square:
         kernel.spectra(b, size, 1)
-    return kernel.product(0, 0 if square else 1, size, 0, n).astype(np.int64)
+    part = kernel.product(0, 0 if square else 1, size, 0, n)
+    return _canonical(part, m).astype(np.int64)
 
 
 def _solve_unit_toeplitz_exact(
@@ -610,7 +641,7 @@ def _fft_len(n: int) -> int:
 def _limb_plan(m: int, size: int) -> tuple[int, int]:
     """Limb count c and width w that make cyclic products mod m exact.
 
-    Residues are centred into (-m/2, m/2] and split into c balanced limbs of
+    Residues are centred into [-m/2, m/2] and split into c balanced limbs of
     w bits, |limb| <= h = min(m // 2, 2^(w-1)), so limb vectors of length
     N = ``size`` have 2-norms at most h sqrt(N).  For a radix-2 complex FFT
     convolution in float64, Percival (Math. Comp. 72, 2003) bounds the error
@@ -626,7 +657,9 @@ def _limb_plan(m: int, size: int) -> tuple[int, int]:
     constants.  The plan therefore holds c h^2 N ceil(log2 N) <= 2^46, a
     factor 4 below the radix-2 limit (error bound 15/128 there); exactness
     of the transforms actually run rests on that reserve and on the tests
-    against exact integer products.
+    against exact integer products.  A rounded limb convolution is then an
+    integer below 2^46 in magnitude, well inside the |x| < 2^51 that
+    ``_centre`` needs to reduce it mod m exactly.
     """
     half = m // 2
     lg = max(1, (size - 1).bit_length())
@@ -638,11 +671,37 @@ def _limb_plan(m: int, size: int) -> tuple[int, int]:
     raise ValueError(f"no exact float64 FFT product mod {m} at size {size}")
 
 
+def _centre(x: np.ndarray, m: int, scratch: np.ndarray) -> np.ndarray:
+    """Reduce integer-valued floats x, |x| < 2^51, into [-m/2, m/2] in place.
+
+    x - m rint(x fl(1/m)) is exact.  The product x fl(1/m) has relative
+    error below 2^-52, so for |x| < 2^51 it lies within 1/(2m) of x/m, and
+    1/(2m) is the least distance from x/m to a half-integer unless x/m is
+    one.  Such a tie may round either way; both sides give |residue| = m/2.
+    ``scratch`` is a float64 buffer at least as long as x.
+    """
+    q = np.multiply(x, 1 / m, out=scratch[: len(x)])
+    np.rint(q, out=q)
+    q *= m
+    x -= q
+    return x
+
+
+def _canonical(x: np.ndarray, m: int) -> np.ndarray:
+    """Canonical residues in [0, m) of residues x in [-m/2, m/2], in place;
+    a multiple of m may come out as -0.0, which converts to the integer 0."""
+    np.add(x, m, out=x, where=x < 0)
+    return x
+
+
 class _FFTProduct:
     """Exact cyclic products mod m through numpy's rfft and irfft.
 
     One float64 buffer holds the centred input of each forward transform and
     the output of each inverse one; two slots hold one spectrum per limb.
+    Residues stay centred into [-m/2, m/2] between transforms: each rounded
+    inverse transform is reduced by ``_centre``, with no ``np.mod``, and
+    callers make residues canonical (``_canonical``) only where they leave.
     """
 
     def __init__(self, m: int, size: int) -> None:
@@ -654,16 +713,17 @@ class _FFTProduct:
     def spectra(self, x: np.ndarray, size: int, slot: int) -> None:
         """Put the spectra of residues x in ``slot``.
 
-        Float x is a buffer view, as ``product`` returns, centred in place.
+        Integer x holds canonical residues, centred in the buffer.  Float x
+        is a buffer view of centred residues, as ``product`` returns.
         """
         if x.dtype != np.float64:
             self.buf[: len(x)] = x
             x = self.buf[: len(x)]
-        np.subtract(x, self.m, out=x, where=x > self.m // 2)
+            np.subtract(x, self.m, out=x, where=x > self.m // 2)
         radix = float(1 << self.w)
         out = self.spec[slot, :, : size // 2 + 1]
         for limb in out[:-1]:
-            low = np.mod(x + radix / 2, radix) - radix / 2
+            low = x - radix * np.rint(x / radix)
             np.fft.rfft(low, size, out=limb)
             x = (x - low) / radix
         np.fft.rfft(x, size, out=out[-1])
@@ -671,9 +731,11 @@ class _FFTProduct:
     def product(self, a: int, b: int, size: int, lo: int, hi: int) -> np.ndarray:
         """Coefficients lo..hi-1 of the product of slots a and b.
 
-        Returns float residues in a buffer view valid until the next call,
-        and overwrites the first limb of slot a.  Limbs are combined by
-        Horner's rule in 2^w; each step stays below 2^62.
+        Returns float residues centred into [-m/2, m/2], in a buffer view
+        valid until the next call, and overwrites the first limb of slot a.
+        Limbs are combined by Horner's rule in 2^w; each step stays below
+        2^62.  Each spent spectrum, viewed as floats, is ``_centre``'s
+        scratch.
         """
         m, c = self.m, self.c
         spec_a = self.spec[a, :, : size // 2 + 1]
@@ -688,13 +750,14 @@ class _FFTProduct:
             else:  # the last use of slot a, so multiply in place
                 spec = np.multiply(spec_a[0], spec_b[0], out=spec_a[0])
             part = np.fft.irfft(spec, size, out=self.buf[:size])[lo:hi]
-            np.mod(np.rint(part, out=part), m, out=part)
+            _centre(np.rint(part, out=part), m, spec.view(np.float64))
             if c > 1:
                 acc *= pow(2, self.w, m)
                 acc += part.astype(np.int64)
                 acc %= m
         if c > 1:
             part[...] = acc
+            np.subtract(part, m, out=part, where=part > m // 2)
         return part
 
 
@@ -705,8 +768,10 @@ def _invert_mod(f: np.ndarray, m: int) -> np.ndarray:
     mod q^k to mod q^k2, k2 <= 2k, by g <- g - q^k g [f g]_{k..k2}.  Both
     products come from cyclic products of size N >= k2, which share the
     spectrum of g: the middle product [f g]_{k..k2} wraps only onto
-    coefficients below k (Hanrot, Quercia & Zimmermann, 2004).  g is built
-    in ``narrow_dtype(m)``: ``Series`` widens it, a table keeps it.
+    coefficients below k (Hanrot, Quercia & Zimmermann, 2004).  Each step
+    writes the centred nonzero terms of f below k2 into a zeroed buffer,
+    which costs little for a sparse f such as phi(-q).  g is built in
+    ``narrow_dtype(m)``: ``Series`` widens it, a table keeps it.
     """
     a0 = int(f[0])
     d = math.gcd(a0, m)
@@ -719,15 +784,21 @@ def _invert_mod(f: np.ndarray, m: int) -> np.ndarray:
     while lengths[-1] > 1:
         lengths.append((lengths[-1] + 1) // 2)
     lengths.reverse()
+    exps = np.flatnonzero(f)
+    terms = f[exps].astype(np.float64)
+    np.subtract(terms, m, out=terms, where=terms > m // 2)
     g = np.empty(T, dtype=narrow_dtype(m))
     g[0] = pow(a0, -1, m)
     kernel = _FFTProduct(m, _fft_len(T))
     for k, k2 in zip(lengths, lengths[1:]):
         size = _fft_len(k2)
         kernel.spectra(g[:k], size, 1)
-        kernel.spectra(f[:k2], size, 0)
+        fk = kernel.buf[:k2]
+        fk.fill(0)
+        j = int(np.searchsorted(exps, k2))
+        fk[exps[:j]] = terms[:j]
+        kernel.spectra(fk, size, 0)
         kernel.spectra(kernel.product(0, 1, size, k, k2), size, 0)
         corr = kernel.product(0, 1, size, 0, k2 - k)
-        np.subtract(m, corr, out=corr, where=corr > 0)
-        g[k:k2] = corr
+        g[k:k2] = _canonical(np.negative(corr, out=corr), m)
     return g

@@ -395,6 +395,25 @@ def test_cached_verify_all_allocates_no_wide_table(capsys, tmp_path):
     assert peak < 5 * 10**6, peak
 
 
+def test_cached_dissect_widens_only_its_output(capsys, tmp_path):
+    argv = [
+        "dissect", "--d", "5", "--r", "0", "--mod", "120",
+        "-T", str(10**6), "--cache-dir", str(tmp_path),
+    ]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    out = capsys.readouterr().out
+    assert code == 0 and out == first and out.count(",") == 2 * 10**5 - 1
+    # the mod-120 table is 1 MB of uint8; one int64 copy of it would be 8 MB
+    assert peak < 4 * 10**6, peak
+
+
 def test_cli_cache_env_var(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("OVP_CACHE_DIR", str(tmp_path / "envcache"))
     code, _, _ = _run(capsys, ["compute", "pbar", "-T", "30"])

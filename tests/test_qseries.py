@@ -226,6 +226,92 @@ def test_inverse_from_terms_matches_series_inverse():
         inverse_from_terms(mod_ring(6), 10, [(0, 1), (0, 1)])
 
 
+def _phi_minus_residual(values, m: int) -> np.ndarray:
+    """values * phi(-q) mod m through len(values), one shifted add per term
+    2 (-1)^k q^(k^2) of phi(-q)."""
+    T = len(values)
+    # every sum holds at most 2 isqrt(T) + 1 terms below 2m in magnitude
+    dtype = np.int32 if 2 * m * (2 * math.isqrt(T) + 1) < 2**31 else np.int64
+    g = np.asarray(values, dtype=dtype)
+    g2 = 2 * g
+    out = g.copy()
+    k = 1
+    while k * k < T:
+        if k % 2:
+            out[k * k :] -= g2[: T - k * k]
+        else:
+            out[k * k :] += g2[: T - k * k]
+        k += 1
+    return out % m
+
+
+def _assert_inverts_phi_minus(table):
+    residual = _phi_minus_residual(table.values, table.ring.modulus)
+    assert residual[0] == 1
+    assert not residual[1:].any(), int(np.flatnonzero(residual[1:])[0]) + 1
+
+
+@pytest.fixture(scope="module")
+def pbar_mod120_long():
+    return overpartition_table(mod_ring(120), 10**6 + 1)
+
+
+def test_pbar_mod120_certificate_through_full_length(pbar_mod120_long):
+    _assert_inverts_phi_minus(pbar_mod120_long)
+
+
+def test_pbar_big_certificate_through_full_length(pbar_big):
+    _assert_inverts_phi_minus(pbar_big)
+
+
+@pytest.mark.parametrize("m", [2**31 - 1, 998244353])
+def test_wide_pbar_certificate_through_full_length(m):
+    # products mod the wide primes split residues into several limbs
+    assert qseries._limb_plan(m, qseries._fft_len(3 * 10**4))[0] > 1
+    _assert_inverts_phi_minus(overpartition_table(mod_ring(m), 3 * 10**4))
+
+
+# sha256 of the QS01 payload of pbar mod 120: the kernels may change, the
+# table's bytes may not
+PBAR_MOD120_SHA256 = {
+    2: "a14bbd2bba923b501afa34afa71d52289d91b423fa70c0c4d29116ec7455e55f",
+    3: "73336ee91cf9e3416a9556edde6989f10ca95063628502bd0d35f97a978ecbde",
+    1001: "47af54ae7971b27d708b30c042b86dd2b364abfe9a7d991f9c825df3aded4db0",
+    65537: "aa5babd626f819db5dbeaeb57b183f87db4f171efaecf924a54b6530f61cabb0",
+    10**5 + 1: "0619fb967a602902ca01c6f465fa7784343e762ac8f8ed453e883aa75b51850f",
+    10**6 + 1: "881bd70f8b9cca173faed396fa768e68e3837e0e1ab2fd11d87b869feaa0e2d7",
+}
+
+
+@pytest.mark.parametrize("length", sorted(PBAR_MOD120_SHA256))
+def test_pbar_mod120_payload_digests_are_pinned(length, pbar_mod120_long):
+    if length == pbar_mod120_long.length:
+        table = pbar_mod120_long
+    else:
+        table = overpartition_table(mod_ring(120), length)
+    assert table.content_hash() == PBAR_MOD120_SHA256[length]
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 120, 1920, 65521, 2**31 - 1])
+def test_centre_and_canonical_match_python_remainder(m):
+    # multiples of m, ties m t +- m/2 (exact for even m), values around
+    # them, the plan's limit 2^46 - 1 and the proven limit 2^51 - 1
+    edges = (2**46 - 1, 2**51 - 1)
+    values = [0, 1, -1] + [s * e for e in edges for s in (1, -1)]
+    for t in (0, 1, 2, 3, 7, 1000, (2**46 - 1) // m - 1, (2**51 - 1) // m - 1):
+        for s in (1, -1):
+            base = s * m * t
+            values += [base, base + m // 2, base - m // 2]
+            values += [base + m // 2 + 1, base - m // 2 - 1, base + 1, base - 1]
+    x = np.array(values, dtype=np.float64)
+    assert [int(v) for v in x] == values
+    centred = qseries._centre(x, m, np.empty(len(values)))
+    assert np.abs(centred).max() <= m / 2
+    assert [int(c) % m for c in centred] == [v % m for v in values]
+    canonical = qseries._canonical(centred, m)
+    assert [int(c) for c in canonical] == [v % m for v in values]
+
+
 # -- multiplication kernel agreement ------------------------------------------
 
 
@@ -353,6 +439,51 @@ def test_mul_mod_sparse_branch_matches_exact_reduction(m):
         assert got.coeffs.tolist() == want
         got = Series(mod_ring(m), dense) * Series(mod_ring(m), sparse)
         assert got.coeffs.tolist() == want
+
+
+@pytest.mark.parametrize(
+    "m, coeffs, dtype",
+    [
+        # m + nnz cmax m = 151 (1 + 3 * 72) = 32767, the int16 maximum
+        (151, (72, 79, 1), np.int16),
+        (151, (79, 79, 79), np.int16),
+        # 128 (1 + 5 * 51) = 32768, one past it
+        (128, (51, 77, 3, 51, 51), np.int32),
+        # 49981 (1 + 5 * 8593) = 2^31 - 2, below the int32 maximum
+        (49981, (8593, 41388, 1, 2, 8593), np.int32),
+        # 65536 (1 + 7 * 4681) = 2^31, one past it
+        (65536, (4681,) * 7, np.int64),
+    ],
+)
+def test_mul_mod_sparse_accumulator_switches_at_its_bound(monkeypatch, m, coeffs, dtype):
+    n = 64
+    sparse = [0] * n
+    for e, c in zip((0, 5, 9, 30, 31, 47, 63), coeffs):
+        sparse[e] = c
+    dense = [m - 1 - (7 * j) % 5 for j in range(n)]  # residues near -1
+    assert len(coeffs) <= 4 * math.isqrt(n)
+    want = [v % m for v in _shift_add_reference(sparse, dense, n)]
+    a = np.array(sparse, dtype=np.int64)
+    b = np.array(dense, dtype=np.int64)
+    spy = _ZerosDtypeSpy()
+    monkeypatch.setattr(qseries, "np", spy)
+    assert qseries._mul_mod(a, b, n, m).tolist() == want
+    assert qseries._mul_mod(b, a, n, m).tolist() == want
+    assert spy.dtypes == [np.dtype(dtype)] * 2
+
+
+@pytest.mark.parametrize("m", [2**31 - 1, 998244353])
+def test_mul_mod_sparse_accumulator_is_int64_for_wide_primes(monkeypatch, m):
+    # phi(-q) mod m: about sqrt(n) terms +-2 and 1, so m (1 + nnz cmax) > 2^31
+    n = 3000
+    phi = theta_series(ThetaKind.PHI_MINUS, mod_ring(m), n)
+    dense = _random_series(random.Random(m), mod_ring(m), n)
+    want = (theta_series(ThetaKind.PHI_MINUS, ZZ, n) * Series(ZZ, dense.coeffs.tolist())).reduce_mod(m)
+    spy = _ZerosDtypeSpy()
+    monkeypatch.setattr(qseries, "np", spy)
+    got = qseries._mul_mod(phi.coeffs, dense.coeffs, n, m)
+    assert spy.dtypes == [np.dtype(np.int64)]
+    assert got.tolist() == want.coeffs.tolist()
 
 
 def test_mul_truncates_to_min_order():
