@@ -400,11 +400,11 @@ class Series:
         return cls(*decode_residues(data))
 
 
-def int_blocks(coeffs, size: int = 1 << 12) -> Iterator[Sequence[int]]:
-    """Consecutive blocks of a coefficient sequence as Python ints, so that
-    a long residue vector is never converted to ints all at once."""
-    for i in range(0, len(coeffs), size):
-        block = coeffs[i : i + size]
+def int_blocks(coeffs) -> Iterator[Sequence[int]]:
+    """Consecutive blocks of 4096 coefficients as Python ints, so that a
+    long residue vector is never converted to ints all at once."""
+    for i in range(0, len(coeffs), 4096):
+        block = coeffs[i : i + 4096]
         yield block.tolist() if isinstance(block, np.ndarray) else block
 
 
