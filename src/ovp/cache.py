@@ -2,21 +2,21 @@
 
 Resolution order for the cache directory: explicit argument, then the
 OVP_CACHE_DIR environment variable, then ~/.cache/ovp.  A table is keyed
-by (name, method, ring, length) and the package version; the payload is
-the binary series format for residue rings (one narrowest unsigned word
-per residue; a file of int64 words fails its length check) and JSON for
-exact tables, with a sidecar metadata file recording the payload digest.
-Loads verify the digest and treat any mismatch or unreadable payload as a
-miss; a residue table loads as a read-only view of the payload's words.
-Stores create a temp file of mode 0o666 less the umask in the target
-directory and rename it into place.  An unwritable directory degrades to
-compute-only with a warning.
+by (name, method, ring, length) and the package version and stored as one
+file: the payload's SHA-256 (32 bytes), then the payload, which is the
+binary series format for residue rings (one narrowest unsigned word per
+residue; int64 words fail its length check) and JSON for exact tables.
+Loads treat a digest mismatch or an unreadable file as a miss; a residue
+table loads as a read-only view of the payload's words.  An entry of the
+sidecar layout (bare payload plus ``.meta.json``) fails the digest check,
+so it is recomputed once and replaced; sidecars are never read.  Stores
+write a temp file of mode 0o666 less the umask and rename it into place.
+An unwritable directory degrades to compute-only with a warning.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import secrets
 import warnings
@@ -27,6 +27,7 @@ from .overpartition import CoeffTable
 from .qseries import CoefficientRing, Series, decode_residues
 
 ENV_VAR = "OVP_CACHE_DIR"
+_DIGEST_SIZE = 32
 
 
 def resolve_cache_dir(explicit: str | Path | None = None) -> Path:
@@ -47,16 +48,14 @@ def table_key(name: str, method: str, ring: CoefficientRing, length: int) -> str
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def _paths(
+def _path(
     cache_dir: Path, name: str, method: str, ring: CoefficientRing, length: int
-) -> tuple[Path, Path]:
+) -> Path:
     key = table_key(name, method, ring, length)
-    ext = "json" if ring.is_exact else "qs"
-    base = f"{name}-{method}-{_ring_tag(ring)}-{length}-{key}"
-    return cache_dir / f"{base}.{ext}", cache_dir / f"{base}.meta.json"
+    return cache_dir / f"{name}-{method}-{_ring_tag(ring)}-{length}-{key}.qs"
 
 
-def _atomic_write(target: Path, data: bytes) -> None:
+def _atomic_write(target: Path, *chunks: bytes) -> None:
     # Like mkstemp (exclusive create under a random name), but with mode
     # 0o666 so that the kernel applies the umask, as open() would.
     tmp = target.with_name(f".tmp-{secrets.token_hex(8)}")
@@ -64,7 +63,7 @@ def _atomic_write(target: Path, data: bytes) -> None:
     fd = os.open(tmp, flags, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            fh.writelines(chunks)
         os.replace(tmp, target)
     except BaseException:
         if os.path.exists(tmp):
@@ -73,29 +72,18 @@ def _atomic_write(target: Path, data: bytes) -> None:
 
 
 def store_table(table: CoeffTable, cache_dir: str | Path | None = None) -> Path | None:
-    """Persist a table; returns the payload path, or None if unwritable."""
+    """Persist a table; returns its path, or None if unwritable."""
     directory = resolve_cache_dir(cache_dir)
-    payload_path, meta_path = _paths(
-        directory, table.name, table.method, table.ring, table.length
-    )
+    path = _path(directory, table.name, table.method, table.ring, table.length)
     payload = table.payload_bytes()
-    meta = {
-        "name": table.name,
-        "method": table.method,
-        "ring": _ring_tag(table.ring),
-        "length": table.length,
-        "sha256": hashlib.sha256(payload).hexdigest(),
-        "version": __version__,
-    }
     try:
         directory.mkdir(parents=True, exist_ok=True)
-        _atomic_write(payload_path, payload)
-        _atomic_write(meta_path, json.dumps(meta, indent=2).encode())
+        _atomic_write(path, hashlib.sha256(payload).digest(), payload)
     except OSError as exc:
         warnings.warn(f"cache directory {directory} not writable ({exc}); "
                       "computing without caching")
         return None
-    return payload_path
+    return path
 
 
 def load_table(
@@ -106,28 +94,26 @@ def load_table(
     cache_dir: str | Path | None = None,
 ) -> CoeffTable | None:
     """Load a table if present and digest-verified; None on any miss."""
-    directory = resolve_cache_dir(cache_dir)
-    payload_path, meta_path = _paths(directory, name, method, ring, length)
-    if not payload_path.exists() or not meta_path.exists():
-        return None
+    path = _path(resolve_cache_dir(cache_dir), name, method, ring, length)
     try:
-        meta = json.loads(meta_path.read_text())
-        payload = payload_path.read_bytes()
-        if hashlib.sha256(payload).hexdigest() != meta.get("sha256"):
+        # slices of a memoryview share the bytes read: nothing is copied
+        blob = memoryview(path.read_bytes())
+        payload = blob[_DIGEST_SIZE:]
+        if hashlib.sha256(payload).digest() != blob[:_DIGEST_SIZE]:
             return None
         if ring.is_exact:
-            series = Series.from_json(payload.decode())
+            series = Series.from_json(str(payload, "utf-8"))
             got, values = series.ring, series.coeffs
         else:
             got, values = decode_residues(payload)
         if got != ring or len(values) != length:
             return None
-    except (OSError, ValueError, KeyError, json.JSONDecodeError):
+    except (OSError, ValueError, KeyError, TypeError, AttributeError):
         return None
     return CoeffTable(
         name=name,
         method=method,
         ring=ring,
         values=values,
-        meta={"cache_path": str(payload_path)},
+        meta={"cache_path": str(path)},
     )

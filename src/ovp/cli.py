@@ -14,11 +14,12 @@ Exit codes: 0 success, 1 verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import json
 import math
 import sys
-
+from typing import IO, Iterator
 
 from . import cache
 from .congruence import family_by_id, registry, verify, verify_dissection_chain
@@ -28,12 +29,7 @@ from .qseries import ZZ, CoefficientRing, Series, int_blocks, mod_ring, write_co
 from .squares import squares_table
 from .theta import ThetaKind, theta_series
 
-_THETA_BY_NAME = {
-    "phi": ThetaKind.PHI_PLUS,
-    "phi-minus": ThetaKind.PHI_MINUS,
-    "psi": ThetaKind.PSI,
-    "positive-squares": ThetaKind.POSITIVE_SQUARES,
-}
+_THETA_NAMES = tuple(kind.value for kind in ThetaKind)
 
 _DEFAULT_VERIFY_BUDGET = 10**5
 _CHAIN_ORDER_CAP = 2500
@@ -43,25 +39,32 @@ def _ring_from(mod: int | None) -> CoefficientRing:
     return ZZ if mod is None else mod_ring(mod)
 
 
-def _emit(text: str, out: str | None) -> None:
+@contextlib.contextmanager
+def _output(out: str | None) -> Iterator[IO[str]]:
+    """Stdout, or the file ``out`` opened for writing."""
     if out is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        yield sys.stdout
     else:
         with open(out, "w", newline="") as fh:
-            fh.write(text)
+            yield fh
+
+
+def _emit(text: str, out: str | None) -> None:
+    with _output(out) as fh:
+        fh.write(text)
+        if out is None and not text.endswith("\n"):
+            fh.write("\n")
 
 
 def _emit_coeffs(ring: CoefficientRing, coeffs, args, **extra) -> None:
     """Write coefficients, a tuple of ints or a residue vector, as text,
     CSV, or JSON with ``extra`` fields first."""
+    if args.format == "csv":  # streamed, one block of rows at a time
+        with _output(args.out) as fh:
+            write_coeffs_csv(fh, coeffs)
+        return
     if args.format == "text":
         text = ",".join(",".join(map(str, block)) for block in int_blocks(coeffs))
-    elif args.format == "csv":
-        buf = io.StringIO()
-        write_coeffs_csv(buf, coeffs)
-        text = buf.getvalue()
     else:
         text = json.dumps({**extra, **Series(ring, coeffs).to_json_dict()}, indent=2)
     _emit(text, args.out)
@@ -92,7 +95,7 @@ def _cmd_compute(args, parser) -> int:
         _emit_coeffs(table.ring, table.values, args, name="pbar", method=method)
         return 0
     if args.target == "theta":
-        kind = _THETA_BY_NAME[args.kind]
+        kind = ThetaKind(args.kind)
         series = theta_series(kind, _ring_from(args.mod), args.order)
         _emit_coeffs(series.ring, series.coeffs, args, name=f"theta:{args.kind}")
         return 0
@@ -243,7 +246,7 @@ def _cmd_dissect(args, parser) -> int:
         table = _get_pbar_table(ring, args.order, Method.THETA_INVERSION, args)
         values = table.values
     else:
-        values = theta_series(_THETA_BY_NAME[args.series], ring, args.order).coeffs
+        values = theta_series(ThetaKind(args.series), ring, args.order).coeffs
     # a slice of the table's own vector: nothing is widened but the output
     part = values[args.r :: args.d]
     _emit_coeffs(ring, part, args, name=f"{args.series}[{args.d}n+{args.r}]")
@@ -286,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--kind",
-        choices=tuple(_THETA_BY_NAME),
+        choices=_THETA_NAMES,
         default="phi",
         help="theta kind for target 'theta'",
     )
@@ -331,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dissect", help="extract progression d*n + r")
     p.add_argument(
         "--series",
-        choices=("pbar",) + tuple(_THETA_BY_NAME),
+        choices=("pbar",) + _THETA_NAMES,
         default="pbar",
     )
     p.add_argument("--d", type=int, required=True)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -221,6 +221,16 @@ def _min_arg(family: CongruenceFamily, params: dict[str, int]) -> int:
     return max(m.evaluate(n0, params) for m in family.arg_maps())
 
 
+def _axis_values(axis) -> Iterable[int]:
+    """Values of an axis in sweep order: 0, 1, ... for a power axis, the
+    admitted primes ascending for a prime axis, the choices sorted."""
+    if isinstance(axis, PowerAxis):
+        return itertools.count()
+    if isinstance(axis, PrimeAxis):
+        return _primes_where(axis.mod, axis.residues)
+    return sorted(axis.values)
+
+
 def _axis_assignments(
     family: CongruenceFamily, axes: tuple, partial: dict[str, int], budget: int
 ) -> Iterator[dict[str, int]]:
@@ -229,28 +239,13 @@ def _axis_assignments(
             yield dict(partial)
         return
     axis, rest = axes[0], axes[1:]
-    if isinstance(axis, PowerAxis):
-        v = 0
-        while True:
-            partial[axis.name] = v
-            if not _fits_with_minimal_rest(family, rest, partial, budget):
-                del partial[axis.name]
-                return
+    for v in _axis_values(axis):
+        partial[axis.name] = v
+        if _fits_with_minimal_rest(family, rest, partial, budget):
             yield from _axis_assignments(family, rest, partial, budget)
-            v += 1
-    elif isinstance(axis, PrimeAxis):
-        for p in _primes_where(axis.mod, axis.residues):
-            partial[axis.name] = p
-            if not _fits_with_minimal_rest(family, rest, partial, budget):
-                del partial[axis.name]
-                return
-            yield from _axis_assignments(family, rest, partial, budget)
-    else:
-        for v in sorted(axis.values):
-            partial[axis.name] = v
-            if _fits_with_minimal_rest(family, rest, partial, budget):
-                yield from _axis_assignments(family, rest, partial, budget)
-        del partial[axis.name]
+        elif not isinstance(axis, ChoiceAxis):
+            break  # power and prime values only grow the arguments
+    del partial[axis.name]
 
 
 def _fits_with_minimal_rest(
@@ -258,12 +253,7 @@ def _fits_with_minimal_rest(
 ) -> bool:
     filled = dict(partial)
     for axis in rest:
-        if isinstance(axis, PowerAxis):
-            filled[axis.name] = 0
-        elif isinstance(axis, PrimeAxis):
-            filled[axis.name] = next(_primes_where(axis.mod, axis.residues))
-        else:
-            filled[axis.name] = min(axis.values)
+        filled[axis.name] = next(iter(_axis_values(axis)))
     return _min_arg(family, filled) <= budget
 
 

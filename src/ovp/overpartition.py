@@ -22,7 +22,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import IO, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from .qseries import (
     encode_residues,
     inverse_from_terms,
     narrow_residues,
-    write_coeffs_csv,
 )
 from .squares import SquaresTable, c1_array, c2_array
 from .theta import ThetaKind, theta_terms
@@ -131,9 +130,6 @@ class CoeffTable:
 
     def content_hash(self) -> str:
         return hashlib.sha256(self.payload_bytes()).hexdigest()
-
-    def write_csv(self, fp: IO[str]) -> None:
-        write_coeffs_csv(fp, self.values)
 
 
 def overpartition_table(

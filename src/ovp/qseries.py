@@ -425,11 +425,12 @@ def encode_residues(m: int, residues) -> bytes:
     return b"".join((header, words.data))
 
 
-def decode_residues(data: bytes) -> tuple[CoefficientRing, np.ndarray]:
+def decode_residues(data: bytes | memoryview) -> tuple[CoefficientRing, np.ndarray]:
     """Ring and canonical residues of a binary form: a read-only view of the
-    words in ``data``, copied only to reduce words >= m."""
+    words in ``data`` (bytes, or a memoryview of them), copied only to reduce
+    words >= m."""
     if data[:4] != _MAGIC:
-        raise ValueError(f"bad magic {data[:4]!r}, expected {_MAGIC!r}")
+        raise ValueError(f"bad magic {bytes(data[:4])!r}, expected {_MAGIC!r}")
     if len(data) < _HEADER_SIZE:
         raise ValueError(
             f"payload holds {len(data)} bytes, "

@@ -14,7 +14,7 @@ import pytest
 from ovp import ZZ, Method, mod_ring, overpartition_table
 from ovp.cache import (
     ENV_VAR,
-    _paths,
+    _path,
     load_table,
     resolve_cache_dir,
     store_table,
@@ -46,8 +46,9 @@ def test_round_trip_residue_table(tmp_path):
     table = overpartition_table(mod_ring(40), 200)
     path = store_table(table, tmp_path)
     assert path is not None and path.exists() and path.suffix == ".qs"
-    meta = json.loads(path.with_name(path.name[: -len(".qs")] + ".meta.json").read_text())
-    assert meta["length"] == 200 and meta["ring"] == "mod40"
+    blob = path.read_bytes()
+    assert blob[32:] == table.payload_bytes()
+    assert blob[:32] == hashlib.sha256(blob[32:]).digest()
     hit = load_table("pbar", table.method, mod_ring(40), 200, tmp_path)
     assert hit is not None
     assert list(hit.values) == list(table.values)
@@ -57,7 +58,9 @@ def test_round_trip_residue_table(tmp_path):
 def test_round_trip_exact_table(tmp_path):
     table = overpartition_table(ZZ, 150, Method.EULER_PRODUCT)
     path = store_table(table, tmp_path)
-    assert path is not None and path.suffix == ".json"
+    # one suffix for every ring: the digest, then the JSON payload
+    assert path is not None and path.suffix == ".qs"
+    assert json.loads(path.read_bytes()[32:])["ring"] == "exact"
     hit = load_table("pbar", Method.EULER_PRODUCT, ZZ, 150, tmp_path)
     assert hit is not None and tuple(hit.values) == tuple(table.values)
 
@@ -76,17 +79,58 @@ def test_corrupted_payload_is_a_miss(tmp_path):
     table = overpartition_table(mod_ring(8), 100)
     path = store_table(table, tmp_path)
     blob = bytearray(path.read_bytes())
-    blob[30] ^= 0xFF
+    blob[32 + 30] ^= 0xFF
     path.write_bytes(bytes(blob))
     assert load_table("pbar", table.method, mod_ring(8), 100, tmp_path) is None
 
 
-def test_corrupted_metadata_is_a_miss(tmp_path):
+def test_flipped_digest_byte_is_a_miss(tmp_path):
     table = overpartition_table(mod_ring(8), 100)
     path = store_table(table, tmp_path)
-    meta_path = path.with_name(path.name[: -len(".qs")] + ".meta.json")
-    meta_path.write_text("{not json")
+    blob = bytearray(path.read_bytes())
+    blob[5] ^= 0x01
+    path.write_bytes(bytes(blob))
     assert load_table("pbar", table.method, mod_ring(8), 100, tmp_path) is None
+
+
+@pytest.mark.parametrize("size", [0, 1, 31])
+def test_empty_and_short_files_are_misses(tmp_path, size):
+    path = _path(tmp_path, "pbar", Method.THETA_INVERSION, mod_ring(8), 100)
+    path.write_bytes(bytes(range(size)))
+    assert load_table("pbar", Method.THETA_INVERSION, mod_ring(8), 100, tmp_path) is None
+
+
+def test_corrupted_exact_entry_is_a_miss(tmp_path):
+    table = overpartition_table(ZZ, 60)
+    path = store_table(table, tmp_path)
+    blob = bytearray(path.read_bytes())
+    blob[-4] ^= 0x01  # a digit of the last coefficient: still valid JSON
+    path.write_bytes(bytes(blob))
+    assert load_table("pbar", table.method, ZZ, 60, tmp_path) is None
+    # so is a digest-valid payload that is not a JSON series
+    for junk in (
+        b"\xff\xfe",
+        b"{not json",
+        b"[1]",
+        b'{"ring": "exact", "order": 1, "coeffs": [[1]]}',
+    ):
+        path.write_bytes(hashlib.sha256(junk).digest() + junk)
+        assert load_table("pbar", table.method, ZZ, 60, tmp_path) is None
+
+
+def test_sidecar_entry_is_a_miss_and_the_next_store_replaces_it(tmp_path):
+    # the earlier layout: the bare payload, its digest in a JSON sidecar
+    table = overpartition_table(mod_ring(120), 300)
+    payload = table.payload_bytes()
+    path = _path(tmp_path, "pbar", table.method, table.ring, 300)
+    path.write_bytes(payload)
+    sidecar = path.with_name(path.name[: -len(".qs")] + ".meta.json")
+    sidecar.write_text(json.dumps({"sha256": hashlib.sha256(payload).hexdigest()}))
+    assert load_table("pbar", table.method, mod_ring(120), 300, tmp_path) is None
+    assert store_table(table, tmp_path) == path
+    assert path.read_bytes() == hashlib.sha256(payload).digest() + payload
+    hit = load_table("pbar", table.method, mod_ring(120), 300, tmp_path)
+    assert hit is not None and np.array_equal(hit.values, table.values)
 
 
 def test_unwritable_directory_degrades_with_warning(tmp_path):
@@ -102,13 +146,13 @@ def test_no_temp_files_left_behind(tmp_path):
     store_table(overpartition_table(ZZ, 60), tmp_path)
     leftovers = [p.name for p in tmp_path.iterdir() if p.name.startswith(".tmp-")]
     assert leftovers == []
-    assert len(list(tmp_path.iterdir())) == 4  # two payloads + two sidecars
+    assert len(list(tmp_path.iterdir())) == 2  # one file per table
 
 
 def test_residue_payload_is_one_byte_per_word_mod120(tmp_path):
     table = overpartition_table(mod_ring(120), 1000)
     path = store_table(table, tmp_path)
-    assert path.stat().st_size == 21 + 1000
+    assert path.stat().st_size == 32 + 21 + 1000
     hit = load_table("pbar", table.method, mod_ring(120), 1000, tmp_path)
     assert np.array_equal(hit.values, table.values)
 
@@ -118,10 +162,8 @@ def test_int64_word_payload_with_valid_digest_is_a_miss(tmp_path):
     table = overpartition_table(mod_ring(120), 300)
     payload = b"QS01" + struct.pack("<BQQ", 1, 120, 300)
     payload += np.asarray(table.values, dtype="<i8").tobytes()
-    payload_path, meta_path = _paths(tmp_path, "pbar", table.method, table.ring, 300)
-    payload_path.write_bytes(payload)
-    meta = {"sha256": hashlib.sha256(payload).hexdigest(), "length": 300}
-    meta_path.write_text(json.dumps(meta))
+    path = _path(tmp_path, "pbar", table.method, table.ring, 300)
+    path.write_bytes(hashlib.sha256(payload).digest() + payload)
     assert load_table("pbar", table.method, mod_ring(120), 300, tmp_path) is None
 
 
@@ -132,20 +174,16 @@ def test_cache_files_follow_the_umask(tmp_path, umask, mode):
         path = store_table(overpartition_table(mod_ring(8), 100), tmp_path)
     finally:
         os.umask(old)
-    meta_path = path.with_name(path.name[: -len(".qs")] + ".meta.json")
     assert path.stat().st_mode & 0o777 == mode
-    assert meta_path.stat().st_mode & 0o777 == mode
 
 
 def _write_entry(cache_dir, modulus, words):
     """A digest-valid QS01 entry for pbar mod ``modulus``, written by hand."""
     length = len(words)
     payload = b"QS01" + struct.pack("<BQQ", 1, modulus, length) + words.tobytes()
-    paths = _paths(cache_dir, "pbar", Method.THETA_INVERSION, mod_ring(modulus), length)
+    path = _path(cache_dir, "pbar", Method.THETA_INVERSION, mod_ring(modulus), length)
     cache_dir.mkdir(exist_ok=True)
-    paths[0].write_bytes(payload)
-    meta = {"sha256": hashlib.sha256(payload).hexdigest(), "length": length}
-    paths[1].write_text(json.dumps(meta))
+    path.write_bytes(hashlib.sha256(payload).digest() + payload)
     return payload
 
 
@@ -179,9 +217,8 @@ def test_payload_bytes_are_pinned_and_hand_written_entries_hit(
     assert hit is not None and np.array_equal(hit.values, table.values)
 
     path = store_table(table, tmp_path / "stored")
-    assert path.read_bytes() == payload == table.payload_bytes()
-    meta = json.loads(path.with_name(path.name[: -len(".qs")] + ".meta.json").read_text())
-    assert meta["sha256"] == digest
+    assert path.read_bytes() == bytes.fromhex(digest) + payload
+    assert payload == table.payload_bytes()
 
 
 def test_digest_valid_words_past_the_modulus_load_as_canonical_residues(tmp_path):
@@ -204,5 +241,5 @@ def test_loading_a_residue_table_makes_no_wide_copy(tmp_path):
     finally:
         tracemalloc.stop()
     assert hit is not None and np.array_equal(hit.residues, words)
-    # the payload is 1 MB; widening it to int64 would take 8 MB more
-    assert peak < 3 * 10**6, peak
+    # the payload is 1 MB: any copy of it, or widening to int64, fails here
+    assert peak < 1.5 * 10**6, peak

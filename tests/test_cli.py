@@ -8,9 +8,13 @@ from __future__ import annotations
 import json
 import tracemalloc
 
+import numpy as np
 import pytest
 
+from ovp import Method, mod_ring
+from ovp.cache import store_table
 from ovp.cli import main
+from ovp.overpartition import CoeffTable
 
 PBAR_TEXT = "1,2,4,8,14,24,40,64,100,154,232"
 
@@ -365,9 +369,7 @@ def test_cli_cache_round_trip(capsys, tmp_path):
     code, first, _ = _run(capsys, argv)
     assert code == 0
     files = sorted(p.name for p in tmp_path.iterdir())
-    assert len(files) == 2
-    assert any(name.endswith(".qs") for name in files)
-    assert any(name.endswith(".meta.json") for name in files)
+    assert len(files) == 1 and files[0].endswith(".qs")
 
     code, second, _ = _run(capsys, argv)
     assert code == 0 and second == first
@@ -414,9 +416,30 @@ def test_cached_dissect_widens_only_its_output(capsys, tmp_path):
     assert peak < 4 * 10**6, peak
 
 
+def test_cached_dissect_streams_csv_to_its_file(tmp_path):
+    T = 10**6
+    words = np.random.default_rng(7).integers(0, 120, T, dtype=np.uint8)
+    store_table(CoeffTable("pbar", Method.THETA_INVERSION, mod_ring(120), words), tmp_path)
+    out = tmp_path / "part.csv"
+    argv = [
+        "dissect", "--d", "5", "--r", "0", "--mod", "120", "-T", str(T),
+        "--format", "csv", "--out", str(out), "--cache-dir", str(tmp_path),
+    ]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    rows = "".join(f"{n},{v}\n" for n, v in enumerate(words[::5].tolist()))
+    assert code == 0 and out.read_text() == "n,value\n" + rows
+    # the table is 1 MB and the CSV 1.85 MB: building the CSV whole fails here
+    assert peak < 3 * 10**6, peak
+
+
 def test_cli_cache_env_var(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("OVP_CACHE_DIR", str(tmp_path / "envcache"))
     code, _, _ = _run(capsys, ["compute", "pbar", "-T", "30"])
     assert code == 0
     assert (tmp_path / "envcache").exists()
-    assert len(list((tmp_path / "envcache").iterdir())) == 2
+    assert len(list((tmp_path / "envcache").iterdir())) == 1

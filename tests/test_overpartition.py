@@ -20,6 +20,7 @@ from ovp.overpartition import (
     mod8_residues,
     mod8_truncation,
 )
+from ovp.qseries import write_coeffs_csv
 
 PBAR_FIRST_11 = (1, 2, 4, 8, 14, 24, 40, 64, 100, 154, 232)
 
@@ -157,7 +158,7 @@ def test_table_residues_are_narrow_and_read_only():
 def test_table_write_csv():
     table = overpartition_table(ZZ, 5)
     buf = io.StringIO()
-    table.write_csv(buf)
+    write_coeffs_csv(buf, table.values)
     assert buf.getvalue() == "n,value\n0,1\n1,2\n2,4\n3,8\n4,14\n"
 
 
