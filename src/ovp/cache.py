@@ -24,7 +24,7 @@ from pathlib import Path
 
 from . import __version__
 from .overpartition import CoeffTable
-from .qseries import CoefficientRing, Series, decode_residues
+from .qseries import CoefficientRing, Series
 
 ENV_VAR = "OVP_CACHE_DIR"
 _DIGEST_SIZE = 32
@@ -103,10 +103,9 @@ def load_table(
             return None
         if ring.is_exact:
             series = Series.from_json(str(payload, "utf-8"))
-            got, values = series.ring, series.coeffs
         else:
-            got, values = decode_residues(payload)
-        if got != ring or len(values) != length:
+            series = Series.from_bytes(payload)
+        if series.ring != ring or series.order != length:
             return None
     except (OSError, ValueError, KeyError, TypeError, AttributeError):
         return None
@@ -114,6 +113,6 @@ def load_table(
         name=name,
         method=method,
         ring=ring,
-        values=values,
+        values=series.coeffs,
         meta={"cache_path": str(path)},
     )

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import io
 import json
 import math
 import sys
@@ -25,7 +24,7 @@ from . import cache
 from .congruence import family_by_id, registry, verify, verify_dissection_chain
 from .hecke import HeckeParams, eigenform_check, hecke_apply
 from .overpartition import CoeffTable, Method, canonical_method, overpartition_table
-from .qseries import ZZ, CoefficientRing, Series, int_blocks, mod_ring, write_coeffs_csv
+from .qseries import ZZ, CoefficientRing, Series, mod_ring, write_coeffs
 from .squares import squares_table
 from .theta import ThetaKind, theta_series
 
@@ -56,18 +55,13 @@ def _emit(text: str, out: str | None) -> None:
             fh.write("\n")
 
 
-def _emit_coeffs(ring: CoefficientRing, coeffs, args, **extra) -> None:
-    """Write coefficients, a tuple of ints or a residue vector, as text,
-    CSV, or JSON with ``extra`` fields first."""
-    if args.format == "csv":  # streamed, one block of rows at a time
-        with _output(args.out) as fh:
-            write_coeffs_csv(fh, coeffs)
-        return
-    if args.format == "text":
-        text = ",".join(",".join(map(str, block)) for block in int_blocks(coeffs))
-    else:
-        text = json.dumps({**extra, **Series(ring, coeffs).to_json_dict()}, indent=2)
-    _emit(text, args.out)
+def _emit_coeffs(series: Series, args, **extra) -> None:
+    """Stream the coefficients as text, CSV, or JSON with ``extra`` fields
+    first; like ``_emit``, text and JSON get a final newline on stdout."""
+    with _output(args.out) as fh:
+        write_coeffs(fh, series, args.format, **extra)
+        if args.out is None and args.format != "csv":
+            fh.write("\n")
 
 
 def _get_pbar_table(
@@ -92,12 +86,12 @@ def _cmd_compute(args, parser) -> int:
     if args.target == "pbar":
         method = canonical_method(args.method)
         table = _get_pbar_table(_ring_from(args.mod), args.order, method, args)
-        _emit_coeffs(table.ring, table.values, args, name="pbar", method=method)
+        _emit_coeffs(table.as_series(), args, name="pbar", method=method)
         return 0
     if args.target == "theta":
         kind = ThetaKind(args.kind)
         series = theta_series(kind, _ring_from(args.mod), args.order)
-        _emit_coeffs(series.ring, series.coeffs, args, name=f"theta:{args.kind}")
+        _emit_coeffs(series, args, name=f"theta:{args.kind}")
         return 0
     # ck: representation counts by ordered sums of positive squares
     table = squares_table(args.k, args.order)
@@ -109,15 +103,11 @@ def _cmd_compute(args, parser) -> int:
             "rows": [list(row) for row in table.rows],
         }
         _emit(json.dumps(payload, indent=2), args.out)
+    elif args.format == "csv":
+        with _output(args.out) as fh:
+            table.write_csv(fh)
     else:
-        buf = io.StringIO()
-        table.write_csv(buf)
-        text = buf.getvalue()
-        if args.format == "text":
-            text = "\n".join(
-                " ".join(line.split(",")) for line in text.splitlines()
-            )
-        _emit(text, args.out)
+        _emit("\n".join(table.lines(" ")), args.out)
     return 0
 
 
@@ -231,7 +221,7 @@ def _cmd_hecke(args, parser) -> int:
         image = hecke_apply(f, params)
     except ValueError as exc:
         parser.error(str(exc))
-    _emit_coeffs(image.ring, image.coeffs, args, name=f"T({args.ell}^2) {args.f}")
+    _emit_coeffs(image, args, name=f"T({args.ell}^2) {args.f}")
     return 0
 
 
@@ -244,12 +234,12 @@ def _cmd_dissect(args, parser) -> int:
     ring = _ring_from(args.mod)
     if args.series == "pbar":
         table = _get_pbar_table(ring, args.order, Method.THETA_INVERSION, args)
-        values = table.values
+        series = table.as_series()
     else:
-        values = theta_series(ThetaKind(args.series), ring, args.order).coeffs
-    # a slice of the table's own vector: nothing is widened but the output
-    part = values[args.r :: args.d]
-    _emit_coeffs(ring, part, args, name=f"{args.series}[{args.d}n+{args.r}]")
+        series = theta_series(ThetaKind(args.series), ring, args.order)
+    # a strided view of the series' own vector: nothing is copied but the output
+    part = series.extract_progression(args.d, args.r)
+    _emit_coeffs(part, args, name=f"{args.series}[{args.d}n+{args.r}]")
     return 0
 
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from .hecke import _legendre_table, is_odd_prime, legendre
 from .overpartition import CoeffTable, Method, overpartition_table
-from .qseries import IdentityCheck, Series, compare, mod_ring, narrow_residues
+from .qseries import IdentityCheck, Series, compare, mod_ring
 from .theta import ThetaKind, theta_series
 
 # -- family description ------------------------------------------------------
@@ -263,13 +263,13 @@ def _fits_with_minimal_rest(
 def _residues(table: CoeffTable, modulus: int) -> tuple[np.ndarray, int]:
     """Narrow residues of the table mod some m that ``modulus`` divides, and m."""
     if table.ring.is_exact:
-        return narrow_residues(table.values, modulus), modulus
+        return Series(mod_ring(modulus), table.values).coeffs, modulus
     if table.ring.modulus % modulus != 0:
         raise ValueError(
             f"table modulus {table.ring.modulus} does not cover family "
             f"modulus {modulus}"
         )
-    return table.residues, table.ring.modulus
+    return table.values, table.ring.modulus
 
 
 def _read(res, m: int, M: int, amap: ArgMap, params: dict, n0: int, count: int):

@@ -102,18 +102,20 @@ def hecke_apply(f: Series, params: HeckeParams) -> Series:
     out_order = (f.order - 1) // l2 + 1
     twist = (-1) ** ((params.k - 1) // 2)
     chi = _legendre_table(ell, negate=twist < 0).tolist()
-    # powers of l are reduced, so each residue-ring b stays below 2m^2 < 2^63
+    # Reads are Python ints, so the signed sums neither wrap nor raise on
+    # unsigned residue words; powers of l are reduced, so each residue-ring
+    # b stays below 2m^2 < 2^63 and the list fits int64.
     p_mid = _ell_power(ell, (params.k - 3) // 2, f.ring)
     p_low = _ell_power(ell, params.k - 2, f.ring)
     a = f.coeffs
     coeffs = []
     for n in range(out_order):
-        b = a[l2 * n]
+        b = int(a[l2 * n])
         sign = chi[n % ell]
         if sign:
-            b += sign * p_mid * a[n]
+            b += sign * p_mid * int(a[n])
         if n % l2 == 0:
-            b += p_low * a[n // l2]
+            b += p_low * int(a[n // l2])
         coeffs.append(b)
     return Series(f.ring, coeffs)
 

@@ -26,13 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .qseries import (
-    CoefficientRing,
-    Series,
-    encode_residues,
-    inverse_from_terms,
-    narrow_residues,
-)
+from .qseries import CoefficientRing, Series, series_from_terms
 from .squares import SquaresTable, c1_array, c2_array
 from .theta import ThetaKind, theta_terms
 
@@ -71,13 +65,12 @@ class CoeffTable:
     """A named coefficient table with provenance metadata.
 
     ``values[n]`` is the n-th coefficient; ``value(n)`` additionally maps
-    negative arguments to 0 (the standard convention for pbar).  Over Z/m
-    ``values`` is one read-only vector of canonical residues, which
-    ``residues`` returns too.  For m <= 2^16 it holds narrow unsigned words
-    (``narrow_dtype(m)``, one byte each mod 120): widen them
+    negative arguments to 0 (the standard convention for pbar).  ``values``
+    is laid out as ``Series.coeffs``: a tuple of ints over ZZ; over Z/m one
+    read-only vector of canonical residues, of narrow unsigned words for
+    m <= 2^16 (one byte each mod 120) and int64 above.  Widen narrow words
     (``.astype(np.int64)``) before signed arithmetic, since under numpy 2
-    ``-2 * values`` raises on an unsigned dtype.  Wider moduli keep int64:
-    their tables serve library checks, which do such arithmetic directly.
+    ``-2 * values`` raises on an unsigned dtype.
     """
 
     name: str
@@ -87,25 +80,11 @@ class CoeffTable:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        m = self.ring.modulus
-        if m is None:
-            values = tuple(self.values)
-        elif m <= 1 << 16:
-            values = narrow_residues(self.values, m)
-        else:
-            values = Series(self.ring, self.values).coeffs
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", Series(self.ring, self.values).coeffs)
 
     @property
     def length(self) -> int:
         return len(self.values)
-
-    @property
-    def residues(self) -> np.ndarray:
-        """The residue vector, ``values`` itself."""
-        if self.ring.is_exact:
-            raise ValueError("an exact table has no residue vector")
-        return self.values
 
     def value(self, n: int) -> int:
         if n < 0:
@@ -126,7 +105,7 @@ class CoeffTable:
     def payload_bytes(self) -> bytes:
         if self.ring.is_exact:
             return self.as_series().to_json().encode()
-        return encode_residues(self.ring.modulus, self.values)
+        return self.as_series().to_bytes()
 
     def content_hash(self) -> str:
         return hashlib.sha256(self.payload_bytes()).hexdigest()
@@ -148,7 +127,7 @@ def overpartition_table(
     method = canonical_method(method)
     if method == Method.THETA_INVERSION:
         terms = theta_terms(ThetaKind.PHI_MINUS, length)
-        values = inverse_from_terms(ring, length, terms)
+        values = series_from_terms(ring, length, terms).invert().coeffs
     elif method == Method.EULER_PRODUCT:
         if ring.is_exact:
             values = _euler_values_exact(length)
@@ -163,13 +142,7 @@ def overpartition_table(
         values = _enumeration_values(length)
     else:  # two-adic
         values = _two_adic_values(length)
-    return CoeffTable(
-        name="pbar",
-        method=method,
-        ring=ring,
-        values=values,
-        meta={"ring": str(ring), "length": length},
-    )
+    return CoeffTable(name="pbar", method=method, ring=ring, values=values)
 
 
 # -- euler product -----------------------------------------------------------

@@ -3,8 +3,11 @@
 A series is a dense coefficient vector of a fixed truncation order T,
 representing sum(c[n] * q^n for n < T).  Exact-integer series store Python
 ints (arbitrary precision); residue-ring series store canonical residues in
-a read-only numpy int64 vector.  All operations truncate silently at the
-minimum order of their operands.
+one read-only numpy vector of ``residue_dtype(m)``: the narrowest unsigned
+word for m <= 2^16 (one byte mod 120), int64 above.  Arithmetic that needs
+signed room (+, -, negation, scalar products) widens its operands to int64
+for the duration of the operation only.  All operations truncate silently
+at the minimum order of their operands.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import math
 import struct
 from dataclasses import dataclass
 from itertools import chain, compress
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
@@ -83,18 +86,16 @@ class IdentityCheck:
         return out
 
 
-def _normalize_exact(coeffs: Iterable[int]) -> tuple[int, ...]:
-    return tuple(map(int, coeffs))
+def residue_dtype(m: int) -> np.dtype:
+    """dtype of residues mod m in memory: the narrowest unsigned word for
+    m <= 2^16; int64 above, where callers of wide tables (library checks)
+    do signed arithmetic on the residues directly."""
+    return np.dtype(np.min_scalar_type(m - 1) if m <= 1 << 16 else np.int64)
 
 
-def narrow_dtype(m: int) -> np.dtype:
-    """Narrowest unsigned dtype that holds a residue mod m."""
-    return np.dtype(np.min_scalar_type(m - 1))
-
-
-def narrow_residues(coeffs, m: int) -> np.ndarray:
+def _residue_vector(coeffs, m: int) -> np.ndarray:
     """Canonical residues of integer coefficients mod m, as a read-only
-    vector of ``narrow_dtype(m)``.  Input already of that dtype and in
+    vector of ``residue_dtype(m)``.  Input already of that dtype and in
     [0, m) is not copied: the result is a read-only view of it."""
     arr = np.asarray(coeffs)
     if arr.dtype == object or arr.dtype.kind not in "iu":
@@ -103,15 +104,15 @@ def narrow_residues(coeffs, m: int) -> np.ndarray:
         # uint64 values past 2^63 would wrap as int64
         wide = np.uint64 if arr.dtype.kind == "u" else np.int64
         arr = arr.astype(wide) % wide(m)
-    arr = arr.astype(narrow_dtype(m), copy=False).view()
+    arr = arr.astype(residue_dtype(m), copy=False).view()
     arr.flags.writeable = False
     return arr
 
 
-def _normalize_mod(coeffs, m: int) -> np.ndarray:
-    arr = narrow_residues(coeffs, m).astype(np.int64)
-    arr.flags.writeable = False
-    return arr
+def _wide(a: np.ndarray) -> np.ndarray:
+    """Residues as int64: room for the sums, differences and products of
+    two residues below 2^31 that the ring operations form."""
+    return a.astype(np.int64, copy=False)
 
 
 class Series:
@@ -119,7 +120,8 @@ class Series:
 
     Equality compares coefficients up to the minimum of the two orders and
     requires identical rings; ``first_difference`` gives the exponent of the
-    earliest mismatch for diagnostic reporting.
+    earliest mismatch for diagnostic reporting.  A residue vector passed in
+    that already has the layout is kept as a read-only view, not copied.
     """
 
     __slots__ = ("ring", "_coeffs")
@@ -129,9 +131,9 @@ class Series:
             raise TypeError(f"ring must be a CoefficientRing, got {ring!r}")
         object.__setattr__(self, "ring", ring)
         if ring.is_exact:
-            data = _normalize_exact(coeffs)
+            data = tuple(map(int, coeffs))
         else:
-            data = _normalize_mod(coeffs, ring.modulus)
+            data = _residue_vector(coeffs, ring.modulus)
         object.__setattr__(self, "_coeffs", data)
 
     def __setattr__(self, name, value):
@@ -145,7 +147,10 @@ class Series:
 
     @property
     def coeffs(self):
-        """Coefficient vector: tuple of ints (ZZ) or read-only int64 array."""
+        """Coefficient vector: a tuple of ints over ZZ; over Z/m a read-only
+        vector of canonical residues of ``residue_dtype(m)``, which is
+        unsigned for m <= 2^16: widen it before signed arithmetic, since
+        under numpy 2 ``-2 * coeffs`` raises on an unsigned dtype."""
         return self._coeffs
 
     def coefficient(self, n: int) -> int:
@@ -216,7 +221,7 @@ class Series:
         if self.ring.is_exact:
             data = [a + b for a, b in zip(self._coeffs, other._coeffs)]
         else:
-            data = self._coeffs[:n] + other._coeffs[:n]
+            data = _wide(self._coeffs[:n]) + other._coeffs[:n]
         return Series(self.ring, data)
 
     def __sub__(self, other: "Series") -> "Series":
@@ -224,20 +229,20 @@ class Series:
         if self.ring.is_exact:
             data = [a - b for a, b in zip(self._coeffs, other._coeffs)]
         else:
-            data = self._coeffs[:n] - other._coeffs[:n]
+            data = _wide(self._coeffs[:n]) - other._coeffs[:n]
         return Series(self.ring, data)
 
     def __neg__(self) -> "Series":
         if self.ring.is_exact:
             return Series(self.ring, [-c for c in self._coeffs])
-        return Series(self.ring, -self._coeffs)
+        return Series(self.ring, -_wide(self._coeffs))
 
     def scalar_mul(self, c: int) -> "Series":
         c = int(c)
         if self.ring.is_exact:
             return Series(self.ring, [c * a for a in self._coeffs])
         # Both factors are residues below 2^31, so products stay below 2^62.
-        return Series(self.ring, self._coeffs * (c % self.ring.modulus))
+        return Series(self.ring, _wide(self._coeffs) * (c % self.ring.modulus))
 
     def __mul__(self, other):
         if isinstance(other, (int, np.integer)):
@@ -310,7 +315,7 @@ class Series:
                     break
                 data[de] = c
         else:
-            data = np.zeros(T, dtype=np.int64)
+            data = np.zeros(T, dtype=self._coeffs.dtype)
             nsrc = (T - 1) // d + 1 if T else 0
             data[: d * nsrc : d] = self._coeffs[:nsrc]
         return Series(self.ring, data)
@@ -348,23 +353,21 @@ class Series:
                 f"cannot reduce Z/{self.ring.modulus} series mod {m}: "
                 f"{m} does not divide {self.ring.modulus}"
             )
-        return Series(target, self._coeffs % m)
+        return Series(target, self._coeffs)  # the constructor reduces mod m
 
     # -- serialization ---------------------------------------------------
 
+    def _json_head(self) -> dict:
+        if self.ring.is_exact:
+            return {"ring": "exact", "order": self.order}
+        return {"ring": "mod", "modulus": self.ring.modulus, "order": self.order}
+
     def to_json_dict(self) -> dict:
         if self.ring.is_exact:
-            return {
-                "ring": "exact",
-                "order": self.order,
-                "coeffs": [str(c) for c in self._coeffs],
-            }
-        return {
-            "ring": "mod",
-            "modulus": self.ring.modulus,
-            "order": self.order,
-            "coeffs": [int(c) for c in self._coeffs],
-        }
+            coeffs = [str(c) for c in self._coeffs]
+        else:
+            coeffs = self._coeffs.tolist()
+        return {**self._json_head(), "coeffs": coeffs}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())
@@ -389,70 +392,83 @@ class Series:
         return cls.from_json_dict(json.loads(text))
 
     def to_bytes(self) -> bytes:
-        """Binary form (``encode_residues``).  Exact series have none, since
-        coefficients may exceed 64 bits; they serialize through JSON."""
+        """Binary form of a residue series: magic, ring tag, modulus, order,
+        then one narrowest unsigned little-endian word per canonical residue
+        (1, 2 or 4 bytes, so the width follows from the header).  Exact
+        series have none, since coefficients may exceed 64 bits; they
+        serialize through JSON."""
         if self.ring.is_exact:
             raise ValueError("exact series have no binary form; use to_json")
-        return encode_residues(self.ring.modulus, self._coeffs)
+        m = self.ring.modulus
+        words = np.ascontiguousarray(self._coeffs, dtype=_word(m))
+        header = _MAGIC + struct.pack("<BQQ", _RING_TAG_MOD, m, len(words))
+        return b"".join((header, words.data))
 
     @classmethod
-    def from_bytes(cls, data: bytes) -> "Series":
-        return cls(*decode_residues(data))
-
-
-def int_blocks(coeffs) -> Iterator[Sequence[int]]:
-    """Consecutive blocks of 4096 coefficients as Python ints, so that a
-    long residue vector is never converted to ints all at once."""
-    for i in range(0, len(coeffs), 4096):
-        block = coeffs[i : i + 4096]
-        yield block.tolist() if isinstance(block, np.ndarray) else block
-
-
-def write_coeffs_csv(fp: IO[str], coeffs) -> None:
-    """Write ``n,value`` rows under that header, from a tuple of ints or a
-    residue vector of any integer dtype."""
-    writer = csv.writer(fp, lineterminator="\n")
-    writer.writerow(["n", "value"])
-    writer.writerows(enumerate(chain.from_iterable(int_blocks(coeffs))))
-
-
-def encode_residues(m: int, residues) -> bytes:
-    """Binary form of residues mod m, canonical in [0, m): magic, ring tag,
-    modulus, order, then one narrowest unsigned little-endian word per
-    residue (1, 2 or 4 bytes, so the width follows from the header)."""
-    words = np.ascontiguousarray(residues, dtype=_word(m))
-    header = _MAGIC + struct.pack("<BQQ", _RING_TAG_MOD, m, len(words))
-    return b"".join((header, words.data))
-
-
-def decode_residues(data: bytes | memoryview) -> tuple[CoefficientRing, np.ndarray]:
-    """Ring and canonical residues of a binary form: a read-only view of the
-    words in ``data`` (bytes, or a memoryview of them), copied only to reduce
-    words >= m."""
-    if data[:4] != _MAGIC:
-        raise ValueError(f"bad magic {bytes(data[:4])!r}, expected {_MAGIC!r}")
-    if len(data) < _HEADER_SIZE:
-        raise ValueError(
-            f"payload holds {len(data)} bytes, "
-            f"shorter than the {_HEADER_SIZE}-byte header"
-        )
-    tag, modulus, order = struct.unpack_from("<BQQ", data, 4)
-    if tag != _RING_TAG_MOD:
-        raise ValueError(f"unknown ring tag {tag}")
-    ring = CoefficientRing(int(modulus))
-    word = _word(ring.modulus)
-    size = len(data) - _HEADER_SIZE
-    if size != word.itemsize * order:
-        raise ValueError(
-            f"payload holds {size // word.itemsize} words, header promises {order}"
-        )
-    words = np.frombuffer(data, dtype=word, count=order, offset=_HEADER_SIZE)
-    return ring, narrow_residues(words, ring.modulus)
+    def from_bytes(cls, data: bytes | memoryview) -> "Series":
+        """Series of a binary form (bytes, or a memoryview of them).  Words
+        that are already the in-memory layout stay a read-only view of
+        ``data``; they are copied only to widen them or to reduce words
+        >= m."""
+        if data[:4] != _MAGIC:
+            raise ValueError(f"bad magic {bytes(data[:4])!r}, expected {_MAGIC!r}")
+        if len(data) < _HEADER_SIZE:
+            raise ValueError(
+                f"payload holds {len(data)} bytes, "
+                f"shorter than the {_HEADER_SIZE}-byte header"
+            )
+        tag, modulus, order = struct.unpack_from("<BQQ", data, 4)
+        if tag != _RING_TAG_MOD:
+            raise ValueError(f"unknown ring tag {tag}")
+        ring = CoefficientRing(int(modulus))
+        word = _word(ring.modulus)
+        size = len(data) - _HEADER_SIZE
+        if size != word.itemsize * order:
+            raise ValueError(
+                f"payload holds {size // word.itemsize} words, header promises {order}"
+            )
+        return cls(ring, np.frombuffer(data, dtype=word, count=order, offset=_HEADER_SIZE))
 
 
 def _word(m: int) -> np.dtype:
     """Little-endian unsigned word of the binary form for residues mod m."""
-    return narrow_dtype(m).newbyteorder("<")
+    return np.dtype(np.min_scalar_type(m - 1)).newbyteorder("<")
+
+
+def write_coeffs(fp: IO[str], series: Series, fmt: str, **extra) -> None:
+    """Write the coefficients of ``series`` to ``fp`` one block at a time.
+
+    ``fmt`` is "text" (comma-separated on one line), "csv" (``n,value`` rows
+    under that header) or "json" (the ``extra`` fields, then
+    ``to_json_dict()``, as ``json.dumps(..., indent=2)`` would write them).
+    Text and JSON end without a newline.  A residue vector is converted to
+    Python ints 4096 coefficients at a time, never all at once.
+    """
+    coeffs = series.coeffs
+    blocks = (coeffs[i : i + 4096] for i in range(0, len(coeffs), 4096))
+    if not series.ring.is_exact:
+        blocks = (block.tolist() for block in blocks)
+    if fmt == "csv":
+        writer = csv.writer(fp, lineterminator="\n")
+        writer.writerow(["n", "value"])
+        writer.writerows(enumerate(chain.from_iterable(blocks)))
+        return
+    head, tail, sep, item = "", "", ",", str
+    if fmt == "json":
+        text = json.dumps({**extra, **series._json_head(), "coeffs": []}, indent=2)
+        if not series.order:
+            fp.write(text)
+            return
+        head, tail = text.rsplit("[]", 1)
+        head, tail, sep = head + "[\n    ", "\n  ]" + tail, ",\n    "
+        if series.ring.is_exact:
+            item = '"{}"'.format
+    elif fmt != "text":
+        raise ValueError(f"unknown format {fmt!r}")
+    fp.write(head)
+    for i, block in enumerate(blocks):
+        fp.write((sep if i else "") + sep.join(map(item, block)))
+    fp.write(tail)
 
 
 # -- construction ----------------------------------------------------------
@@ -465,35 +481,12 @@ def series_from_terms(
 
     Exponents must be distinct and lie in [0, order).
     """
-    return Series(ring, _terms_vector(ring, order, terms))
-
-
-def inverse_from_terms(
-    ring: CoefficientRing, order: int, terms: Iterable[tuple[int, int]]
-):
-    """Coefficients of the inverse of ``series_from_terms(ring, order, terms)``:
-    a tuple of ints over ZZ; over Z/m a vector of ``narrow_dtype(m)``.
-
-    Over Z/m neither the series nor its inverse is widened to int64, which
-    lowers the peak memory of long inversions.
-    """
-    data = _terms_vector(ring, order, terms)
-    if ring.is_exact:
-        return Series(ring, data).invert().coeffs
-    return _invert_mod(data, ring.modulus)
-
-
-def _terms_vector(
-    ring: CoefficientRing, order: int, terms: Iterable[tuple[int, int]]
-):
-    # A list of ints over ZZ; over Z/m residues in the narrowest unsigned
-    # dtype, which Series widens to int64.
     if not isinstance(order, (int, np.integer)) or order < 1:
         raise ValueError(f"order must be a positive int, got {order!r}")
     if ring.is_exact:
         data = [0] * int(order)
     else:
-        data = np.zeros(order, dtype=narrow_dtype(ring.modulus))
+        data = np.zeros(order, dtype=residue_dtype(ring.modulus))
     seen = set()
     for e, c in terms:
         e = int(e)
@@ -503,7 +496,7 @@ def _terms_vector(
             raise ValueError(f"duplicate exponent {e}")
         seen.add(e)
         data[e] = ring.reduce(c)
-    return data
+    return Series(ring, data)
 
 
 def zero(ring: CoefficientRing, order: int) -> Series:
@@ -603,7 +596,7 @@ def _mul_mod(a: np.ndarray, b: np.ndarray, n: int, m: int) -> np.ndarray:
     if not square:
         kernel.spectra(b, size, 1)
     part = kernel.product(0, 0 if square else 1, size, 0, n)
-    return _canonical(part, m).astype(np.int64)
+    return _canonical(part, m).astype(residue_dtype(m))
 
 
 def _solve_unit_toeplitz_exact(
@@ -772,7 +765,7 @@ def _invert_mod(f: np.ndarray, m: int) -> np.ndarray:
     coefficients below k (Hanrot, Quercia & Zimmermann, 2004).  Each step
     writes the centred nonzero terms of f below k2 into a zeroed buffer,
     which costs little for a sparse f such as phi(-q).  g is built in
-    ``narrow_dtype(m)``: ``Series`` widens it, a table keeps it.
+    ``residue_dtype(m)``, so the ``Series`` that returns it holds it as is.
     """
     a0 = int(f[0])
     d = math.gcd(a0, m)
@@ -788,7 +781,7 @@ def _invert_mod(f: np.ndarray, m: int) -> np.ndarray:
     exps = np.flatnonzero(f)
     terms = f[exps].astype(np.float64)
     np.subtract(terms, m, out=terms, where=terms > m // 2)
-    g = np.empty(T, dtype=narrow_dtype(m))
+    g = np.empty(T, dtype=residue_dtype(m))
     g[0] = pow(a0, -1, m)
     kernel = _FFTProduct(m, _fft_len(T))
     for k, k2 in zip(lengths, lengths[1:]):

@@ -11,10 +11,9 @@ and on Python ints beyond.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
-from typing import IO
+from typing import IO, Iterator
 
 import numpy as np
 
@@ -48,11 +47,15 @@ class SquaresTable:
             raise ValueError(f"k must be in [1, {self.k_max}], got {k}")
         return self.rows[k - 1]
 
+    def lines(self, sep: str = ",") -> Iterator[str]:
+        """The header ``n,c1,...,ck`` and one line ``n,c_1(n),...`` per n,
+        with fields joined by ``sep``."""
+        yield sep.join(["n"] + [f"c{k}" for k in range(1, self.k_max + 1)])
+        for n, cells in enumerate(zip(*self.rows)):
+            yield sep.join(map(str, (n, *cells)))
+
     def write_csv(self, fp: IO[str]) -> None:
-        writer = csv.writer(fp, lineterminator="\n")
-        writer.writerow(["n"] + [f"c{k}" for k in range(1, self.k_max + 1)])
-        for n in range(self.order):
-            writer.writerow([n] + [self.rows[k][n] for k in range(self.k_max)])
+        fp.writelines(line + "\n" for line in self.lines())
 
 
 def squares_table(k_max: int, order: int) -> SquaresTable:

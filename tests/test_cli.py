@@ -437,6 +437,37 @@ def test_cached_dissect_streams_csv_to_its_file(tmp_path):
     assert peak < 3 * 10**6, peak
 
 
+@pytest.mark.parametrize(
+    "argv, step",
+    [
+        (["compute", "pbar", "--format", "json"], 1),
+        (["compute", "pbar", "--format", "text"], 1),
+        (["dissect", "--d", "5", "--r", "0", "--format", "json"], 5),
+    ],
+)
+def test_cached_coefficients_stream_text_and_json_to_their_file(tmp_path, argv, step):
+    T = 3 * 10**5
+    words = np.random.default_rng(11).integers(0, 120, T, dtype=np.uint8)
+    store_table(CoeffTable("pbar", Method.THETA_INVERSION, mod_ring(120), words), tmp_path)
+    out = tmp_path / "coeffs.out"
+    argv = argv + ["--mod", "120", "-T", str(T), "--out", str(out), "--cache-dir", str(tmp_path)]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    want = words[::step].tolist()
+    if "json" in argv:
+        assert json.loads(out.read_text())["coeffs"] == want
+    else:
+        assert out.read_text() == ",".join(map(str, want))
+    # the table is 0.3 MB; writing the output whole traced 2.2 MB (text),
+    # 5.3 MB (dissect JSON) and 25 MB (JSON)
+    assert peak < 1.5 * 10**6, peak
+
+
 def test_cli_cache_env_var(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("OVP_CACHE_DIR", str(tmp_path / "envcache"))
     code, _, _ = _run(capsys, ["compute", "pbar", "-T", "30"])

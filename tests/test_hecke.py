@@ -123,6 +123,17 @@ def test_apply_matches_direct_formula(k, ell):
         assert list(image.coeffs) == [b % m for b in _manual_apply(f, weight, ell)]
 
 
+@pytest.mark.parametrize("ell", (3, 5))
+def test_apply_on_narrow_residues_matches_exact_image(ell, phi_cubed):
+    # residues mod 200 are uint8; the operator's signed sums must neither
+    # wrap nor raise on them
+    f = phi_cubed.truncate(3000)
+    params = HeckeParams(k=3, N=16, ell=ell)
+    narrow = f.reduce_mod(200)
+    assert narrow.coeffs.dtype.itemsize == 1
+    assert hecke_apply(narrow, params) == hecke_apply(f, params).reduce_mod(200)
+
+
 def test_apply_output_order_and_minimum_input():
     f = Series(mod_ring(97), range(100))
     image = hecke_apply(f, HeckeParams(k=3, N=16, ell=3))

@@ -20,7 +20,7 @@ from ovp.overpartition import (
     mod8_residues,
     mod8_truncation,
 )
-from ovp.qseries import write_coeffs_csv
+from ovp.qseries import write_coeffs
 
 PBAR_FIRST_11 = (1, 2, 4, 8, 14, 24, 40, 64, 100, 154, 232)
 
@@ -136,29 +136,26 @@ def test_table_as_series_and_hash():
 
 def test_table_residues_are_narrow_and_read_only():
     table = overpartition_table(mod_ring(1920), 500)
-    res = table.residues
+    res = table.values
     assert res.dtype == np.uint16 and not res.flags.writeable
-    assert table.values is res and res is table.residues
     assert res.tolist() == [v % 1920 for v in overpartition_table(ZZ, 500).values]
     for method in (Method.EULER_PRODUCT, Method.ENUMERATION, Method.TWO_ADIC):
         other = overpartition_table(mod_ring(120), 40, method)
-        assert other.values is other.residues and other.values.dtype == np.uint8
-    assert overpartition_table(mod_ring(120), 5).residues.dtype == np.uint8
+        assert other.values.dtype == np.uint8
+    assert overpartition_table(mod_ring(120), 5).values.dtype == np.uint8
     # 4-byte residues stay int64, so callers of wide tables keep signed arithmetic
     wide = overpartition_table(mod_ring(2**31 - 1), 5)
-    assert wide.values is wide.residues and wide.values.dtype == np.int64
+    assert wide.values.dtype == np.int64
     assert not wide.values.flags.writeable
     raw = CoeffTable("pbar", "raw", mod_ring(8), np.array([-1, 9, 3]))
-    assert raw.residues.tolist() == [7, 1, 3]
-    assert raw.values is raw.residues and raw.values.dtype == np.uint8
-    with pytest.raises(ValueError, match="exact table"):
-        overpartition_table(ZZ, 5).residues
+    assert raw.values.tolist() == [7, 1, 3]
+    assert raw.values.dtype == np.uint8
 
 
 def test_table_write_csv():
     table = overpartition_table(ZZ, 5)
     buf = io.StringIO()
-    write_coeffs_csv(buf, table.values)
+    write_coeffs(buf, table.as_series(), "csv")
     assert buf.getvalue() == "n,value\n0,1\n1,2\n2,4\n3,8\n4,14\n"
 
 
@@ -207,7 +204,7 @@ def test_mod8_truncation_matches_table():
 def test_mod8_residue_vector_sweep(pbar_big):
     # every n <= 10^6, against the shared mod-1920 table
     fast = mod8_residues(pbar_big.length)
-    assert np.array_equal(fast, pbar_big.residues % 8)
+    assert np.array_equal(fast, pbar_big.values % 8)
     assert fast[0] == 1
 
 

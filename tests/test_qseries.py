@@ -8,6 +8,7 @@ methods) for the inversion oracle.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import random
@@ -24,7 +25,7 @@ from ovp import (
     qseries,
     series_from_terms,
 )
-from ovp.qseries import IdentityCheck, compare, inverse_from_terms, one, zero
+from ovp.qseries import IdentityCheck, compare, one, write_coeffs, zero
 from ovp.theta import ThetaKind, theta_series
 
 PBAR_FIRST_11 = (1, 2, 4, 8, 14, 24, 40, 64, 100, 154, 232)
@@ -98,6 +99,38 @@ def test_mod_series_reduces_values_past_int64():
     assert list(Series(ring, big).coeffs) == [v % 120 for v in big]
     words = np.array(big, dtype=np.uint64)
     assert list(Series(ring, words).coeffs) == [v % 120 for v in big]
+
+
+@pytest.mark.parametrize(
+    "m, dtype", [(120, np.uint8), (1920, np.uint16), (2**31 - 1, np.int64)]
+)
+def test_mod_series_share_the_table_layout(m, dtype):
+    # one read-only residue vector, whichever operation built the series
+    ring = mod_ring(m)
+    f = theta_series(ThetaKind.PHI_MINUS, ring, 300)
+    g = Series(ring, [1, -1, 2] * 100)
+    built = [
+        f, g, f + g, f - g, -f, f.scalar_mul(-3), f * g, f * f, f.invert(),
+        f.substitute_power(3), f.extract_progression(4, 1), f.truncate(7),
+        Series.from_bytes(g.to_bytes()), Series.from_json(g.to_json()),
+        g.reduce_mod(m), Series(ZZ, range(-9, 9)).reduce_mod(m),
+    ]
+    for h in built:
+        assert h.coeffs.dtype == dtype and not h.coeffs.flags.writeable
+    assert overpartition_table(ring, 50).values.dtype == dtype
+
+
+def test_narrow_residue_arithmetic_does_not_wrap():
+    # residues mod 200 are uint8: each result passes 255 or goes below 0 on
+    # the way, and would wrap in the narrow word
+    ring = mod_ring(200)
+    a = Series(ring, [199, 3, 1])
+    b = Series(ring, [199, 5, 0])
+    assert a.coeffs.dtype == np.uint8
+    assert list((a + b).coeffs) == [198, 8, 1]
+    assert list((a - b).coeffs) == [0, 198, 1]
+    assert list((-a).coeffs) == [1, 197, 199]
+    assert list(a.scalar_mul(199).coeffs) == [1, 197, 199]
 
 
 def test_series_is_immutable():
@@ -213,17 +246,6 @@ def test_newton_inversion_matches_exact_reduction(m):
     fm = f.reduce_mod(m)
     for order in (1, 2, 3, 255, 256, 257, 4095, 4096, 4097, T):
         assert fm.truncate(order).invert() == exact.truncate(order).reduce_mod(m)
-
-
-def test_inverse_from_terms_matches_series_inverse():
-    terms = [(0, 1)] + [(k * k, 2 * (-1) ** k) for k in range(1, 45)]
-    for ring in (ZZ, mod_ring(120), mod_ring(2**31 - 1)):
-        expected = series_from_terms(ring, 2000, terms).invert()
-        assert Series(ring, inverse_from_terms(ring, 2000, terms)) == expected
-    with pytest.raises(ValueError, match=r"gcd\(2, 6\) = 2"):
-        inverse_from_terms(mod_ring(6), 10, [(0, 2), (1, 1)])
-    with pytest.raises(ValueError):
-        inverse_from_terms(mod_ring(6), 10, [(0, 1), (0, 1)])
 
 
 def _phi_minus_residual(values, m: int) -> np.ndarray:
@@ -627,6 +649,30 @@ def test_json_rejects_malformed():
         Series.from_json('{"ring": "exact", "order": 3, "coeffs": ["1"]}')
     with pytest.raises(ValueError, match="ring tag"):
         Series.from_json('{"ring": "float", "order": 1, "coeffs": [1]}')
+
+
+@pytest.mark.parametrize(
+    "series",
+    [
+        Series(ZZ, [1, -(2**70), 0] * 3000),
+        Series(mod_ring(120), range(9000)),
+        Series(mod_ring(7), []),
+        Series(ZZ, []),
+    ],
+)
+def test_write_coeffs_matches_whole_output(series):
+    # 9000 coefficients span three of the writer's blocks
+    extra = {"name": "pbar[5n+1]", "method": "theta-inversion"}
+    buf = io.StringIO()
+    write_coeffs(buf, series, "json", **extra)
+    assert buf.getvalue() == json.dumps({**extra, **series.to_json_dict()}, indent=2)
+    buf = io.StringIO()
+    write_coeffs(buf, series, "text")
+    assert buf.getvalue() == ",".join(str(int(c)) for c in series.coeffs)
+    buf = io.StringIO()
+    write_coeffs(buf, series, "csv")
+    rows = "".join(f"{n},{int(c)}\n" for n, c in enumerate(series.coeffs))
+    assert buf.getvalue() == "n,value\n" + rows
 
 
 def test_bytes_round_trip_mod():
