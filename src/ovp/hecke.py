@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qseries import CoefficientRing, Series
+from .qseries import CoefficientRing, Series, _wide
 
 
 def is_odd_prime(p: int) -> bool:
@@ -66,14 +66,16 @@ class HeckeParams:
     ell: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.k, int) or self.k < 1 or self.k % 2 == 0:
+        if not isinstance(self.k, (int, np.integer)) or self.k < 1 or self.k % 2 == 0:
             raise ValueError(f"weight numerator k must be a positive odd int, got {self.k}")
-        if not isinstance(self.N, int) or self.N < 4 or self.N % 4 != 0:
+        if not isinstance(self.N, (int, np.integer)) or self.N < 4 or self.N % 4 != 0:
             raise ValueError(f"level N must be a positive multiple of 4, got {self.N}")
         if not is_odd_prime(self.ell):
             raise ValueError(f"l must be an odd prime, got {self.ell}")
         if self.N % self.ell == 0:
             raise ValueError(f"l = {self.ell} must not divide N = {self.N}")
+        for name in ("k", "N", "ell"):  # Python ints: powers of l must not wrap
+            object.__setattr__(self, name, int(getattr(self, name)))
 
 
 def _ell_power(ell: int, e: int, ring: CoefficientRing) -> int:
@@ -101,23 +103,18 @@ def hecke_apply(f: Series, params: HeckeParams) -> Series:
         )
     out_order = (f.order - 1) // l2 + 1
     twist = (-1) ** ((params.k - 1) // 2)
-    chi = _legendre_table(ell, negate=twist < 0).tolist()
-    # Reads are Python ints, so the signed sums neither wrap nor raise on
-    # unsigned residue words; powers of l are reduced, so each residue-ring
-    # b stays below 2m^2 < 2^63 and the list fits int64.
+    chi = np.resize(_legendre_table(ell, negate=twist < 0), out_order)
+    # Over Z/m the residues are read as int64 and the powers of l are
+    # reduced, so each b(n) stays below m + 2m^2 < 2^63.  Over ZZ the
+    # coefficients are Python ints, and chi multiplies them before any power
+    # of l does: chi * l^e alone would be int64 and could overflow.
     p_mid = _ell_power(ell, (params.k - 3) // 2, f.ring)
     p_low = _ell_power(ell, params.k - 2, f.ring)
-    a = f.coeffs
-    coeffs = []
-    for n in range(out_order):
-        b = int(a[l2 * n])
-        sign = chi[n % ell]
-        if sign:
-            b += sign * p_mid * int(a[n])
-        if n % l2 == 0:
-            b += p_low * int(a[n // l2])
-        coeffs.append(b)
-    return Series(f.ring, coeffs)
+    a = _wide(f.coeffs)
+    b = a[::l2] + chi * a[:out_order] * p_mid  # a(l^2 n) and the twist
+    low = b[::l2]  # the n divisible by l^2
+    low += a[: len(low)] * p_low
+    return Series(f.ring, b)
 
 
 @dataclass(frozen=True)

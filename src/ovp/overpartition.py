@@ -66,17 +66,17 @@ class CoeffTable:
 
     ``values[n]`` is the n-th coefficient; ``value(n)`` additionally maps
     negative arguments to 0 (the standard convention for pbar).  ``values``
-    is laid out as ``Series.coeffs``: a tuple of ints over ZZ; over Z/m one
-    read-only vector of canonical residues, of narrow unsigned words for
-    m <= 2^16 (one byte each mod 120) and int64 above.  Widen narrow words
-    (``.astype(np.int64)``) before signed arithmetic, since under numpy 2
-    ``-2 * values`` raises on an unsigned dtype.
+    is laid out as ``Series.coeffs``, one read-only vector: of dtype object
+    holding Python ints over ZZ; over Z/m of canonical residues, in narrow
+    unsigned words for m <= 2^16 (one byte each mod 120) and int64 above.
+    Widen narrow words (``.astype(np.int64)``) before signed arithmetic,
+    since under numpy 2 ``-2 * values`` raises on an unsigned dtype.
     """
 
     name: str
     method: str
     ring: CoefficientRing
-    values: tuple[int, ...] | np.ndarray
+    values: np.ndarray
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:

@@ -1,13 +1,15 @@
 """Truncated formal power series over ZZ or Z/m.
 
 A series is a dense coefficient vector of a fixed truncation order T,
-representing sum(c[n] * q^n for n < T).  Exact-integer series store Python
-ints (arbitrary precision); residue-ring series store canonical residues in
-one read-only numpy vector of ``residue_dtype(m)``: the narrowest unsigned
-word for m <= 2^16 (one byte mod 120), int64 above.  Arithmetic that needs
-signed room (+, -, negation, scalar products) widens its operands to int64
-for the duration of the operation only.  All operations truncate silently
-at the minimum order of their operands.
+representing sum(c[n] * q^n for n < T), held in one read-only 1-D numpy
+vector: of dtype object holding Python ints (arbitrary precision) over ZZ;
+of ``residue_dtype(m)`` holding canonical residues over Z/m, the narrowest
+unsigned word for m <= 2^16 (one byte mod 120) and int64 above.  Sums,
+differences, negation, scalar products and reindexing are one numpy
+expression for both rings; residues are widened to int64 for the signed
+ones, for the duration of the operation only (``_wide``).  Products,
+inversion and the serialized forms differ by ring.  All operations
+truncate silently at the minimum order of their operands.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import json
 import math
 import struct
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import chain
 from typing import IO, Iterable, Sequence
 
 import numpy as np
@@ -111,8 +113,10 @@ def _residue_vector(coeffs, m: int) -> np.ndarray:
 
 def _wide(a: np.ndarray) -> np.ndarray:
     """Residues as int64: room for the sums, differences and products of
-    two residues below 2^31 that the ring operations form."""
-    return a.astype(np.int64, copy=False)
+    two residues below 2^31 that the ring operations form.  Exact (object)
+    vectors are returned unchanged, so their arithmetic stays in Python
+    ints."""
+    return a if a.dtype == object else a.astype(np.int64, copy=False)
 
 
 class Series:
@@ -131,7 +135,8 @@ class Series:
             raise TypeError(f"ring must be a CoefficientRing, got {ring!r}")
         object.__setattr__(self, "ring", ring)
         if ring.is_exact:
-            data = tuple(map(int, coeffs))
+            data = np.fromiter(map(int, coeffs), dtype=object)
+            data.flags.writeable = False
         else:
             data = _residue_vector(coeffs, ring.modulus)
         object.__setattr__(self, "_coeffs", data)
@@ -147,9 +152,9 @@ class Series:
 
     @property
     def coeffs(self):
-        """Coefficient vector: a tuple of ints over ZZ; over Z/m a read-only
-        vector of canonical residues of ``residue_dtype(m)``, which is
-        unsigned for m <= 2^16: widen it before signed arithmetic, since
+        """Read-only coefficient vector: dtype object holding Python ints
+        over ZZ; canonical residues of ``residue_dtype(m)`` over Z/m, which
+        is unsigned for m <= 2^16: widen it before signed arithmetic, since
         under numpy 2 ``-2 * coeffs`` raises on an unsigned dtype."""
         return self._coeffs
 
@@ -159,15 +164,11 @@ class Series:
         return int(self._coeffs[n])
 
     def nonzero_terms(self) -> list[tuple[int, int]]:
-        if self.ring.is_exact:
-            return [(e, c) for e, c in enumerate(self._coeffs) if c]
-        idx = np.nonzero(self._coeffs)[0]
-        return [(int(e), int(self._coeffs[e])) for e in idx]
+        idx = np.flatnonzero(self._coeffs)
+        return list(zip(idx.tolist(), self._coeffs[idx].tolist()))
 
     @property
     def nnz(self) -> int:
-        if self.ring.is_exact:
-            return sum(1 for c in self._coeffs if c)
         return int(np.count_nonzero(self._coeffs))
 
     def __repr__(self) -> str:
@@ -188,14 +189,7 @@ class Series:
         if self.ring != other.ring:
             raise ValueError(f"ring mismatch: {self.ring} vs {other.ring}")
         n = min(self.order, other.order)
-        if self.ring.is_exact:
-            for i in range(n):
-                if self._coeffs[i] != other._coeffs[i]:
-                    return i
-            return None
-        a = self._coeffs[:n]
-        b = other._coeffs[:n]
-        bad = np.nonzero(a != b)[0]
+        bad = np.flatnonzero(self._coeffs[:n] != other._coeffs[:n])
         return int(bad[0]) if bad.size else None
 
     def __eq__(self, other) -> bool:
@@ -218,38 +212,24 @@ class Series:
 
     def __add__(self, other: "Series") -> "Series":
         n = self._binary_check(other)
-        if self.ring.is_exact:
-            data = [a + b for a, b in zip(self._coeffs, other._coeffs)]
-        else:
-            data = _wide(self._coeffs[:n]) + other._coeffs[:n]
-        return Series(self.ring, data)
+        return Series(self.ring, _wide(self._coeffs[:n]) + other._coeffs[:n])
 
     def __sub__(self, other: "Series") -> "Series":
         n = self._binary_check(other)
-        if self.ring.is_exact:
-            data = [a - b for a, b in zip(self._coeffs, other._coeffs)]
-        else:
-            data = _wide(self._coeffs[:n]) - other._coeffs[:n]
-        return Series(self.ring, data)
+        return Series(self.ring, _wide(self._coeffs[:n]) - other._coeffs[:n])
 
     def __neg__(self) -> "Series":
-        if self.ring.is_exact:
-            return Series(self.ring, [-c for c in self._coeffs])
         return Series(self.ring, -_wide(self._coeffs))
 
     def scalar_mul(self, c: int) -> "Series":
-        c = int(c)
-        if self.ring.is_exact:
-            return Series(self.ring, [c * a for a in self._coeffs])
-        # Both factors are residues below 2^31, so products stay below 2^62.
-        return Series(self.ring, _wide(self._coeffs) * (c % self.ring.modulus))
+        # Over Z/m both factors are residues below 2^31, so products stay
+        # below 2^62.
+        return Series(self.ring, _wide(self._coeffs) * self.ring.reduce(c))
 
     def __mul__(self, other):
         if isinstance(other, (int, np.integer)):
             return self.scalar_mul(int(other))
         n = self._binary_check(other)
-        if n == 0:
-            return Series(self.ring, [])
         if self.ring.is_exact:
             return Series(self.ring, _mul_exact(self._coeffs, other._coeffs, n))
         data = _mul_mod(self._coeffs, other._coeffs, n, self.ring.modulus)
@@ -306,18 +286,8 @@ class Series:
         if not isinstance(d, (int, np.integer)) or d < 1:
             raise ValueError(f"power must be a positive int, got {d!r}")
         d = int(d)
-        T = self.order
-        if self.ring.is_exact:
-            data = [0] * T
-            for e, c in enumerate(self._coeffs):
-                de = d * e
-                if de >= T:
-                    break
-                data[de] = c
-        else:
-            data = np.zeros(T, dtype=self._coeffs.dtype)
-            nsrc = (T - 1) // d + 1 if T else 0
-            data[: d * nsrc : d] = self._coeffs[:nsrc]
+        data = np.zeros(self.order, dtype=self._coeffs.dtype)
+        data[::d] = self._coeffs[: len(data[::d])]
         return Series(self.ring, data)
 
     def extract_progression(self, d: int, r: int) -> "Series":
@@ -330,9 +300,7 @@ class Series:
             raise ValueError(f"step must be a positive int, got {d!r}")
         if not isinstance(r, (int, np.integer)) or not 0 <= r < d:
             raise ValueError(f"residue must satisfy 0 <= r < {d}, got {r!r}")
-        d, r = int(d), int(r)
-        n_out = max(0, -((self.order - r) // -d))
-        return Series(self.ring, self._coeffs[r::d][:n_out])
+        return Series(self.ring, self._coeffs[int(r) :: int(d)])
 
     def truncate(self, order: int) -> "Series":
         if not 0 <= order <= self.order:
@@ -346,9 +314,7 @@ class Series:
         multiple of m (the reduction is then a well-defined ring map).
         """
         target = CoefficientRing(m)
-        if self.ring.is_exact:
-            return Series(target, [c % m for c in self._coeffs])
-        if self.ring.modulus % m != 0:
+        if not self.ring.is_exact and self.ring.modulus % m != 0:
             raise ValueError(
                 f"cannot reduce Z/{self.ring.modulus} series mod {m}: "
                 f"{m} does not divide {self.ring.modulus}"
@@ -441,13 +407,11 @@ def write_coeffs(fp: IO[str], series: Series, fmt: str, **extra) -> None:
     ``fmt`` is "text" (comma-separated on one line), "csv" (``n,value`` rows
     under that header) or "json" (the ``extra`` fields, then
     ``to_json_dict()``, as ``json.dumps(..., indent=2)`` would write them).
-    Text and JSON end without a newline.  A residue vector is converted to
-    Python ints 4096 coefficients at a time, never all at once.
+    Text and JSON end without a newline.  The vector is converted to Python
+    ints 4096 coefficients at a time, never all at once.
     """
     coeffs = series.coeffs
-    blocks = (coeffs[i : i + 4096] for i in range(0, len(coeffs), 4096))
-    if not series.ring.is_exact:
-        blocks = (block.tolist() for block in blocks)
+    blocks = (coeffs[i : i + 4096].tolist() for i in range(0, len(coeffs), 4096))
     if fmt == "csv":
         writer = csv.writer(fp, lineterminator="\n")
         writer.writerow(["n", "value"])
@@ -483,10 +447,7 @@ def series_from_terms(
     """
     if not isinstance(order, (int, np.integer)) or order < 1:
         raise ValueError(f"order must be a positive int, got {order!r}")
-    if ring.is_exact:
-        data = [0] * int(order)
-    else:
-        data = np.zeros(order, dtype=residue_dtype(ring.modulus))
+    data = np.zeros(order, dtype=object if ring.is_exact else residue_dtype(ring.modulus))
     seen = set()
     for e, c in terms:
         e = int(e)
@@ -528,19 +489,18 @@ def _mul_exact(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
     ints: below 2^63 the loop runs in int64, otherwise on object arrays of
     Python ints.
     """
-    a, b = a[:n], b[:n]
-    exps_a = list(compress(range(n), a))
-    exps_b = list(compress(range(n), b))
+    a, b = (np.asarray(x[:n], dtype=object) for x in (a, b))
+    exps_a, exps_b = np.flatnonzero(a), np.flatnonzero(b)
     if len(exps_b) < len(exps_a):
         a, b, exps_a = b, a, exps_b
-    terms = [(e, a[e]) for e in exps_a]
-    bound = sum(abs(c) for _, c in terms) * max(map(abs, b), default=0)
+    coeffs = a[exps_a].tolist()
+    bound = sum(map(abs, coeffs)) * max(map(abs, b.tolist()), default=0)
     if not bound:
         return [0] * n
     dtype = np.int64 if bound < 1 << 63 else object
-    dense = np.array(b, dtype=dtype)
+    dense = b.astype(dtype)
     out = np.zeros(n, dtype=dtype)
-    for e, c in terms:
+    for e, c in zip(exps_a.tolist(), coeffs):
         out[e:] += c * dense[: n - e]
     return out.tolist()
 

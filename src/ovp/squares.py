@@ -67,10 +67,10 @@ def squares_table(k_max: int, order: int) -> SquaresTable:
         raise ValueError(f"order must be >= 1, got {order}")
     theta = series_from_terms(ZZ, order, ((s, 1) for s in _positive_squares(order)))
     row = theta
-    rows = [theta.coeffs]
+    rows = [tuple(theta.coeffs)]
     for _ in range(k_max - 1):
         row = row * theta
-        rows.append(row.coeffs)
+        rows.append(tuple(row.coeffs))
     return SquaresTable(k_max=k_max, order=order, rows=tuple(rows))
 
 

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from enum import Enum
 
+import numpy as np
+
 from .qseries import CoefficientRing, IdentityCheck, Series, compare, series_from_terms
 
 
@@ -27,7 +29,7 @@ class ThetaKind(Enum):
 
 def theta_terms(kind: ThetaKind, order: int) -> list[tuple[int, int]]:
     """Sparse (exponent, coefficient) support of a theta series below order."""
-    if not isinstance(order, int) or order < 1:
+    if not isinstance(order, (int, np.integer)) or order < 1:
         raise ValueError(f"order must be a positive int, got {order!r}")
     terms: list[tuple[int, int]] = []
     if kind is ThetaKind.PHI_PLUS:

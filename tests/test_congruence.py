@@ -386,6 +386,8 @@ def test_dissection_chain_table_validation():
         verify_dissection_chain(30, t)
     with pytest.raises(ValueError):
         verify_dissection_chain(0)
+    # a numpy integer order is an order like any other
+    assert verify_dissection_chain(np.int64(2)) == verify_dissection_chain(2)
 
 
 # -- density ----------------------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from ovp import (
@@ -91,6 +92,12 @@ def test_params_validation():
         HeckeParams(k=3, N=16, ell=9)
     with pytest.raises(ValueError, match="must not divide"):
         HeckeParams(k=3, N=12, ell=3)
+    # numpy integers are accepted and stored as Python ints
+    params = HeckeParams(k=np.int64(3), N=np.int64(16), ell=np.int64(5))
+    assert params == HeckeParams(k=3, N=16, ell=5)
+    assert all(type(v) is int for v in (params.k, params.N, params.ell))
+    with pytest.raises(ValueError, match="odd"):
+        HeckeParams(k=np.int64(2), N=16, ell=5)
 
 
 # -- operator action ----------------------------------------------------------------
@@ -119,8 +126,21 @@ def test_apply_matches_direct_formula(k, ell):
     # residues near 2^31 times l^(k - 2) pass 2^63 at k = 45
     m = 2**31 - 1
     for weight in (k, 45):
+        exact = hecke_apply(f, HeckeParams(k=weight, N=16, ell=ell))
+        assert list(exact.coeffs) == _manual_apply(f, weight, ell)
         image = hecke_apply(f.reduce_mod(m), HeckeParams(k=weight, N=16, ell=ell))
         assert list(image.coeffs) == [b % m for b in _manual_apply(f, weight, ell)]
+
+
+def test_apply_at_high_weight_keeps_python_ints():
+    # l^((k - 3)/2) = 31^19 and l^(k - 2) = 31^39 are far past 2^63; numpy
+    # integer parameters must give the same exact image
+    rng = random.Random(41)
+    f = Series(ZZ, [rng.randrange(-(2**70), 2**70) for _ in range(3000)])
+    want = _manual_apply(f, 41, 31)
+    for k, N, ell in ((41, 16, 31), (np.int64(41), np.int64(16), np.int64(31))):
+        image = hecke_apply(f, HeckeParams(k=k, N=N, ell=ell))
+        assert list(image.coeffs) == want
 
 
 @pytest.mark.parametrize("ell", (3, 5))

@@ -120,6 +120,25 @@ def test_mod_series_share_the_table_layout(m, dtype):
     assert overpartition_table(ring, 50).values.dtype == dtype
 
 
+def test_exact_series_share_one_layout():
+    # one read-only object vector of Python ints, whichever operation built
+    # the series; numpy integer input is converted too
+    f = theta_series(ThetaKind.PHI_MINUS, ZZ, 300)
+    g = Series(ZZ, np.array([1, -1, 2] * 100, dtype=np.int64))
+    built = [
+        f, g, f + g, f - g, -f, f.scalar_mul(-3), f * g, f * f, f.invert(),
+        f.substitute_power(3), f.extract_progression(4, 1), f.truncate(7),
+        Series.from_json(g.to_json()), series_from_terms(ZZ, 9, [(2, np.int64(5))]),
+    ]
+    for h in built:
+        assert h.coeffs.dtype == object and not h.coeffs.flags.writeable
+        assert all(type(c) is int for c in h.coeffs)
+    for method in ("theta-inversion", "euler-product", "enumeration", "two-adic"):
+        values = overpartition_table(ZZ, 50, method).values
+        assert values.dtype == object and not values.flags.writeable
+        assert all(type(c) is int for c in values)
+
+
 def test_narrow_residue_arithmetic_does_not_wrap():
     # residues mod 200 are uint8: each result passes 255 or goes below 0 on
     # the way, and would wrap in the narrow word
@@ -649,6 +668,42 @@ def test_json_rejects_malformed():
         Series.from_json('{"ring": "exact", "order": 3, "coeffs": ["1"]}')
     with pytest.raises(ValueError, match="ring tag"):
         Series.from_json('{"ring": "float", "order": 1, "coeffs": [1]}')
+
+
+def test_exact_operations_match_python_ints_past_int64():
+    # magnitudes in [2^63, 2^200]: any cast of an exact vector to int64
+    # would wrap or raise
+    rng = random.Random(64)
+    a = [rng.choice((1, -1)) * rng.randrange(2**63, 2**200 + 1) for _ in range(300)]
+    b = [rng.choice((1, -1)) * rng.randrange(2**63, 2**200 + 1) for _ in range(250)]
+    f, g = Series(ZZ, a), Series(ZZ, b)
+    c = 2**64 + 13
+    assert list((f + g).coeffs) == [x + y for x, y in zip(a, b)]
+    assert list((f - g).coeffs) == [x - y for x, y in zip(a, b)]
+    assert list((-f).coeffs) == [-x for x in a]
+    assert list(f.scalar_mul(c).coeffs) == [c * x for x in a]
+    assert list(f.scalar_mul(-c).coeffs) == [-c * x for x in a]
+    assert list(f.substitute_power(3).coeffs) == [
+        a[e // 3] if e % 3 == 0 else 0 for e in range(300)
+    ]
+    assert list(f.extract_progression(7, 5).coeffs) == a[5::7]
+    assert [f.coefficient(n) for n in range(300)] == a
+    # a difference of 2^64 leaves the low 64 bits equal
+    moved = list(a)
+    moved[123] += 2**64
+    assert f.first_difference(Series(ZZ, moved)) == 123
+    assert f.first_difference(Series(ZZ, a[:123])) is None
+    buf = io.StringIO()
+    write_coeffs(buf, f, "text")
+    assert buf.getvalue() == ",".join(map(str, a))
+    buf = io.StringIO()
+    write_coeffs(buf, f, "json", name="big")
+    assert json.loads(buf.getvalue()) == {
+        "name": "big",
+        "ring": "exact",
+        "order": 300,
+        "coeffs": [str(x) for x in a],
+    }
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from ovp import ZZ, Series, ThetaKind, check_two_dissection, mod_ring, theta_series
@@ -67,6 +68,14 @@ def test_theta_terms_validation():
         theta_terms(ThetaKind.PSI, 0)
     with pytest.raises(ValueError):
         theta_terms(ThetaKind.PSI, -3)
+    with pytest.raises(ValueError):
+        theta_terms(ThetaKind.PSI, np.int64(0))
+    # numpy integer orders are accepted like Python ints
+    assert theta_terms(ThetaKind.PSI, np.int64(50)) == theta_terms(ThetaKind.PSI, 50)
+    assert theta_series(ThetaKind.PHI_MINUS, ZZ, np.int32(50)) == theta_series(
+        ThetaKind.PHI_MINUS, ZZ, 50
+    )
+    assert all(c.ok for c in check_two_dissection(np.int64(100)))
 
 
 def test_mod_ring_construction_matches_reduction():
