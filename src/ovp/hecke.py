@@ -114,7 +114,7 @@ def hecke_apply(f: Series, params: HeckeParams) -> Series:
     b = a[::l2] + chi * a[:out_order] * p_mid  # a(l^2 n) and the twist
     low = b[::l2]  # the n divisible by l^2
     low += a[: len(low)] * p_low
-    return Series(f.ring, b)
+    return Series._of(f.ring, b)
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,8 @@ _MAX_MODULUS = 1 << 31
 
 @dataclass(frozen=True)
 class CoefficientRing:
-    """Either ZZ (modulus None) or Z/m for 2 <= m < 2**31."""
+    """Either ZZ (modulus None) or Z/m for 2 <= m < 2**31; a numpy integer
+    modulus is stored as a Python int."""
 
     modulus: int | None = None
 
@@ -40,8 +41,10 @@ class CoefficientRing:
         m = self.modulus
         if m is None:
             return
-        if not isinstance(m, int) or isinstance(m, bool):
+        if not isinstance(m, (int, np.integer)) or isinstance(m, bool):
             raise TypeError(f"modulus must be an int, got {m!r}")
+        m = int(m)
+        object.__setattr__(self, "modulus", m)
         if m < 2:
             raise ValueError(f"modulus must be >= 2, got {m}")
         if m >= _MAX_MODULUS:
@@ -126,6 +129,8 @@ class Series:
     requires identical rings; ``first_difference`` gives the exponent of the
     earliest mismatch for diagnostic reporting.  A residue vector passed in
     that already has the layout is kept as a read-only view, not copied.
+    Exact coefficients passed in go through ``int()``; the results of
+    ``Series``' own arithmetic are built by ``_of``, which skips that.
     """
 
     __slots__ = ("ring", "_coeffs")
@@ -140,6 +145,22 @@ class Series:
         else:
             data = _residue_vector(coeffs, ring.modulus)
         object.__setattr__(self, "_coeffs", data)
+
+    @classmethod
+    def _of(cls, ring: CoefficientRing, coeffs) -> "Series":
+        """Series of coefficients this package's arithmetic computed.  Over
+        ZZ they are Python ints already (a list, or an object vector that
+        is not written to again), so the vector is only frozen, with no
+        ``int()`` per entry; over Z/m the constructor reduces them as
+        usual."""
+        if not ring.is_exact:
+            return cls(ring, coeffs)
+        data = np.asarray(coeffs, dtype=object)
+        data.flags.writeable = False
+        series = cls.__new__(cls)
+        object.__setattr__(series, "ring", ring)
+        object.__setattr__(series, "_coeffs", data)
+        return series
 
     def __setattr__(self, name, value):
         raise AttributeError("Series is immutable")
@@ -212,28 +233,28 @@ class Series:
 
     def __add__(self, other: "Series") -> "Series":
         n = self._binary_check(other)
-        return Series(self.ring, _wide(self._coeffs[:n]) + other._coeffs[:n])
+        return Series._of(self.ring, _wide(self._coeffs[:n]) + other._coeffs[:n])
 
     def __sub__(self, other: "Series") -> "Series":
         n = self._binary_check(other)
-        return Series(self.ring, _wide(self._coeffs[:n]) - other._coeffs[:n])
+        return Series._of(self.ring, _wide(self._coeffs[:n]) - other._coeffs[:n])
 
     def __neg__(self) -> "Series":
-        return Series(self.ring, -_wide(self._coeffs))
+        return Series._of(self.ring, -_wide(self._coeffs))
 
     def scalar_mul(self, c: int) -> "Series":
         # Over Z/m both factors are residues below 2^31, so products stay
         # below 2^62.
-        return Series(self.ring, _wide(self._coeffs) * self.ring.reduce(c))
+        return Series._of(self.ring, _wide(self._coeffs) * self.ring.reduce(c))
 
     def __mul__(self, other):
         if isinstance(other, (int, np.integer)):
             return self.scalar_mul(int(other))
         n = self._binary_check(other)
         if self.ring.is_exact:
-            return Series(self.ring, _mul_exact(self._coeffs, other._coeffs, n))
+            return Series._of(self.ring, _mul_exact(self._coeffs, other._coeffs, n))
         data = _mul_mod(self._coeffs, other._coeffs, n, self.ring.modulus)
-        return Series(self.ring, data)
+        return Series._of(self.ring, data)
 
     def __rmul__(self, other):
         if isinstance(other, (int, np.integer)):
@@ -276,8 +297,8 @@ class Series:
             kernel = [(e, a0 * c) for e, c in self.nonzero_terms() if e > 0]
             rhs = [a0] + [0] * (T - 1)
             vals = _solve_unit_toeplitz_exact(kernel, rhs)
-            return Series(self.ring, vals)
-        return Series(self.ring, _invert_mod(self._coeffs, self.ring.modulus))
+            return Series._of(self.ring, vals)
+        return Series._of(self.ring, _invert_mod(self._coeffs, self.ring.modulus))
 
     # -- reindexing ------------------------------------------------------
 
@@ -288,7 +309,7 @@ class Series:
         d = int(d)
         data = np.zeros(self.order, dtype=self._coeffs.dtype)
         data[::d] = self._coeffs[: len(data[::d])]
-        return Series(self.ring, data)
+        return Series._of(self.ring, data)
 
     def extract_progression(self, d: int, r: int) -> "Series":
         """Series of coefficients on the progression d*n + r.
@@ -300,12 +321,12 @@ class Series:
             raise ValueError(f"step must be a positive int, got {d!r}")
         if not isinstance(r, (int, np.integer)) or not 0 <= r < d:
             raise ValueError(f"residue must satisfy 0 <= r < {d}, got {r!r}")
-        return Series(self.ring, self._coeffs[int(r) :: int(d)])
+        return Series._of(self.ring, self._coeffs[int(r) :: int(d)])
 
     def truncate(self, order: int) -> "Series":
         if not 0 <= order <= self.order:
             raise ValueError(f"truncation order {order} outside [0, {self.order}]")
-        return Series(self.ring, self._coeffs[:order])
+        return Series._of(self.ring, self._coeffs[:order])
 
     def reduce_mod(self, m: int) -> "Series":
         """Map coefficients into Z/m.
@@ -457,7 +478,7 @@ def series_from_terms(
             raise ValueError(f"duplicate exponent {e}")
         seen.add(e)
         data[e] = ring.reduce(c)
-    return Series(ring, data)
+    return Series._of(ring, data)
 
 
 def zero(ring: CoefficientRing, order: int) -> Series:
@@ -516,7 +537,8 @@ def _mul_mod(a: np.ndarray, b: np.ndarray, n: int, m: int) -> np.ndarray:
     int64, reduced every ``stride`` terms: sums that start from residues
     stay below m + stride * cmax * m <= 2^62, and cmax <= m/2 keeps
     cmax * m < 2^61, so stride >= 1.  Denser operands go through
-    ``_FFTProduct``.
+    ``_FFTProduct``, limbs planned from both operands' largest centred
+    residue and nonzero count.
     """
     square = a is b
     a = a[:n]
@@ -551,10 +573,14 @@ def _mul_mod(a: np.ndarray, b: np.ndarray, n: int, m: int) -> np.ndarray:
                     out %= m
         return out % m
     size = _fft_len(2 * n - 1)
-    kernel = _FFTProduct(m, size)
-    kernel.spectra(a, size, 0)
+    bound_a = (_centred_max(a, m), nnz_a)
+    bound_b = bound_a if square else (_centred_max(b, m), nnz_b)
+    w, (ca, cb) = _limb_plan(m, size, bound_a, bound_b)
+    kernel = _FFTProduct(m, size, max(ca, cb))
+    kernel.w = w
+    kernel.spectra(a, size, 0, ca)
     if not square:
-        kernel.spectra(b, size, 1)
+        kernel.spectra(b, size, 1, cb)
     part = kernel.product(0, 0 if square else 1, size, 0, n)
     return _canonical(part, m).astype(residue_dtype(m))
 
@@ -592,37 +618,65 @@ def _fft_len(n: int) -> int:
     return best
 
 
-def _limb_plan(m: int, size: int) -> tuple[int, int]:
-    """Limb count c and width w that make cyclic products mod m exact.
+def _limb_plan(m: int, size: int, *operands: tuple[int, int]) -> tuple[int, list[int]]:
+    """Limb width w and a limb count per operand that make every cyclic
+    product mod m of two of the operands, of length N = ``size``, exact (a
+    square passes its operand twice).
 
-    Residues are centred into [-m/2, m/2] and split into c balanced limbs of
-    w bits, |limb| <= h = min(m // 2, 2^(w-1)), so limb vectors of length
-    N = ``size`` have 2-norms at most h sqrt(N).  For a radix-2 complex FFT
-    convolution in float64, Percival (Math. Comp. 72, 2003) bounds the error
-    by ||x|| ||y|| ((1+e)^(3n) (1+e sqrt(5))^(3n+1) (1+b)^(3n) - 1) for
-    n = log2 N, unit roundoff e = 2^-53 and twiddle error b <= e: below
-    15 n e ||x|| ||y||.  An output sums at most c limb convolutions, so
-    c h^2 N ceil(log2 N) <= 2^48 would keep every error below 15/32, and
-    rounding would recover the integer convolution.
+    Each operand is given by its measured bound (h, nnz): the largest
+    |residue| it holds, centred into [-m/2, m/2], and its number of
+    nonzeros.  Split into c = ceil((bits(h) + 1) / w) balanced limbs of w
+    bits, so that h < 2^(cw-1), every limb has |limb| <= min(h, 2^(w-1)),
+    and it is nonzero only where the operand is: a limb vector has 2-norm
+    at most min(h, 2^(w-1)) sqrt(nnz).  For a radix-2 complex FFT
+    convolution of x and y in float64, Percival (Math. Comp. 72, 2003)
+    bounds the error by ||x|| ||y|| ((1+e)^(3n) (1+e sqrt(5))^(3n+1)
+    (1+b)^(3n) - 1) for n = log2 N, unit roundoff e = 2^-53 and twiddle
+    error b <= e: below 15 n e ||x|| ||y||.  An output of the product of
+    operands with cx and cy limbs sums at most min(cx, cy) limb
+    convolutions, so min(cx, cy) ||x_limb|| ||y_limb|| ceil(log2 N) <= 2^48
+    would keep every error below 15/32, and rounding would recover the
+    integer convolution.
 
     That proof covers radix-2 complex transforms only.  numpy's pocketfft
     runs real transforms with radix-2, 3, 4 and 5 passes on the 5-smooth
     sizes of ``_fft_len``, whose butterflies and twiddles carry other error
-    constants.  The plan therefore holds c h^2 N ceil(log2 N) <= 2^46, a
-    factor 4 below the radix-2 limit (error bound 15/128 there); exactness
+    constants.  The plan therefore holds min(cx, cy) ||x_limb|| ||y_limb||
+    ceil(log2 N) <= 2^46, compared squared in integers, a factor 4 below
+    the radix-2 limit (error bound 15/128 there); exactness
     of the transforms actually run rests on that reserve and on the tests
-    against exact integer products.  A rounded limb convolution is then an
-    integer below 2^46 in magnitude, well inside the |x| < 2^51 that
-    ``_centre`` needs to reduce it mod m exactly.
+    against exact integer products.  By Cauchy-Schwarz a rounded limb
+    convolution is then an integer below 2^46 in magnitude, well inside the
+    |x| < 2^51 that ``_centre`` needs to reduce it mod m exactly.
+
+    The limb counts change only at the widths ceil(B / c), B = bits(h) + 1,
+    and between two of those a narrower width has the same counts and
+    smaller norms.  So the plan tries those widths, widest first: the first
+    that meets the bound gives every operand its fewest limbs, each as
+    narrow as that count allows.  An operand with small entries is one limb
+    whatever its neighbours need: phi(-q), whose entries are 1 and +-2, at
+    every w >= 3, and its about sqrt(N) nonzeros give it a norm near
+    2 N^(1/4), far below that of a dense operand's limbs.
     """
-    half = m // 2
     lg = max(1, (size - 1).bit_length())
-    for c in range(1, half.bit_length() + 2):
-        w = -(-(half.bit_length() + 1) // c)
-        h = min(half, 1 << (w - 1))
-        if c * h * h * size * lg <= 1 << 46:
-            return c, w
+    bits = [h.bit_length() + 1 for h, _ in operands]
+    for w in sorted({-(-b // c) for b in bits for c in range(1, b + 1)}, reverse=True):
+        counts = [-(-b // w) for b in bits]
+        norms2 = [min(h, 1 << (w - 1)) ** 2 * nnz for h, nnz in operands]
+        if all(
+            (min(counts[i], counts[j]) * lg) ** 2 * norms2[i] * norms2[j] <= 1 << 92
+            for i in range(len(operands))
+            for j in range(i + 1, len(operands))
+        ):
+            return w, counts
     raise ValueError(f"no exact float64 FFT product mod {m} at size {size}")
+
+
+def _centred_max(x: np.ndarray, m: int) -> int:
+    """Largest |c| over the canonical residues x mod m, centred into
+    [-m/2, m/2]."""
+    x = x.astype(np.int64, copy=False)
+    return int(np.minimum(x, m - x).max(initial=0))
 
 
 def _centre(x: np.ndarray, m: int, scratch: np.ndarray) -> np.ndarray:
@@ -652,30 +706,36 @@ class _FFTProduct:
     """Exact cyclic products mod m through numpy's rfft and irfft.
 
     One float64 buffer holds the centred input of each forward transform and
-    the output of each inverse one; two slots hold one spectrum per limb.
+    the output of each inverse one; two slots, in one block, hold one
+    spectrum per limb, up to ``limbs`` each, and each slot records its
+    operand's limb count.  The caller sets the limb width ``w`` from
+    ``_limb_plan`` before it fills the slots.
     Residues stay centred into [-m/2, m/2] between transforms: each rounded
     inverse transform is reduced by ``_centre``, with no ``np.mod``, and
     callers make residues canonical (``_canonical``) only where they leave.
     """
 
-    def __init__(self, m: int, size: int) -> None:
+    def __init__(self, m: int, size: int, limbs: int) -> None:
         self.m = m
-        self.c, self.w = _limb_plan(m, size)
+        self.w = 0
         self.buf = np.empty(size)
-        self.spec = np.empty((2, self.c, size // 2 + 1), dtype=np.complex128)
+        self.spec = np.empty((2, limbs, size // 2 + 1), dtype=np.complex128)
+        self.limbs = [0, 0]
 
-    def spectra(self, x: np.ndarray, size: int, slot: int) -> None:
-        """Put the spectra of residues x in ``slot``.
+    def spectra(self, x: np.ndarray, size: int, slot: int, limbs: int) -> None:
+        """Put the spectra of residues x, split into ``limbs`` limbs of w
+        bits, in ``slot``.
 
         Integer x holds canonical residues, centred in the buffer.  Float x
         is a buffer view of centred residues, as ``product`` returns.
         """
+        self.limbs[slot] = limbs
         if x.dtype != np.float64:
             self.buf[: len(x)] = x
             x = self.buf[: len(x)]
             np.subtract(x, self.m, out=x, where=x > self.m // 2)
         radix = float(1 << self.w)
-        out = self.spec[slot, :, : size // 2 + 1]
+        out = self.spec[slot, :limbs, : size // 2 + 1]
         for limb in out[:-1]:
             low = x - radix * np.rint(x / radix)
             np.fft.rfft(low, size, out=limb)
@@ -687,29 +747,30 @@ class _FFTProduct:
 
         Returns float residues centred into [-m/2, m/2], in a buffer view
         valid until the next call, and overwrites the first limb of slot a.
-        Limbs are combined by Horner's rule in 2^w; each step stays below
-        2^62.  Each spent spectrum, viewed as floats, is ``_centre``'s
-        scratch.
+        Slots of ca and cb limbs take ca + cb - 1 inverse transforms, one
+        per power of 2^w; they are combined by Horner's rule in 2^w, and
+        each step stays below 2^62.  Each spent spectrum, viewed as floats,
+        is ``_centre``'s scratch.
         """
-        m, c = self.m, self.c
-        spec_a = self.spec[a, :, : size // 2 + 1]
-        spec_b = self.spec[b, :, : size // 2 + 1]
+        m, ca, cb = self.m, self.limbs[a], self.limbs[b]
+        spec_a = self.spec[a, :ca, : size // 2 + 1]
+        spec_b = self.spec[b, :cb, : size // 2 + 1]
         acc = 0
-        for k in reversed(range(2 * c - 1)):
+        for k in reversed(range(ca + cb - 1)):
             if k:
-                i0 = max(0, k - c + 1)
+                i0 = max(0, k - cb + 1)
                 spec = spec_a[i0] * spec_b[k - i0]
-                for i in range(i0 + 1, min(k, c - 1) + 1):
+                for i in range(i0 + 1, min(k, ca - 1) + 1):
                     spec += spec_a[i] * spec_b[k - i]
             else:  # the last use of slot a, so multiply in place
                 spec = np.multiply(spec_a[0], spec_b[0], out=spec_a[0])
             part = np.fft.irfft(spec, size, out=self.buf[:size])[lo:hi]
             _centre(np.rint(part, out=part), m, spec.view(np.float64))
-            if c > 1:
+            if ca + cb > 2:
                 acc *= pow(2, self.w, m)
                 acc += part.astype(np.int64)
                 acc %= m
-        if c > 1:
+        if ca + cb > 2:
             part[...] = acc
             np.subtract(part, m, out=part, where=part > m // 2)
         return part
@@ -724,7 +785,11 @@ def _invert_mod(f: np.ndarray, m: int) -> np.ndarray:
     spectrum of g: the middle product [f g]_{k..k2} wraps only onto
     coefficients below k (Hanrot, Quercia & Zimmermann, 2004).  Each step
     writes the centred nonzero terms of f below k2 into a zeroed buffer,
-    which costs little for a sparse f such as phi(-q).  g is built in
+    which costs little for a sparse f such as phi(-q), and plans its limbs
+    from its own lengths and f's largest term.  Early steps need fewer
+    limbs than the last, and phi(-q) is one limb, so a step whose g takes
+    three limbs (mod a prime near 2^31, up to T of about 2 * 10^6) runs 15
+    transforms where limbs sized for the worst case ran 19.  g is built in
     ``residue_dtype(m)``, so the ``Series`` that returns it holds it as is.
     """
     a0 = int(f[0])
@@ -741,18 +806,29 @@ def _invert_mod(f: np.ndarray, m: int) -> np.ndarray:
     exps = np.flatnonzero(f)
     terms = f[exps].astype(np.float64)
     np.subtract(terms, m, out=terms, where=terms > m // 2)
+    f_max = int(np.abs(terms).max())
+    # A step from k to k2 lifts g of k terms, with the j nonzeros of f below
+    # k2 and e = [f g]_{k..k2} of k2 - k terms; g and e are dense.  The
+    # spectra are one block, allocated once for the most limbs a step takes:
+    # at T = 10^6 mod 120, one 8 MB array per slot made the transforms about
+    # 20% slower than one 16 MB block.
+    steps = [(k, k2, int(np.searchsorted(exps, k2))) for k, k2 in zip(lengths, lengths[1:])]
+    plans = [
+        _limb_plan(m, _fft_len(k2), (m // 2, k), (f_max, j), (m // 2, k2 - k))
+        for k, k2, j in steps
+    ]
     g = np.empty(T, dtype=residue_dtype(m))
     g[0] = pow(a0, -1, m)
-    kernel = _FFTProduct(m, _fft_len(T))
-    for k, k2 in zip(lengths, lengths[1:]):
+    kernel = _FFTProduct(m, _fft_len(T), max((max(c) for _, c in plans), default=1))
+    for (k, k2, j), (w, (cg, cf, ce)) in zip(steps, plans):
         size = _fft_len(k2)
-        kernel.spectra(g[:k], size, 1)
+        kernel.w = w
+        kernel.spectra(g[:k], size, 1, cg)
         fk = kernel.buf[:k2]
         fk.fill(0)
-        j = int(np.searchsorted(exps, k2))
         fk[exps[:j]] = terms[:j]
-        kernel.spectra(fk, size, 0)
-        kernel.spectra(kernel.product(0, 1, size, k, k2), size, 0)
+        kernel.spectra(fk, size, 0, cf)
+        kernel.spectra(kernel.product(0, 1, size, k, k2), size, 0, ce)
         corr = kernel.product(0, 1, size, 0, k2 - k)
         g[k:k2] = _canonical(np.negative(corr, out=corr), m)
     return g

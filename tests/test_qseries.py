@@ -19,7 +19,9 @@ import pytest
 from ovp import (
     ZZ,
     CoefficientRing,
+    HeckeParams,
     Series,
+    hecke_apply,
     mod_ring,
     overpartition_table,
     qseries,
@@ -63,6 +65,20 @@ def test_ring_validation():
         CoefficientRing(2**31)
     with pytest.raises(TypeError):
         CoefficientRing(5.0)
+
+
+@pytest.mark.parametrize("m", [np.int64(120), np.uint16(120), np.int32(2**31 - 1)])
+def test_ring_accepts_numpy_integer_moduli(m):
+    ring = mod_ring(m)
+    assert ring == mod_ring(int(m)) and hash(ring) == hash(mod_ring(int(m)))
+    assert type(ring.modulus) is int and str(ring) == f"Z/{int(m)}"
+    assert Series(ring, [int(m) + 7]).coeffs.tolist() == [7]
+
+
+@pytest.mark.parametrize("m", [True, np.float64(120), 120.0, "120", np.array([120])])
+def test_ring_rejects_non_integer_moduli(m):
+    with pytest.raises(TypeError):
+        mod_ring(m)
 
 
 def test_series_from_terms_and_accessors():
@@ -305,11 +321,114 @@ def test_pbar_big_certificate_through_full_length(pbar_big):
     _assert_inverts_phi_minus(pbar_big)
 
 
+@pytest.fixture
+def limb_plans(monkeypatch):
+    """Every (w, counts) that ``_limb_plan`` returns while the test runs."""
+    plans = []
+    plan = qseries._limb_plan
+
+    def spy(*args):
+        plans.append(plan(*args))
+        return plans[-1]
+
+    monkeypatch.setattr(qseries, "_limb_plan", spy)
+    return plans
+
+
 @pytest.mark.parametrize("m", [2**31 - 1, 998244353])
-def test_wide_pbar_certificate_through_full_length(m):
-    # products mod the wide primes split residues into several limbs
-    assert qseries._limb_plan(m, qseries._fft_len(3 * 10**4))[0] > 1
+def test_wide_pbar_certificate_through_full_length(m, limb_plans):
     _assert_inverts_phi_minus(overpartition_table(mod_ring(m), 3 * 10**4))
+    # the last Newton steps split g and e into several limbs, phi(-q) is
+    # always one, and no step takes more than 15 transforms
+    cg, cf, ce = limb_plans[-1][1]
+    assert cg > 1 and ce > 1
+    assert all(counts[1] == 1 for _, counts in limb_plans)
+    assert max(3 * cg + 2 * cf + 2 * ce - 2 for _, (cg, cf, ce) in limb_plans) <= 15
+
+
+# sha256 of the QS01 payload of pbar where the earlier worst-case limb plan
+# took more limbs than the operands need: two limbs mod 1920 from length
+# about 3.5 * 10^6, three modulo the wide primes; recorded under that plan
+PBAR_LIMB_SHA256 = {
+    (1920, 3_600_001): "d84205db32cbe004373dbcaedadec5252d19d4e8ab203eba5eae5df9beeb87eb",
+    (998244353, 3 * 10**4): "1771a20812a9422412ddd268351b9a304c4e898efaca5d35fabb7f5012287c82",
+    (2**31 - 1, 3 * 10**4): "5a86ca3087d6da4b649545dc8382e081802e908dc04833228f8da19d17a45b67",
+}
+
+
+@pytest.mark.parametrize("m, length", sorted(PBAR_LIMB_SHA256))
+def test_pbar_payload_digests_across_limb_plans_are_pinned(m, length):
+    table = overpartition_table(mod_ring(m), length)
+    assert table.content_hash() == PBAR_LIMB_SHA256[m, length]
+
+
+def _product_mod_python(a, b, n: int, m: int) -> list[int]:
+    """(a * b mod q^n) mod m in Python ints.  Both residue vectors are
+    packed into 128-bit slots of one integer each (Kronecker substitution),
+    so one big-int product holds every coefficient, each below n m^2."""
+
+    def pack(x) -> int:
+        words = np.zeros((n, 2), dtype="<u8")
+        words[:, 0] = x[:n]
+        return int.from_bytes(words.tobytes(), "little")
+
+    assert n * m * m < 2**128
+    prod = (pack(a) * pack(b)).to_bytes(32 * n, "little")
+    words = np.frombuffer(prod, dtype="<u8", count=2 * n).reshape(n, 2)
+    return [(lo + (hi << 64)) % m for lo, hi in words.tolist()]
+
+
+def _dense_residues(rng: random.Random, n: int, h: int, m: int) -> np.ndarray:
+    """n nonzero residues mod m whose centred values lie in [-h, h] and
+    reach h in magnitude."""
+    values = [rng.choice((-1, 1)) * rng.randrange(1, h + 1) for _ in range(n)]
+    values[rng.randrange(n)] = h
+    return np.array([v % m for v in values], dtype=np.int64)
+
+
+# Products through 8192 terms run transforms of size 16384, ceil(log2) 14:
+# two operands of 8192 nonzeros with |centred residue| <= h are one limb
+# while 14 h^2 8192 <= 2^46.
+LIMB_N = 8192
+LIMB_H1 = math.isqrt(2**46 // (14 * LIMB_N))
+
+
+@pytest.mark.parametrize("m", [5, 120, 1920, 65521, 998244353, 2**31 - 1])
+def test_dense_products_at_the_one_limb_boundary(m, limb_plans):
+    # just inside the one-limb region, and just outside it where residues
+    # mod m reach that far; below 65521 every residue is inside
+    rng = random.Random(m)
+    ring, n = mod_ring(m), LIMB_N
+    size = qseries._fft_len(2 * n - 1)
+    assert (size - 1).bit_length() == 14
+    cases = [(min(m // 2, LIMB_H1), [1, 1])]
+    if LIMB_H1 < m // 2:
+        cases.append((LIMB_H1 + 1, [2, 2]))
+    for h, counts in cases:
+        a, b = (_dense_residues(rng, n, h, m) for _ in range(2))
+        limb_plans.clear()
+        got = Series(ring, a) * Series(ring, b)
+        assert [c for _, c in limb_plans] == [counts]
+        assert got.coeffs.tolist() == _product_mod_python(a, b, n, m)
+    # the same boundary in the nonzero count, at the widest residues mod m
+    h = m // 2
+    n1 = 2**46 // (14 * h * h)
+    assert qseries._limb_plan(m, size, (h, n1), (h, n1))[1] == [1, 1]
+    assert min(qseries._limb_plan(m, size, (h, n1 + 1), (h, n1 + 1))[1]) > 1
+
+
+def test_dense_product_of_small_and_wide_residues(limb_plans):
+    # entries |c| <= 3, as in theta series, stay one limb beside residues
+    # mod 2^31 - 1 that take two, in either slot
+    m, n = 2**31 - 1, LIMB_N
+    rng = random.Random(3)
+    small = _dense_residues(rng, n, 3, m)
+    wide = _dense_residues(rng, n, m // 2, m)
+    want = _product_mod_python(small, wide, n, m)
+    ring = mod_ring(m)
+    assert (Series(ring, small) * Series(ring, wide)).coeffs.tolist() == want
+    assert (Series(ring, wide) * Series(ring, small)).coeffs.tolist() == want
+    assert [c for _, c in limb_plans] == [[1, 2], [2, 1]]
 
 
 # sha256 of the QS01 payload of pbar mod 120: the kernels may change, the
@@ -357,8 +476,8 @@ def test_centre_and_canonical_match_python_remainder(m):
 
 
 def test_mul_mod_matches_exact_reduction():
-    # dense orders run the FFT product: one limb mod 8 and 97, several
-    # limbs mod 2^31 - 1
+    # dense orders run the FFT product; entries of at most 9 in magnitude
+    # are one limb in every ring (the boundary tests above take several)
     rng = random.Random(777)
     for order in (1, 2, 50, 300, 2000, 5000):
         ea = _random_series(rng, ZZ, order)
@@ -668,6 +787,26 @@ def test_json_rejects_malformed():
         Series.from_json('{"ring": "exact", "order": 3, "coeffs": ["1"]}')
     with pytest.raises(ValueError, match="ring tag"):
         Series.from_json('{"ring": "float", "order": 1, "coeffs": [1]}')
+
+
+def test_exact_results_hold_python_ints_past_int64():
+    # results of exact arithmetic are frozen as built, with no int() per
+    # entry, so their entries past 2^63 must still be Python ints
+    rng = random.Random(63)
+    a = [rng.choice((1, -1)) * rng.randrange(2**63, 2**100) for _ in range(300)]
+    f = Series(ZZ, a)
+    phi = theta_series(ThetaKind.PHI_MINUS, ZZ, 300)
+    built = [
+        f + phi, f - phi, -f, f.scalar_mul(2**64 + 13), f * phi, phi * f,
+        f.substitute_power(3), f.extract_progression(7, 5), f.truncate(9),
+        hecke_apply(f, HeckeParams(k=5, N=16, ell=3)),
+        theta_series(ThetaKind.PHI_MINUS, ZZ, 400).invert(),  # pbar(399) > 2^63
+    ]
+    for h in built:
+        assert h.coeffs.dtype == object and not h.coeffs.flags.writeable
+        assert all(type(c) is int for c in h.coeffs)
+        assert max(map(abs, h.coeffs)) >= 2**63
+    assert (f * phi).coeffs.tolist() == _shift_add_reference(a, phi.coeffs, 300)
 
 
 def test_exact_operations_match_python_ints_past_int64():
