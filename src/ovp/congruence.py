@@ -21,6 +21,7 @@ products, and zero-density reports for pbar modulo powers of 2.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -272,18 +273,68 @@ def _residues(table: CoeffTable, modulus: int) -> tuple[np.ndarray, int]:
     return table.values, table.ring.modulus
 
 
-def _read(res, m: int, M: int, amap: ArgMap, params: dict, n0: int, count: int):
+def _read(res, m: int, M: int, amap: ArgMap, params: dict, n0: int, count: int, at=None):
     """pbar(A(n)) mod M, n0 <= n < n0 + count, from a strided view of the
-    residues mod m.  When M == m the view needs no reduction, and ``% M``
-    would raise: M need not fit the residues' dtype (m = 256 in uint8).
-    For M a power of two, ``& (M - 1)`` replaces ``% M``, which is about
-    four times slower on narrow words."""
+    residues mod m; only at the offsets ``at`` (n - n0) when given.  When
+    M == m the view needs no reduction, and ``% M`` would raise: M need not
+    fit the residues' dtype (m = 256 in uint8).  For M a power of two,
+    ``& (M - 1)`` replaces ``% M``, which is about four times slower on
+    narrow words."""
     start = amap.evaluate(n0, params)
     stride = amap.scale(params) * amap.step
     view = res[start : start + stride * (count - 1) + 1 : stride]
+    if at is not None:
+        view = view[at]
     if m == M:
         return view
     return view & (M - 1) if M & (M - 1) == 0 else view % M
+
+
+_NONZERO_BLOCK = 1 << 16
+
+
+def _nonzero_set(table: CoeffTable, res: np.ndarray, M: int) -> np.ndarray | None:
+    """S_M, the sorted n < len(res) with res[n] % M != 0, for M a power of
+    two; None when it would take more bytes than ``res``, as on a random
+    table.  Kept on the table; derived from a kept S_M' when M divides M'."""
+    memo = table.nonzero
+    if M not in memo:
+        wider = [s for k, s in memo.items() if s is not None and k % M == 0]
+        if wider:
+            memo[M] = wider[0][(res[wider[0]] & (M - 1)) != 0]
+        else:
+            memo[M] = _nonzero_pass(res, M)
+    return memo[M]
+
+
+def _nonzero_pass(res: np.ndarray, M: int) -> np.ndarray | None:
+    """One pass of ``_nonzero_set`` in blocks of 2^16: a bool mask feeds
+    ``np.flatnonzero``, about seven times faster there than narrow words,
+    and temporaries stay below 1 MB whatever the table's length."""
+    limit = res.nbytes // np.dtype(np.intp).itemsize
+    mask = np.empty(min(_NONZERO_BLOCK, len(res)), dtype=bool)
+    found, size = [], 0
+    for lo in range(0, len(res), _NONZERO_BLOCK):
+        block = res[lo : lo + _NONZERO_BLOCK]
+        hit = np.flatnonzero(np.not_equal(block & (M - 1), 0, out=mask[: len(block)]))
+        size += len(hit)
+        if size > limit:
+            return None
+        found.append(hit + lo)
+    return np.concatenate(found)
+
+
+def _candidates(S: np.ndarray, maps: list[ArgMap], params: dict, n0: int, count: int):
+    """The sorted offsets i < count at which some map's argument A(n0 + i)
+    lies in S: the union of S's preimages under the argument maps."""
+    parts = []
+    for amap in maps:
+        a = amap.scale(params) * amap.step
+        b = amap.evaluate(n0, params)
+        lo, hi = np.searchsorted(S, b), np.searchsorted(S, b + a * (count - 1), "right")
+        d = S[lo:hi] - b
+        parts.append(d[d % a == 0] // a)
+    return functools.reduce(np.union1d, parts)
 
 
 def _side_pattern(side: SideCondition, p: int) -> np.ndarray:
@@ -313,6 +364,20 @@ def verify(
 
     The table must cover every index up to the budget; its ring must be
     exact or a residue ring whose modulus the family modulus divides.
+
+    Each parameter assignment reads strided views of the residues, or only
+    some offsets of them.  Every relation kind holds at an n whose arguments
+    are all == 0 (mod M): both sides are then 0, since sign, scalar, (-1)^n
+    and the Legendre term only multiply them.  So a case can fail only at
+    an n where some argument lies in S_M, the arguments at which pbar is
+    nonzero mod M.  For M a power of two, S_M is built once per
+    table (``_nonzero_set``); by the k <= 2 truncation of the 2-adic
+    expansion, pbar(n) mod 8 is nonzero only at n = 0, squares and twice
+    squares, so S_8 holds about 1.7 sqrt(T) of T entries.  An assignment
+    with ``count`` offsets and arguments under ``len(maps)`` maps then reads
+    only the preimages of S_M when len(S_M) * len(maps) < count, the two
+    costs the loop can observe.  Cases, ranges, violations and the
+    counterexamples (ascending n, capped) are the same either way.
     """
     if budget is None:
         budget = table.length - 1
@@ -328,6 +393,8 @@ def verify(
     rel = family.relation
     side = family.side
     n0 = family.n_start
+    maps = family.arg_maps()
+    nonzero = _nonzero_set(table, res, M) if M & (M - 1) == 0 else None
     patterns: dict[int, np.ndarray] = {}
     # rhs values start in [0, M); sign, scalar, negation and the Legendre term
     # keep them and M below this bound (M = 65536 needs int32, not int16)
@@ -342,7 +409,7 @@ def verify(
     for params in _axis_assignments(family, tuple(family.axes), {}, budget):
         count = 1 - n0 + min(
             (budget // amap.scale(params) - amap.offset_value(params)) // amap.step
-            for amap in family.arg_maps()
+            for amap in maps
         )
         if count < 1:
             continue
@@ -362,38 +429,46 @@ def verify(
         else:
             cases += count
 
-        lhs = _read(res, m, M, family.lhs, params, n0, count)
+        n_max_seen = max(n_max_seen, n0 + last)
+        args = [amap.evaluate(n0 + last, params) for amap in maps]
+        arg_max_seen = max(arg_max_seen, *args)
+
+        # offsets i = n - n0 to read: all of them, or the preimages of S_M
+        at = None
+        if nonzero is not None and len(nonzero) * len(maps) < count:
+            at = _candidates(nonzero, maps, params, n0, count)
+        lhs = _read(res, m, M, family.lhs, params, n0, count, at)
         rhs = None
         if rel.kind != "zero":
-            rhs = _read(res, m, M, rel.rhs, params, n0, count).astype(rhs_dtype)
+            rhs = _read(res, m, M, rel.rhs, params, n0, count, at).astype(rhs_dtype)
             if rel.kind == "equal":
                 rhs = rel.sign * rhs % M
             elif rel.kind == "alternating":
-                odd = rhs[(n0 + 1) % 2 :: 2]
-                np.negative(odd, out=odd)
-                odd %= M
+                odd = slice((n0 + 1) % 2, None, 2) if at is None else (n0 + at) % 2 == 1
+                rhs[odd] = -rhs[odd] % M
             elif rel.kind == "scaled":
                 rhs = rel.scalar * rhs % M
             elif rel.kind == "legendre-split":
                 chi = _legendre_table(rel.prime, negate=False)
-                rhs = (rhs + _periodic(chi, n0, count) * lhs) % M
+                if at is None:
+                    rhs = (rhs + _periodic(chi, n0, count) * lhs) % M
+                else:
+                    rhs = (rhs + chi[(n0 + at) % rel.prime] * lhs) % M
             else:
                 raise ValueError(f"unknown relation kind {rel.kind!r}")
         bad = lhs if rhs is None else lhs != rhs
         if keep is not None:
-            bad = np.logical_and(bad, keep)
+            bad = np.logical_and(bad, keep if at is None else keep[at])
 
-        n_max_seen = max(n_max_seen, n0 + last)
-        args = [amap.evaluate(n0 + last, params) for amap in family.arg_maps()]
-        arg_max_seen = max(arg_max_seen, *args)
         found = int(np.count_nonzero(bad))
         if found:
             violations += found
             room = max(0, max_counterexamples - len(counterexamples))
-            for i in np.flatnonzero(bad)[:room].tolist():
+            for j in np.flatnonzero(bad)[:room].tolist():
+                i = j if at is None else int(at[j])
                 arg = family.lhs.evaluate(n0 + i, params)
-                rhs_i = 0 if rhs is None else int(rhs[i])
-                counterexamples.append((n0 + i, arg, int(lhs[i]), rhs_i))
+                rhs_j = 0 if rhs is None else int(rhs[j])
+                counterexamples.append((n0 + i, arg, int(lhs[j]), rhs_j))
     return VerifyReport(
         family_id=family.id,
         statement=family.statement,

@@ -22,7 +22,6 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -71,6 +70,9 @@ class CoeffTable:
     unsigned words for m <= 2^16 (one byte each mod 120) and int64 above.
     Widen narrow words (``.astype(np.int64)``) before signed arithmetic,
     since under numpy 2 ``-2 * values`` raises on an unsigned dtype.
+    ``nonzero`` memoises, per power of two M, the sorted indices whose
+    value is nonzero mod M (``congruence.verify`` builds them), so they
+    live exactly as long as the read-only ``values`` they index.
     """
 
     name: str
@@ -78,6 +80,7 @@ class CoeffTable:
     ring: CoefficientRing
     values: np.ndarray
     meta: dict = field(default_factory=dict)
+    nonzero: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", Series(self.ring, self.values).coeffs)
@@ -129,10 +132,7 @@ def overpartition_table(
         terms = theta_terms(ThetaKind.PHI_MINUS, length)
         values = series_from_terms(ring, length, terms).invert().coeffs
     elif method == Method.EULER_PRODUCT:
-        if ring.is_exact:
-            values = _euler_values_exact(length)
-        else:
-            values = _euler_values_mod(length, ring.modulus)
+        values = _euler_values(length, ring.modulus)
     elif method == Method.ENUMERATION:
         if length > ENUMERATION_LIMIT:
             raise ValueError(
@@ -148,29 +148,22 @@ def overpartition_table(
 # -- euler product -----------------------------------------------------------
 
 
-def _euler_values_exact(length: int) -> list[int]:
-    # Multiply factor by factor: *(1 + q^k), then /(1 - q^k) in place.
-    c = [0] * length
+def _euler_values(length: int, m: int | None) -> np.ndarray:
+    """Multiply factor by factor: *(1 + q^k), then /(1 - q^k), a cumulative
+    sum with stride k.  Mod m in int64, reduced once per factor, which is
+    exact while 2 m length < 2^63; over ZZ (m None) the same slices run on
+    Python ints in an object vector."""
+    dtype = object if m is None else np.int64
+    c = np.zeros(length, dtype=dtype)
     c[0] = 1
     for k in range(1, length):
-        c[k:] = [a + b for a, b in zip(c[k:], c)]
-        for i in range(k, length):
-            c[i] += c[i - k]
-    return c
-
-
-def _euler_values_mod(length: int, m: int) -> np.ndarray:
-    c = np.zeros(length, dtype=np.int64)
-    c[0] = 1
-    for k in range(1, length):
-        c[k:] = (c[k:] + c[: length - k]) % m
-        # division by (1 - q^k) is a cumulative sum with stride k
+        c[k:] = c[k:] + c[: length - k]
         rows = -(-length // k)
-        buf = np.zeros(rows * k, dtype=np.int64)
+        buf = np.zeros(rows * k, dtype=dtype)
         buf[:length] = c
         mat = buf.reshape(rows, k)
         np.cumsum(mat, axis=0, out=mat)
-        c = buf[:length] % m
+        c = buf[:length] if m is None else buf[:length] % m
     return c
 
 
@@ -203,47 +196,35 @@ def _enumeration_values(length: int) -> list[int]:
 
 
 def _convolve_theta(
-    row: Sequence[int], squares: Sequence[int], order: int, lo: int = 0
-) -> list[int]:
+    row: np.ndarray, squares: list[int], order: int, lo: int = 0
+) -> np.ndarray:
     """One multiplication by theta_+: out[n] = sum(row[n - s]) over squares s.
 
     Entries of ``row`` below ``lo`` must be zero; they are skipped.  The
-    streamed 2-adic rows hold big integers, so the generic ZZ product would
-    run on object arrays without the ``lo`` skip: at length 1000 that took
-    1.8 s against 0.99 s for this list loop.
+    streamed 2-adic rows hold big integers, so this runs on object vectors;
+    the generic ZZ product has no ``lo`` skip.
     """
-    out = [0] * order
+    out = np.zeros(order, dtype=object)
     for s in squares:
-        seg = row[lo : order - s]
-        out[lo + s :] = [r + v for r, v in zip(out[lo + s :], seg)]
+        out[lo + s :] += row[lo : order - s]
     return out
 
 
-def _two_adic_values(length: int) -> list[int]:
+def _two_adic_values(length: int) -> np.ndarray:
     # acc[n] = 1[n == 0] + sum over k of (-1)^(n+k) 2^k c_k(n); row k of the
     # c table is streamed by convolving with theta_+ and never stored whole.
     squares = [a * a for a in range(1, math.isqrt(max(length - 1, 0)) + 1)]
-    acc = [0] * length
+    acc = np.zeros(length, dtype=object)
     acc[0] = 1
-    row = [0] * length
-    for s in squares:
-        row[s] = 1
-    k = 1
-    while k < length:
+    row = np.zeros(length, dtype=object)
+    row[squares] = 1
+    for k in range(1, length):
         # sign (-1)^(n+k) is + when n has the parity of k
-        for start, sign in ((k, 1), (k + 1, -1)):
-            if start >= length:
-                continue
-            seg = row[start::2]
-            if sign > 0:
-                acc[start::2] = [a + (b << k) for a, b in zip(acc[start::2], seg)]
-            else:
-                acc[start::2] = [a - (b << k) for a, b in zip(acc[start::2], seg)]
-        k += 1
-        if k >= length:
-            break
-        # next row: c_(k)(n) = sum(c_(k-1)(n - s)); support starts at k
-        row = _convolve_theta(row, squares, length, k - 1)
+        acc[k::2] += row[k::2] << k
+        acc[k + 1 :: 2] -= row[k + 1 :: 2] << k
+        if k + 1 < length:
+            # next row: c_(k+1)(n) = sum(c_k(n - s)); support starts at k + 1
+            row = _convolve_theta(row, squares, length, k)
     return acc
 
 

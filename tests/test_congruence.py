@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from ovp import ZZ, Method, mod_ring, overpartition_table
+from ovp import ZZ, Method, congruence, mod_ring, overpartition_table
 from ovp.congruence import (
     ArgMap,
     AxisFactor,
@@ -18,6 +19,8 @@ from ovp.congruence import (
     SideCondition,
     VerifyReport,
     _axis_assignments,
+    _candidates,
+    _nonzero_set,
     _primes_where,
     density_report,
     family_by_id,
@@ -171,6 +174,22 @@ SWEEP_FAMILIES = registry() + [
         n_start=4,
     ),
     CongruenceFamily(
+        id="coprime-mod8",
+        statement="pbar(l n + 1) == 0 (mod 8), primes l == 2 (mod 3), n coprime to l",
+        modulus=8,
+        lhs=ArgMap(offset=1, factors=(AxisFactor("l", power=1),)),
+        axes=(PrimeAxis("l", mod=3, residues=(2,)),),
+        side=SideCondition(kind="coprime", axis="l"),
+    ),
+    CongruenceFamily(
+        id="split-mod8-from-5",
+        statement="pbar(2n + 1) == pbar(3n) + legendre(n, 7) pbar(2n + 1) (mod 8), n >= 5",
+        modulus=8,
+        lhs=ArgMap(step=2, offset=1),
+        relation=Relation(kind="legendre-split", rhs=ArgMap(step=3), prime=7),
+        n_start=5,
+    ),
+    CongruenceFamily(
         id="scaled-mod12",
         statement="pbar(2n) == 7 pbar(6n + 1) (mod 12), n >= 1",
         modulus=12,
@@ -189,19 +208,96 @@ def test_sweep_matches_reference_loop(budget, pbar_exact, table_mod120, pbar_big
             assert verify(fam, table, budget=budget) == want, (fam.id, table.ring)
 
 
-def test_sweep_matches_reference_loop_on_corrupted_table(table_mod120):
+def _corrupted(table, kind):
+    """A copy of a mod-120 table with values changed at arguments below 5001.
+
+    "any": 60 arguments, each moved by a random nonzero residue;
+    "mod8": 4 arguments in each nonresidue-l progression, each moved by 15k
+    (k < 8), which changes it mod 8 (or only mod 8 when k = 4) and never mod
+    3 or 5; "words": every value a random residue, so S_8 and S_4 are dense.
+    """
     rng = np.random.default_rng(120)
-    values = np.array(table_mod120.values)
-    hits = rng.choice(np.arange(1, 5001), size=60, replace=False)
-    values[hits] = (values[hits] + rng.integers(1, 120, size=60)) % 120
-    corrupted = CoeffTable("pbar", "corrupted", mod_ring(120), values)
-    failing = 0
-    for fam in SWEEP_FAMILIES:
-        for cap in (0, 3, 16):
-            want = _reference_verify(fam, corrupted, 5000, cap)
-            assert verify(fam, corrupted, 5000, cap) == want, (fam.id, cap)
-        failing += not want.ok
-    assert failing >= 20
+    values = np.array(table.values)
+    if kind == "words":
+        values = rng.integers(0, 120, size=len(values), dtype=np.uint8)
+    elif kind == "any":
+        hits = rng.choice(np.arange(1, 5001), size=60, replace=False)
+        values[hits] = (values[hits] + rng.integers(1, 120, size=60)) % 120
+    else:
+        for ell in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+            progression = [x for x in range(1, 5001) if legendre(x, ell) == -1]
+            hits = rng.choice(progression, size=4, replace=False)
+            values[hits] = (values[hits] + 15 * rng.integers(1, 8, size=4)) % 120
+    return CoeffTable("pbar", "corrupted", mod_ring(120), values)
+
+
+def test_sweep_matches_reference_loop_on_corrupted_table(table_mod120, monkeypatch):
+    reads = []
+    monkeypatch.setattr(
+        congruence, "_candidates", lambda *a: reads.append(1) or _candidates(*a)
+    )
+    nonresidue = {f"nonresidue-{ell}" for ell in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)}
+    for kind in ("any", "mod8", "words"):
+        corrupted = _corrupted(table_mod120, kind)
+        reads.clear()
+        failing = set()
+        for fam in SWEEP_FAMILIES:
+            want = _reference_verify(fam, corrupted, 5000, 16)
+            for cap in (0, 3, 16):
+                capped = dataclasses.replace(want, counterexamples=want.counterexamples[:cap])
+                assert verify(fam, corrupted, 5000, cap) == capped, (kind, fam.id, cap)
+            if not want.ok:
+                failing.add(fam.id)
+        if kind == "words":
+            # the nonzero sets would outgrow the table: every sweep is strided
+            assert corrupted.nonzero == {8: None, 4: None} and not reads
+        else:
+            assert reads and corrupted.nonzero[8] is not None
+        if kind == "any":
+            assert len(failing) >= 20
+        if kind == "mod8":
+            # a change by 15k is seen mod 4 or 8, never mod 3 or 5
+            assert len(failing & nonresidue) >= 8
+            false = {f.id for f in SWEEP_FAMILIES if not verify(f, table_mod120, 5000).ok}
+            assert failing - false <= {f.id for f in SWEEP_FAMILIES if f.modulus % 4 == 0}
+
+
+def test_candidates_are_the_preimages_of_the_nonzero_set():
+    rng = np.random.default_rng(8)
+    params = {"k": 2, "r": 3}
+    maps = [
+        ArgMap(step=4, offset=3),
+        ArgMap(step=7, offset_axis="r"),
+        ArgMap(base=3, step=2, offset=1, factors=(AxisFactor("k", base=4),)),
+    ]
+    for n0, count in ((0, 1), (0, 200), (3, 57), (11, 140)):
+        top = max(amap.evaluate(n0 + count - 1, params) for amap in maps)
+        for density in (0.02, 0.3):
+            S = np.flatnonzero(rng.random(top + 1) < density)
+            S = np.union1d(S, [amap.evaluate(n0 + count - 1, params) for amap in maps])
+            members = set(S.tolist())
+            for chosen in ([maps[0]], maps[:2], maps[1:], maps):
+                want = [
+                    i for i in range(count)
+                    if any(amap.evaluate(n0 + i, params) in members for amap in chosen)
+                ]
+                got = _candidates(S, chosen, params, n0, count)
+                assert got.tolist() == want, (n0, count, density, len(chosen))
+
+
+def test_nonzero_sets_mod_8_and_4_are_squares_and_twice_squares():
+    # pbar(n) == (-1)^n (-2 c_1(n) + 4 c_2(n)) (mod 8) for n >= 1, and c_2(n)
+    # is odd exactly when n = 2 a^2, so only n = 0, a^2 and 2 a^2 are nonzero
+    # mod 8, and mod 4 only n = 0 and a^2
+    table = overpartition_table(mod_ring(120), 10**5 + 1)
+    squares = {a * a for a in range(317)}
+    twice = {2 * a * a for a in range(224)}
+    s8 = _nonzero_set(table, table.values, 8)
+    assert s8.tolist() == sorted(squares | twice)
+    s4 = _nonzero_set(table, table.values, 4)  # derived from s8
+    assert s4.tolist() == sorted(squares)
+    fresh = CoeffTable("pbar", "copy", mod_ring(120), table.values)
+    assert np.array_equal(_nonzero_set(fresh, fresh.values, 4), s4)
 
 
 @pytest.mark.parametrize("m", (256, 65536))
