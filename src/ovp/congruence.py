@@ -21,7 +21,6 @@ products, and zero-density reports for pbar modulo powers of 2.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -290,38 +289,33 @@ def _read(res, m: int, M: int, amap: ArgMap, params: dict, n0: int, count: int, 
     return view & (M - 1) if M & (M - 1) == 0 else view % M
 
 
-_NONZERO_BLOCK = 1 << 16
-
-
 def _nonzero_set(table: CoeffTable, res: np.ndarray, M: int) -> np.ndarray | None:
     """S_M, the sorted n < len(res) with res[n] % M != 0, for M a power of
-    two; None when it would take more bytes than ``res``, as on a random
-    table.  Kept on the table; derived from a kept S_M' when M divides M'."""
+    two, kept on the table; None when it would take more bytes than
+    ``res``, as on a random table.  It is derived from a kept S_M' when M
+    divides M', or else built in one pass in blocks of 2^16: a bool mask
+    feeds ``np.flatnonzero``, about seven times faster there than narrow
+    words, and temporaries stay below 1 MB."""
     memo = table.nonzero
-    if M not in memo:
-        wider = [s for k, s in memo.items() if s is not None and k % M == 0]
-        if wider:
-            memo[M] = wider[0][(res[wider[0]] & (M - 1)) != 0]
-        else:
-            memo[M] = _nonzero_pass(res, M)
-    return memo[M]
-
-
-def _nonzero_pass(res: np.ndarray, M: int) -> np.ndarray | None:
-    """One pass of ``_nonzero_set`` in blocks of 2^16: a bool mask feeds
-    ``np.flatnonzero``, about seven times faster there than narrow words,
-    and temporaries stay below 1 MB whatever the table's length."""
-    limit = res.nbytes // np.dtype(np.intp).itemsize
-    mask = np.empty(min(_NONZERO_BLOCK, len(res)), dtype=bool)
+    if M in memo:
+        return memo[M]
+    memo[M] = None
+    for k, wider in memo.items():
+        if wider is not None and k % M == 0:
+            memo[M] = wider[(res[wider] & (M - 1)) != 0]
+            return memo[M]
+    limit, step = res.nbytes // np.dtype(np.intp).itemsize, 1 << 16
+    mask = np.empty(min(step, len(res)), dtype=bool)
     found, size = [], 0
-    for lo in range(0, len(res), _NONZERO_BLOCK):
-        block = res[lo : lo + _NONZERO_BLOCK]
+    for lo in range(0, len(res), step):
+        block = res[lo : lo + step]
         hit = np.flatnonzero(np.not_equal(block & (M - 1), 0, out=mask[: len(block)]))
         size += len(hit)
         if size > limit:
             return None
         found.append(hit + lo)
-    return np.concatenate(found)
+    memo[M] = np.concatenate(found)
+    return memo[M]
 
 
 def _candidates(S: np.ndarray, maps: list[ArgMap], params: dict, n0: int, count: int):
@@ -334,7 +328,7 @@ def _candidates(S: np.ndarray, maps: list[ArgMap], params: dict, n0: int, count:
         lo, hi = np.searchsorted(S, b), np.searchsorted(S, b + a * (count - 1), "right")
         d = S[lo:hi] - b
         parts.append(d[d % a == 0] // a)
-    return functools.reduce(np.union1d, parts)
+    return np.unique(np.concatenate(parts))
 
 
 def _side_pattern(side: SideCondition, p: int) -> np.ndarray:
@@ -346,9 +340,11 @@ def _side_pattern(side: SideCondition, p: int) -> np.ndarray:
     raise ValueError(f"unknown side condition {side.kind!r}")
 
 
-def _periodic(pattern: np.ndarray, n0: int, count: int) -> np.ndarray:
-    """pattern[(n0 + i) % p] for i < count, where p = len(pattern): a tiling
-    of the pattern, with no index vector."""
+def _periodic(pattern: np.ndarray, n0: int, count: int, at=None) -> np.ndarray:
+    """pattern[(n0 + i) % p] for i < count, or only for i in ``at``, where
+    p = len(pattern): a tiling of the pattern, with no index vector."""
+    if at is not None:
+        return pattern[(n0 + at) % len(pattern)]
     shift = n0 % len(pattern)
     reps = -(-(shift + count) // len(pattern))
     return np.tile(pattern, reps)[shift : shift + count]
@@ -365,19 +361,16 @@ def verify(
     The table must cover every index up to the budget; its ring must be
     exact or a residue ring whose modulus the family modulus divides.
 
-    Each parameter assignment reads strided views of the residues, or only
-    some offsets of them.  Every relation kind holds at an n whose arguments
-    are all == 0 (mod M): both sides are then 0, since sign, scalar, (-1)^n
-    and the Legendre term only multiply them.  So a case can fail only at
-    an n where some argument lies in S_M, the arguments at which pbar is
-    nonzero mod M.  For M a power of two, S_M is built once per
-    table (``_nonzero_set``); by the k <= 2 truncation of the 2-adic
-    expansion, pbar(n) mod 8 is nonzero only at n = 0, squares and twice
-    squares, so S_8 holds about 1.7 sqrt(T) of T entries.  An assignment
-    with ``count`` offsets and arguments under ``len(maps)`` maps then reads
-    only the preimages of S_M when len(S_M) * len(maps) < count, the two
-    costs the loop can observe.  Cases, ranges, violations and the
-    counterexamples (ascending n, capped) are the same either way.
+    Every relation kind holds at an n whose arguments are all == 0 (mod M):
+    both sides are then 0, as sign, scalar, (-1)^n and the Legendre term
+    only multiply them.  So a case can fail only where some argument lies
+    in S_M, the arguments at which pbar is nonzero mod M.  For M a power of
+    two S_M is kept per table (``_nonzero_set``), and it is sparse: by the
+    k <= 2 truncation of the 2-adic expansion, pbar(n) mod 8 is nonzero
+    only at n = 0, squares and twice squares, about 1.7 sqrt(T) of T.  An
+    assignment of ``count`` offsets then reads only the preimages of S_M
+    under its maps when len(S_M) * len(maps) < count, and strided views of
+    every offset otherwise.  Reports are the same either way.
     """
     if budget is None:
         budget = table.length - 1
@@ -429,10 +422,6 @@ def verify(
         else:
             cases += count
 
-        n_max_seen = max(n_max_seen, n0 + last)
-        args = [amap.evaluate(n0 + last, params) for amap in maps]
-        arg_max_seen = max(arg_max_seen, *args)
-
         # offsets i = n - n0 to read: all of them, or the preimages of S_M
         at = None
         if nonzero is not None and len(nonzero) * len(maps) < count:
@@ -450,16 +439,16 @@ def verify(
                 rhs = rel.scalar * rhs % M
             elif rel.kind == "legendre-split":
                 chi = _legendre_table(rel.prime, negate=False)
-                if at is None:
-                    rhs = (rhs + _periodic(chi, n0, count) * lhs) % M
-                else:
-                    rhs = (rhs + chi[(n0 + at) % rel.prime] * lhs) % M
+                rhs = (rhs + _periodic(chi, n0, count, at) * lhs) % M
             else:
                 raise ValueError(f"unknown relation kind {rel.kind!r}")
         bad = lhs if rhs is None else lhs != rhs
         if keep is not None:
             bad = np.logical_and(bad, keep if at is None else keep[at])
 
+        n_max_seen = max(n_max_seen, n0 + last)
+        args = [amap.evaluate(n0 + last, params) for amap in maps]
+        arg_max_seen = max(arg_max_seen, *args)
         found = int(np.count_nonzero(bad))
         if found:
             violations += found

@@ -70,9 +70,8 @@ class CoeffTable:
     unsigned words for m <= 2^16 (one byte each mod 120) and int64 above.
     Widen narrow words (``.astype(np.int64)``) before signed arithmetic,
     since under numpy 2 ``-2 * values`` raises on an unsigned dtype.
-    ``nonzero`` memoises, per power of two M, the sorted indices whose
-    value is nonzero mod M (``congruence.verify`` builds them), so they
-    live exactly as long as the read-only ``values`` they index.
+    ``nonzero`` keeps, per power of two M, the sorted n with values[n] % M
+    != 0 that ``congruence.verify`` builds, for as long as the table lives.
     """
 
     name: str
@@ -195,24 +194,11 @@ def _enumeration_values(length: int) -> list[int]:
 # -- exact 2-adic expansion --------------------------------------------------
 
 
-def _convolve_theta(
-    row: np.ndarray, squares: list[int], order: int, lo: int = 0
-) -> np.ndarray:
-    """One multiplication by theta_+: out[n] = sum(row[n - s]) over squares s.
-
-    Entries of ``row`` below ``lo`` must be zero; they are skipped.  The
-    streamed 2-adic rows hold big integers, so this runs on object vectors;
-    the generic ZZ product has no ``lo`` skip.
-    """
-    out = np.zeros(order, dtype=object)
-    for s in squares:
-        out[lo + s :] += row[lo : order - s]
-    return out
-
-
 def _two_adic_values(length: int) -> np.ndarray:
     # acc[n] = 1[n == 0] + sum over k of (-1)^(n+k) 2^k c_k(n); row k of the
     # c table is streamed by convolving with theta_+ and never stored whole.
+    # Rows hold big integers in object vectors; row k is zero below k, so
+    # each product with theta_+ skips that head, as the generic one cannot.
     squares = [a * a for a in range(1, math.isqrt(max(length - 1, 0)) + 1)]
     acc = np.zeros(length, dtype=object)
     acc[0] = 1
@@ -222,9 +208,10 @@ def _two_adic_values(length: int) -> np.ndarray:
         # sign (-1)^(n+k) is + when n has the parity of k
         acc[k::2] += row[k::2] << k
         acc[k + 1 :: 2] -= row[k + 1 :: 2] << k
-        if k + 1 < length:
-            # next row: c_(k+1)(n) = sum(c_k(n - s)); support starts at k + 1
-            row = _convolve_theta(row, squares, length, k)
+        # next row: c_(k+1)(n) = sum(c_k(n - s)) over squares s
+        row, prev = np.zeros(length, dtype=object), row
+        for s in squares:
+            row[k + s :] += prev[k : length - s]
     return acc
 
 

@@ -213,8 +213,9 @@ def _corrupted(table, kind):
 
     "any": 60 arguments, each moved by a random nonzero residue;
     "mod8": 4 arguments in each nonresidue-l progression, each moved by 15k
-    (k < 8), which changes it mod 8 (or only mod 8 when k = 4) and never mod
-    3 or 5; "words": every value a random residue, so S_8 and S_4 are dense.
+    (0 < k < 8), which changes it mod 8, and mod 4 unless k = 4, but never
+    mod 3 or 5; "words": every value a random residue, so S_8 and S_4 are
+    dense.
     """
     rng = np.random.default_rng(120)
     values = np.array(table.values)
