@@ -13,7 +13,13 @@ A family is pure data: a left argument map A(n) = base * factors * (step*n
 (power exponents, primes filtered by congruence conditions, finite residue
 choices), and an optional side condition on n.  verify() sweeps every
 parameter assignment and every n keeping all referenced arguments within a
-budget, and reports counterexamples instead of raising.
+budget, and reports counterexamples instead of raising.  A case can fail
+only where some argument has pbar nonzero mod the family modulus M, so for
+M a power of two (the twelve families mod 4 or 8, 95.8% of the cases) it
+reads only the preimages of the table's sparse set of such arguments, when
+that set times the number of maps is smaller than the progression; other
+families read strided views.  At budget 4*10^6 the 29-family sweep takes
+about 19 ms, against 45 ms reading every case (2-vCPU Xeon VM).
 
 Also here: the two-level dissection chain relating pbar(5n) mod 5 to theta
 products, and zero-density reports for pbar modulo powers of 2.
@@ -293,9 +299,9 @@ def _nonzero_set(table: CoeffTable, res: np.ndarray, M: int) -> np.ndarray | Non
     """S_M, the sorted n < len(res) with res[n] % M != 0, for M a power of
     two, kept on the table; None when it would take more bytes than
     ``res``, as on a random table.  It is derived from a kept S_M' when M
-    divides M', or else built in one pass in blocks of 2^16: a bool mask
-    feeds ``np.flatnonzero``, about seven times faster there than narrow
-    words, and temporaries stay below 1 MB."""
+    divides M', or else built in one pass in blocks of 2^16, so temporaries
+    stay below 1 MB: ``np.flatnonzero`` reads a bool mask, as it took 0.6 ms
+    on one at 4*10^6 against 6.1 ms on the narrow words."""
     memo = table.nonzero
     if M in memo:
         return memo[M]
@@ -341,8 +347,8 @@ def _side_pattern(side: SideCondition, p: int) -> np.ndarray:
 
 
 def _periodic(pattern: np.ndarray, n0: int, count: int, at=None) -> np.ndarray:
-    """pattern[(n0 + i) % p] for i < count, or only for i in ``at``, where
-    p = len(pattern): a tiling of the pattern, with no index vector."""
+    """pattern[(n0 + i) % p] for i < count, where p = len(pattern), as a
+    tiling with no index vector; or only for the offsets i in ``at``."""
     if at is not None:
         return pattern[(n0 + at) % len(pattern)]
     shift = n0 % len(pattern)
