@@ -8,7 +8,8 @@ Subcommands:
     dissect   extract an arithmetic progression from a series
     export    write a table to CSV or JSON
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure, 2 usage error, and 141
+(128 + SIGPIPE) when the reader of stdout closes it early.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import argparse
 import contextlib
 import json
 import math
+import os
 import sys
 from typing import IO, Iterator
 
@@ -115,6 +117,10 @@ def _cmd_compute(args, parser) -> int:
 
 
 def _cmd_verify(args, parser) -> int:
+    if args.list:
+        ids = [fam.id for fam in registry()] + ["dissection-chain", "planted-false"]
+        _emit("\n".join(ids), args.out)
+        return 0
     if not args.all and not args.family:
         parser.error("choose --all or at least one --family")
     # one registry build for --all; family_by_id builds it once per call
@@ -353,15 +359,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "list", False) and args.command == "verify":
-        ids = [fam.id for fam in registry()] + ["dissection-chain", "planted-false"]
-        _emit("\n".join(ids), getattr(args, "out", None))
-        return 0
     try:
-        return args.func(args, parser)
+        status = args.func(args, parser)
+        sys.stdout.flush()  # a closed pipe raises here rather than at exit
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader left (``| head``): the flush at exit must not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return status
 
 
 def entry() -> None:

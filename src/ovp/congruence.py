@@ -164,6 +164,7 @@ class VerifyReport:
     statement: str
     modulus: int
     budget: int
+    n_min: int
     n_max: int
     max_argument: int
     cases: int
@@ -184,7 +185,7 @@ class VerifyReport:
             "family": self.family_id,
             "anchor": self.statement,
             "range": {
-                "n_min": 0,
+                "n_min": self.n_min,
                 "n_max": self.n_max,
                 "max_argument": self.max_argument,
             },
@@ -469,6 +470,7 @@ def verify(
         statement=family.statement,
         modulus=M,
         budget=budget,
+        n_min=n0,
         n_max=n_max_seen,
         max_argument=arg_max_seen,
         cases=cases,

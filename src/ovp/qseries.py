@@ -7,9 +7,9 @@ of ``residue_dtype(m)`` holding canonical residues over Z/m, the narrowest
 unsigned word for m <= 2^16 (one byte mod 120) and int64 above.  Sums,
 differences, negation, scalar products and reindexing are one numpy
 expression for both rings; residues are widened to int64 for the signed
-ones, for the duration of the operation only (``_wide``).  Products,
-inversion and the serialized forms differ by ring.  All operations
-truncate silently at the minimum order of their operands.
+ones, for the duration of the operation only (``_wide``).  Dense products
+mod m, inversion and the serialized forms differ by ring; other products
+share one kernel.  All operations truncate at the smaller operand order.
 """
 
 from __future__ import annotations
@@ -251,9 +251,7 @@ class Series:
         if isinstance(other, (int, np.integer)):
             return self.scalar_mul(int(other))
         n = self._binary_check(other)
-        if self.ring.is_exact:
-            return Series._of(self.ring, _mul_exact(self._coeffs, other._coeffs, n))
-        data = _mul_mod(self._coeffs, other._coeffs, n, self.ring.modulus)
+        data = _mul(self._coeffs, other._coeffs, n, self.ring.modulus)
         return Series._of(self.ring, data)
 
     def __rmul__(self, other):
@@ -501,77 +499,22 @@ def compare(name: str, a: Series, b: Series) -> IdentityCheck:
 # -- multiplication kernels -------------------------------------------------
 
 
-def _mul_exact(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
-    """Exact product through n terms by shift-and-add over the sparser operand.
-
-    One numpy slice update per sparse term, O(n * nnz) work in all.  Every
-    partial sum of an output coefficient is at most the Cauchy bound
-    sum(|sparse coefficients|) * max|dense coefficient|, computed in Python
-    ints: below 2^63 the loop runs in int64, otherwise on object arrays of
-    Python ints.
-    """
-    a, b = (np.asarray(x[:n], dtype=object) for x in (a, b))
-    exps_a, exps_b = np.flatnonzero(a), np.flatnonzero(b)
-    if len(exps_b) < len(exps_a):
-        a, b, exps_a = b, a, exps_b
-    coeffs = a[exps_a].tolist()
-    bound = sum(map(abs, coeffs)) * max(map(abs, b.tolist()), default=0)
-    if not bound:
-        return [0] * n
-    dtype = np.int64 if bound < 1 << 63 else object
-    dense = b.astype(dtype)
-    out = np.zeros(n, dtype=dtype)
-    for e, c in zip(exps_a.tolist(), coeffs):
-        out[e:] += c * dense[: n - e]
-    return out.tolist()
-
-
-def _mul_mod(a: np.ndarray, b: np.ndarray, n: int, m: int) -> np.ndarray:
-    """Product of residue vectors a and b mod m through n terms.
-
-    An operand with at most 4 isqrt(n) nonzeros is multiplied by shift-and-
-    add: its terms, centred into (-m/2, m/2] with cmax = max|c|, each add a
-    slice of c * b, computed once per distinct c.  Every partial sum stays
-    below m + nnz * cmax * m in magnitude, so the accumulator is int16 or
-    int32 when that bound fits, and needs no reduction.  Otherwise it is
-    int64, reduced every ``stride`` terms: sums that start from residues
-    stay below m + stride * cmax * m <= 2^62, and cmax <= m/2 keeps
-    cmax * m < 2^61, so stride >= 1.  Denser operands go through
-    ``_FFTProduct``, limbs planned from both operands' largest centred
-    residue and nonzero count.
+def _mul(a: np.ndarray, b: np.ndarray, n: int, m: int | None) -> np.ndarray:
+    """Product of the coefficient vectors a and b through n terms, over ZZ
+    (m None) or mod m: ``_shift_add`` over ZZ, and mod m when an operand
+    has at most 4 isqrt(n) nonzeros; else ``_FFTProduct``, exact because
+    ``_limb_plan`` sizes the limbs from both operands' largest centred
+    residue and nonzero count so that every float64 error stays below 1/2.
     """
     square = a is b
     a = a[:n]
     b = b[:n]
+    if m is None:
+        return _shift_add(a, b, n, None)
     nnz_a = int(np.count_nonzero(a))
     nnz_b = int(np.count_nonzero(b))
     if min(nnz_a, nnz_b) <= 4 * math.isqrt(n):
-        if nnz_b < nnz_a:
-            a, b = b, a
-        exps = np.flatnonzero(a).tolist()
-        by_coeff: dict[int, list[int]] = {}
-        for e, c in zip(exps, a[exps].tolist()):
-            by_coeff.setdefault(c - m if c > m // 2 else c, []).append(e)
-        cmax = max(map(abs, by_coeff), default=1)
-        bound = m + len(exps) * cmax * m
-        if bound <= np.iinfo(np.int16).max:
-            acc = np.int16
-        elif bound <= np.iinfo(np.int32).max:
-            acc = np.int32
-        else:
-            acc = np.int64
-        stride = ((1 << 62) - m) // (cmax * m)
-        b = b.astype(acc, copy=False)
-        out = np.zeros(n, dtype=acc)
-        i = 0
-        for c, es in by_coeff.items():
-            cb = c * b
-            for e in es:
-                out[e:] += cb[: n - e]
-                i += 1
-                if i % stride == 0:
-                    out %= m
-        return out % m
+        return _shift_add(a, b, n, m)
     size = _fft_len(2 * n - 1)
     bound_a = (_centred_max(a, m), nnz_a)
     bound_b = bound_a if square else (_centred_max(b, m), nnz_b)
@@ -583,6 +526,52 @@ def _mul_mod(a: np.ndarray, b: np.ndarray, n: int, m: int) -> np.ndarray:
         kernel.spectra(b, size, 1, cb)
     part = kernel.product(0, 0 if square else 1, size, 0, n)
     return _canonical(part, m).astype(residue_dtype(m))
+
+
+def _shift_add(a: np.ndarray, b: np.ndarray, n: int, m: int | None) -> np.ndarray:
+    """Product of the n-term vectors a and b by shift-and-add over the
+    sparser one: object vectors over ZZ (m None), canonical residues mod m.
+
+    Its terms, centred into (-m/2, m/2] mod m, are grouped by coefficient
+    c, and one slice of c * b, formed once per group, is added per term.
+    Each partial sum adds distinct products c * b[j], so it lies within the
+    Cauchy bound B = sum |c| * max |b|, as do every c and b[j] when B > 0:
+    the accumulator is the narrowest signed dtype holding B (and m, for the
+    final ``% m``).  Past int64 it is Python ints over ZZ, and int64 mod m
+    reduced every ``stride`` terms: from residues, sums stay below
+    m + stride * cmax * max|b| <= 2^63, and stride >= 1 as cmax <= m/2 and
+    max|b| < m < 2^31.  B = 0 returns before any c * b, which numpy 2
+    rejects for a Python int c too wide for b's dtype.
+    """
+    if np.count_nonzero(b) < np.count_nonzero(a):
+        a, b = b, a
+    exps = np.flatnonzero(a).tolist()
+    by_coeff: dict[int, list[int]] = {}
+    for e, c in zip(exps, a[exps].tolist()):
+        if m is not None and c > m // 2:
+            c -= m
+        by_coeff.setdefault(c, []).append(e)
+    bmax = int(np.abs(b).max(initial=0))
+    bound = sum(abs(c) * len(es) for c, es in by_coeff.items()) * bmax
+    if not bound:
+        return np.zeros(n, dtype=object if m is None else np.int8)
+    acc = np.min_scalar_type(-max(bound, m or 0) - 1)
+    stride = None
+    if acc == object and m is not None:
+        acc = np.dtype(np.int64)
+        stride = ((1 << 63) - m) // (max(map(abs, by_coeff)) * bmax)
+    b = b.astype(acc, copy=False)
+    out = np.zeros(n, dtype=acc)
+    i = 0
+    for c, es in by_coeff.items():
+        cb = c * b
+        for e in es:
+            out[e:] += cb[: n - e]
+            i += 1
+            if i == stride:
+                out %= m
+                i = 0
+    return out.astype(object, copy=False) if m is None else out % m
 
 
 def _solve_unit_toeplitz_exact(

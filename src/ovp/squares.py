@@ -5,8 +5,8 @@ a_1^2 + ... + a_k^2 = n; order matters, so c_2(5) = 2 from (1,2) and (2,1).
 Row k of the table is the coefficient vector of theta_+(q)^k where
 theta_+(q) = sum(q^(a^2), a >= 1).  Row k + 1 is the ZZ series product of
 row k and theta_+, a shift-and-add over the sqrt(order) terms of theta_+
-that runs in int64 while its Cauchy bound fits (see qseries._mul_exact)
-and on Python ints beyond.
+in the narrowest signed dtype that holds its Cauchy bound, and on Python
+ints beyond int64 (see qseries._shift_add).
 """
 
 from __future__ import annotations

@@ -1,16 +1,22 @@
 """End-to-end command-line checks through main(argv).
 
-Exit code contract: 0 success, 1 verification failure, 2 usage error.
+Exit code contract: 0 success, 1 verification failure, 2 usage error, 141
+when the reader of stdout closes it early.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ovp
 from ovp import Method, mod_ring
 from ovp.cache import store_table
 from ovp.cli import main
@@ -38,6 +44,29 @@ def test_compute_pbar_mod_text(capsys):
     code, out, _ = _run(capsys, ["compute", "pbar", "-T", "11", "--mod", "8", "--no-cache"])
     assert code == 0
     assert out == "1,2,4,0,6,0,0,0,4,2,0\n"
+
+
+def test_closed_stdout_exits_141_without_traceback(tmp_path):
+    # about 2 MB of CSV overfill the pipe, so writes are still pending when
+    # the reader closes its end after the first line
+    src = str(Path(ovp.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = ["compute", "pbar", "-T", "200000", "--mod", "120", "--format", "csv"]
+    with open(tmp_path / "stderr", "w+") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ovp.cli", *argv, "--no-cache"],
+            stdout=subprocess.PIPE,
+            stderr=err,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        try:
+            assert proc.stdout.readline() == b"n,value\n"
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 141
+        finally:
+            proc.kill()
+        err.seek(0)
+        assert "Traceback" not in err.read()
 
 
 def test_compute_pbar_methods_agree(capsys):
@@ -133,6 +162,12 @@ def test_verify_planted_false_exits_one(capsys):
     assert code == 1
     assert "FAIL planted-false" in out
     assert "counterexample n=1 arg=5 lhs=4 rhs=0" in out
+    argv = ["verify", "--family", "planted-false", "--budget", "30", "--format", "json"]
+    code, out, _ = _run(capsys, argv + ["--no-cache"])
+    assert code == 1
+    (report,) = json.loads(out)["families"]
+    assert report["range"]["n_min"] == 1 and report["range"]["n_max"] == 6
+    assert report["cases"] == 6
 
 
 def test_verify_all_json(capsys):
@@ -147,6 +182,7 @@ def test_verify_all_json(capsys):
     assert len(payload["families"]) == 29
     assert len(payload["dissection_chain"]) == 9
     assert all(f["pass"] for f in payload["families"])
+    assert all(f["range"]["n_min"] == 0 for f in payload["families"])
     assert all(c["pass"] for c in payload["dissection_chain"])
 
 

@@ -130,6 +130,7 @@ def _reference_verify(family, table, budget, max_counterexamples=16):
         statement=family.statement,
         modulus=M,
         budget=budget,
+        n_min=family.n_start,
         n_max=n_max,
         max_argument=arg_max,
         cases=cases,
@@ -444,11 +445,13 @@ def test_report_json_schema(table_mod120):
     assert payload["pass"] is False
     assert payload["vacuous"] is False
     assert payload["range"]["max_argument"] <= 5000
+    assert payload["range"]["n_min"] == 1  # planted-false sweeps from n = 1
     first = payload["counterexamples"][0]
     assert first == {"n": 1, "arg": 5, "lhs": 4, "rhs": 0}
 
     ok = verify(family_by_id("pbar-4n3-mod8"), table_mod120, budget=5000)
     assert ok.to_json_dict()["counterexamples"] == []
+    assert ok.to_json_dict()["range"]["n_min"] == 0
 
 
 def test_custom_family_with_nonzero_start(table_mod120):
@@ -457,6 +460,7 @@ def test_custom_family_with_nonzero_start(table_mod120):
     )
     report = verify(fam, table_mod120, budget=1000)
     assert report.counterexamples[0][0] == 3  # sweep really starts at n = 3
+    assert report.n_min == 3
 
 
 # -- dissection chain ------------------------------------------------------------

@@ -515,6 +515,13 @@ def _sparse(rng: random.Random, order: int, nnz: int, values) -> list[int]:
     return data
 
 
+def _exact_product(a, b, n: int) -> list[int]:
+    """``_shift_add`` over ZZ of two integer sequences through n terms, as
+    a list."""
+    a, b = (np.array(x[:n], dtype=object) for x in (a, b))
+    return qseries._shift_add(a, b, n, None).tolist()
+
+
 def test_mul_exact_matches_reference_int64_side():
     rng = random.Random(2024)
     for order, nnz in ((1, 1), (7, 3), (200, 5), (600, 40), (600, 600)):
@@ -524,10 +531,11 @@ def test_mul_exact_matches_reference_int64_side():
             assert sum(map(abs, a)) * max(map(abs, b)) < 2**63
             for n in (order, max(1, order // 3)):
                 want = _shift_add_reference(a, b, n)
-                assert qseries._mul_exact(tuple(a), tuple(b), n) == want
-                assert qseries._mul_exact(tuple(b), tuple(a), n) == want
-    assert qseries._mul_exact((0, 0, 0), (5, -6, 7), 3) == [0, 0, 0]
-    assert qseries._mul_exact((2**200, 0), (0, 0), 2) == [0, 0]
+                assert _exact_product(a, b, n) == want
+                assert _exact_product(b, a, n) == want
+    assert _exact_product((0, 0, 0), (5, -6, 7), 3) == [0, 0, 0]
+    # a bound of 0 returns before 2^200 meets a narrow dtype
+    assert _exact_product((2**200, 0), (0, 0), 2) == [0, 0]
 
 
 def test_mul_exact_matches_reference_object_side():
@@ -535,12 +543,12 @@ def test_mul_exact_matches_reference_object_side():
     big = [s * rng.randrange(2**62, 2**70) for s in (1, -1) for _ in range(20)]
     a = _sparse(rng, 300, 12, big)
     b = [rng.choice(big + [0, 1, -1]) for _ in range(300)]
-    assert qseries._mul_exact(tuple(a), tuple(b), 300) == _shift_add_reference(a, b, 300)
+    assert _exact_product(a, b, 300) == _shift_add_reference(a, b, 300)
     pbar = overpartition_table(ZZ, 400).values  # pbar(399) > 2^63
     assert pbar[-1] >= 2**63
     theta = theta_series(ThetaKind.PHI_MINUS, ZZ, 400).coeffs
     for x, y in ((pbar, pbar), (theta, pbar), (pbar, a + [0] * 100)):
-        assert qseries._mul_exact(x, y, 400) == _shift_add_reference(x, y, 400)
+        assert _exact_product(x, y, 400) == _shift_add_reference(x, y, 400)
     assert (Series(ZZ, pbar) * theta_series(ThetaKind.PHI_MINUS, ZZ, 400)) == one(ZZ, 400)
 
 
@@ -567,13 +575,20 @@ class _ZerosDtypeSpy:
         # sum |a| = 2, max |b| = 2^62: the bound is 2^63, one past int64
         ((1, 1), (2**62, 2**62), object),
         ((-1, -1), (2**62, 2**62), object),
+        # the narrower maxima, each met exactly and passed by one
+        ((100, -27), (1, -1), np.int8),  # 127 * 1
+        ((1, 1), (64, -64), np.int16),  # 2 * 64 = 128
+        ((7, -24), (-1057, 1057), np.int16),  # 31 * 1057 = 2^15 - 1
+        ((1, -1), (2**14, -(2**14)), np.int32),  # 2 * 2^14 = 2^15
+        ((2**31 - 1, 0), (1, -1), np.int32),  # (2^31 - 1) * 1
+        ((2**16, 0), (2**15, -(2**15)), np.int64),  # 2^16 * 2^15 = 2^31
     ],
 )
 def test_mul_exact_dtype_switches_at_the_int64_bound(monkeypatch, a, b, dtype):
     spy = _ZerosDtypeSpy()
     monkeypatch.setattr(qseries, "np", spy)
     n = len(a)
-    assert qseries._mul_exact(a, b, n) == _shift_add_reference(a, b, n)
+    assert _exact_product(a, b, n) == _shift_add_reference(a, b, n)
     assert spy.dtypes == [np.dtype(dtype)]
 
 
@@ -581,8 +596,9 @@ def test_mul_exact_dtype_switches_at_the_int64_bound(monkeypatch, a, b, dtype):
 def test_mul_mod_sparse_branch_matches_exact_reduction(m):
     # 60 sparse terms against 4 * isqrt(500) = 88 take the shift-and-add
     # branch.  Terms near +-m/2 against dense residues m - 1 make each step
-    # add about m^2 / 2 in magnitude, so the sums cross several reduction
-    # strides (about 2 terms mod 2^31 - 1, 9 mod 998244353).
+    # add about m^2 / 2 in magnitude, so the bound passes 2^63 and the sums
+    # cross several reduction strides (every 4 terms mod 2^31 - 1, every 18
+    # mod 998244353).
     rng = random.Random(m)
     order, nnz = 500, 60
     half = (m - 1) // 2
@@ -604,15 +620,23 @@ def test_mul_mod_sparse_branch_matches_exact_reduction(m):
 @pytest.mark.parametrize(
     "m, coeffs, dtype",
     [
-        # m + nnz cmax m = 151 (1 + 3 * 72) = 32767, the int16 maximum
-        (151, (72, 79, 1), np.int16),
-        (151, (79, 79, 79), np.int16),
-        # 128 (1 + 5 * 51) = 32768, one past it
-        (128, (51, 77, 3, 51, 51), np.int32),
-        # 49981 (1 + 5 * 8593) = 2^31 - 2, below the int32 maximum
-        (49981, (8593, 41388, 1, 2, 8593), np.int32),
-        # 65536 (1 + 7 * 4681) = 2^31, one past it
-        (65536, (4681,) * 7, np.int64),
+        # B = sum |c| * max |b| over the coefficients centred into
+        # (-m/2, m/2], against max |b| = m - 1; the accumulator also holds m
+        (151, (72, 79, 1), np.int16),  # 145 * 150 = 21750
+        (151, (79, 79, 79), np.int16),  # 216 * 150 = 32400
+        (128, (51, 77, 3, 51, 51), np.int16),  # 207 * 127 = 26289
+        (49981, (8593, 41388, 1, 2, 8593), np.int32),  # 25782 * 49980
+        (65536, (4681,) * 7, np.int32),  # 32767 * 65535 = 2^31 - 98302
+        # each maximum met exactly and passed by one
+        (127, (1,), np.int8),  # B = 126, m = 127 = 2^7 - 1
+        (65, (64, 1), np.int16),  # 2 * 64 = 128
+        (128, (1,), np.int16),  # B = 127, but m = 2^7
+        (4682, (3, 4678), np.int16),  # 7 * 4681 = 2^15 - 1
+        (129, (64, 65, 64, 65), np.int32),  # 256 * 128 = 2^15
+        (2**31 - 1, (1,), np.int32),  # B = 2^31 - 2, m = 2^31 - 1
+        (65537, (32768,), np.int64),  # 2^15 * 2^16 = 2^31
+        # past int64: 5 (2^30 - 1)(2^31 - 2) > 2^63, reduced every 4 terms
+        (2**31 - 1, (2**30 - 1,) * 5, np.int64),
     ],
 )
 def test_mul_mod_sparse_accumulator_switches_at_its_bound(monkeypatch, m, coeffs, dtype):
@@ -627,14 +651,15 @@ def test_mul_mod_sparse_accumulator_switches_at_its_bound(monkeypatch, m, coeffs
     b = np.array(dense, dtype=np.int64)
     spy = _ZerosDtypeSpy()
     monkeypatch.setattr(qseries, "np", spy)
-    assert qseries._mul_mod(a, b, n, m).tolist() == want
-    assert qseries._mul_mod(b, a, n, m).tolist() == want
+    assert qseries._mul(a, b, n, m).tolist() == want
+    assert qseries._mul(b, a, n, m).tolist() == want
     assert spy.dtypes == [np.dtype(dtype)] * 2
 
 
 @pytest.mark.parametrize("m", [2**31 - 1, 998244353])
 def test_mul_mod_sparse_accumulator_is_int64_for_wide_primes(monkeypatch, m):
-    # phi(-q) mod m: about sqrt(n) terms +-2 and 1, so m (1 + nnz cmax) > 2^31
+    # phi(-q) mod m through 3000: sum |c| = 109 against max |b| near m,
+    # so B > 2^31
     n = 3000
     phi = theta_series(ThetaKind.PHI_MINUS, mod_ring(m), n)
     dense = _random_series(random.Random(m), mod_ring(m), n)
@@ -642,7 +667,7 @@ def test_mul_mod_sparse_accumulator_is_int64_for_wide_primes(monkeypatch, m):
     want = exact.reduce_mod(m)
     spy = _ZerosDtypeSpy()
     monkeypatch.setattr(qseries, "np", spy)
-    got = qseries._mul_mod(phi.coeffs, dense.coeffs, n, m)
+    got = qseries._mul(phi.coeffs, dense.coeffs, n, m)
     assert spy.dtypes == [np.dtype(np.int64)]
     assert got.tolist() == want.coeffs.tolist()
 
