@@ -69,15 +69,13 @@ def _emit_coeffs(series: Series, args, **extra) -> None:
 def _get_pbar_table(
     ring: CoefficientRing, length: int, method: str, args
 ) -> CoeffTable:
-    use_cache = not getattr(args, "no_cache", False)
-    cache_dir = getattr(args, "cache_dir", None)
-    if use_cache:
-        hit = cache.load_table("pbar", method, ring, length, cache_dir)
+    if not args.no_cache:
+        hit = cache.load_table("pbar", method, ring, length, args.cache_dir)
         if hit is not None:
             return hit
     table = overpartition_table(ring, length, method)
-    if use_cache:
-        cache.store_table(table, cache_dir)
+    if not args.no_cache:
+        cache.store_table(table, args.cache_dir)
     return table
 
 
@@ -124,7 +122,8 @@ def _cmd_verify(args, parser) -> int:
     if not args.all and not args.family:
         parser.error("choose --all or at least one --family")
     # one registry build for --all; family_by_id builds it once per call
-    families = registry() if args.all else []
+    everything = registry()
+    families = list(everything) if args.all else []
     run_chain = args.all
     try:
         for fid in args.family or []:
@@ -136,20 +135,22 @@ def _cmd_verify(args, parser) -> int:
         parser.error(str(exc.args[0]))
 
     budget = args.budget
-    moduli = [fam.modulus for fam in families]
-    if run_chain:
-        moduli.append(5)
-    table_mod = math.lcm(*moduli) if moduli else 5
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
+    # every family modulus and the chain's 5 divide 120: one table (and one
+    # cache entry) per budget serves every selection
+    table_mod = math.lcm(5, *(fam.modulus for fam in everything))
     table = _get_pbar_table(
         mod_ring(table_mod), budget + 1, Method.THETA_INVERSION, args
     )
 
     reports = [verify(fam, table, budget=budget) for fam in families]
-    chain_checks, chain_not_run = [], None
+    chain_checks, chain_not_run, chain_max_arg = [], None, None
     if run_chain:
         chain_order = max(1, min(_CHAIN_ORDER_CAP, budget // 80))
         try:
             chain_checks = verify_dissection_chain(chain_order, table)
+            chain_max_arg = 80 * chain_order - 1
         except ValueError as exc:  # budget too small for the chain
             if not families:
                 raise
@@ -162,6 +163,7 @@ def _cmd_verify(args, parser) -> int:
             "pass": all_ok,
             "families": [r.to_json_dict() for r in reports],
             "dissection_chain": [c.to_dict() for c in chain_checks],
+            "dissection_chain_max_argument": chain_max_arg,
             "dissection_chain_not_run": chain_not_run,
         }
         _emit(json.dumps(payload, indent=2), args.out)
@@ -182,10 +184,11 @@ def _cmd_verify(args, parser) -> int:
         if chain_not_run:
             lines.append(f"NOT RUN chain: {chain_not_run}")
         vacuous = sum(r.vacuous for r in reports)
+        chain = f" + {len(chain_checks)} chain identities (arguments <= {chain_max_arg})"
         lines.append(
             f"{'PASS' if all_ok else 'FAIL'}: {len(reports)} families"
             + (f" ({vacuous} vacuous)" if vacuous else "")
-            + (f" + {len(chain_checks)} chain identities" if chain_checks else "")
+            + (chain if chain_checks else "")
             + f" at budget {budget}"
         )
         _emit("\n".join(lines), args.out)

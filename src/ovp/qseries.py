@@ -20,7 +20,7 @@ import math
 import struct
 from dataclasses import dataclass
 from itertools import chain
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable
 
 import numpy as np
 
@@ -292,10 +292,18 @@ class Series:
                 raise ValueError(
                     f"constant term {a0} is not a unit in ZZ (need +1 or -1)"
                 )
+            # r[0] = a0 and r[n] = -sum(a0 * c * r[n - e]) over the terms
+            # c q^e of self with 0 < e <= n, since 1/a0 = a0
             kernel = [(e, a0 * c) for e, c in self.nonzero_terms() if e > 0]
-            rhs = [a0] + [0] * (T - 1)
-            vals = _solve_unit_toeplitz_exact(kernel, rhs)
-            return Series._of(self.ring, vals)
+            r = [a0] + [0] * (T - 1)
+            for n in range(1, T):
+                s = 0
+                for e, c in kernel:
+                    if e > n:
+                        break
+                    s -= c * r[n - e]
+                r[n] = s
+            return Series._of(self.ring, r)
         return Series._of(self.ring, _invert_mod(self._coeffs, self.ring.modulus))
 
     # -- reindexing ------------------------------------------------------
@@ -505,15 +513,17 @@ def _mul(a: np.ndarray, b: np.ndarray, n: int, m: int | None) -> np.ndarray:
     has at most 4 isqrt(n) nonzeros; else ``_FFTProduct``, exact because
     ``_limb_plan`` sizes the limbs from both operands' largest centred
     residue and nonzero count so that every float64 error stays below 1/2.
+    Each operand's nonzeros are counted once (a square's once in all), and
+    the sparser operand goes first, as ``_shift_add`` expects.
     """
     square = a is b
     a = a[:n]
     b = b[:n]
-    if m is None:
-        return _shift_add(a, b, n, None)
     nnz_a = int(np.count_nonzero(a))
-    nnz_b = int(np.count_nonzero(b))
-    if min(nnz_a, nnz_b) <= 4 * math.isqrt(n):
+    nnz_b = nnz_a if square else int(np.count_nonzero(b))
+    if nnz_b < nnz_a:
+        a, b, nnz_a, nnz_b = b, a, nnz_b, nnz_a
+    if m is None or nnz_a <= 4 * math.isqrt(n):
         return _shift_add(a, b, n, m)
     size = _fft_len(2 * n - 1)
     bound_a = (_centred_max(a, m), nnz_a)
@@ -530,7 +540,8 @@ def _mul(a: np.ndarray, b: np.ndarray, n: int, m: int | None) -> np.ndarray:
 
 def _shift_add(a: np.ndarray, b: np.ndarray, n: int, m: int | None) -> np.ndarray:
     """Product of the n-term vectors a and b by shift-and-add over the
-    sparser one: object vectors over ZZ (m None), canonical residues mod m.
+    terms of a, which the caller passes as the sparser one: object vectors
+    over ZZ (m None), canonical residues mod m.
 
     Its terms, centred into (-m/2, m/2] mod m, are grouped by coefficient
     c, and one slice of c * b, formed once per group, is added per term.
@@ -543,8 +554,6 @@ def _shift_add(a: np.ndarray, b: np.ndarray, n: int, m: int | None) -> np.ndarra
     max|b| < m < 2^31.  B = 0 returns before any c * b, which numpy 2
     rejects for a Python int c too wide for b's dtype.
     """
-    if np.count_nonzero(b) < np.count_nonzero(a):
-        a, b = b, a
     exps = np.flatnonzero(a).tolist()
     by_coeff: dict[int, list[int]] = {}
     for e, c in zip(exps, a[exps].tolist()):
@@ -572,23 +581,6 @@ def _shift_add(a: np.ndarray, b: np.ndarray, n: int, m: int | None) -> np.ndarra
                 out %= m
                 i = 0
     return out.astype(object, copy=False) if m is None else out % m
-
-
-def _solve_unit_toeplitz_exact(
-    kernel: list[tuple[int, int]], rhs: Sequence[int]
-) -> list[int]:
-    # r[n] = rhs[n] - sum(c * r[n - off]) over kernel offsets off <= n, i.e.
-    # r * k = rhs for the monic kernel k = 1 + sum(c * q^off).
-    T = len(rhs)
-    r = [0] * T
-    for n in range(T):
-        s = rhs[n]
-        for off, c in kernel:
-            if off > n:
-                break
-            s -= c * r[n - off]
-        r[n] = s
-    return r
 
 
 # -- exact float64 FFT products mod m ---------------------------------------

@@ -2,11 +2,13 @@
 
 c_k(n) counts tuples (a_1, ..., a_k) of positive integers with
 a_1^2 + ... + a_k^2 = n; order matters, so c_2(5) = 2 from (1,2) and (2,1).
-Row k of the table is the coefficient vector of theta_+(q)^k where
-theta_+(q) = sum(q^(a^2), a >= 1).  Row k + 1 is the ZZ series product of
-row k and theta_+, a shift-and-add over the sqrt(order) terms of theta_+
-in the narrowest signed dtype that holds its Cauchy bound, and on Python
-ints beyond int64 (see qseries._shift_add).
+Row k of the table is the coefficient vector of theta_+(q)^k, where
+theta_+(q) = sum(q^(a^2), a >= 1) is ``ThetaKind.POSITIVE_SQUARES`` of
+theta.py.  Row k + 1 is the ZZ series product of row k and theta_+, a
+shift-and-add over the sqrt(order) terms of theta_+ in the narrowest signed
+dtype that holds its Cauchy bound, and on Python ints beyond int64 (see
+qseries._shift_add).  ``c2_array`` counts lattice points instead, as an
+independent check of row 2.
 """
 
 from __future__ import annotations
@@ -17,11 +19,8 @@ from typing import IO, Iterator
 
 import numpy as np
 
-from .qseries import ZZ, IdentityCheck, series_from_terms
-
-
-def _positive_squares(order: int) -> list[int]:
-    return [a * a for a in range(1, math.isqrt(max(order - 1, 0)) + 1)]
+from .qseries import ZZ, IdentityCheck
+from .theta import ThetaKind, theta_series, theta_terms
 
 
 @dataclass(frozen=True)
@@ -65,7 +64,7 @@ def squares_table(k_max: int, order: int) -> SquaresTable:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    theta = series_from_terms(ZZ, order, ((s, 1) for s in _positive_squares(order)))
+    theta = theta_series(ThetaKind.POSITIVE_SQUARES, ZZ, order)
     row = theta
     rows = [tuple(theta.coeffs)]
     for _ in range(k_max - 1):
@@ -77,7 +76,7 @@ def squares_table(k_max: int, order: int) -> SquaresTable:
 def c1_array(order: int) -> np.ndarray:
     """c_1(n) for n < order as int64: 1 at positive squares, else 0."""
     out = np.zeros(order, dtype=np.int64)
-    for s in _positive_squares(order):
+    for s, _ in theta_terms(ThetaKind.POSITIVE_SQUARES, order):
         out[s] = 1
     return out
 

@@ -233,7 +233,9 @@ def test_verify_marks_families_without_cases_vacuous(capsys):
     assert marked == VACUOUS_AT_100
     assert all("[cases=0," in line for line in lines if line.startswith("VACUOUS "))
     assert not any("[cases=0," in line for line in lines if line.startswith("PASS "))
-    assert lines[-1] == "PASS: 29 families (10 vacuous) + 9 chain identities at budget 100"
+    assert lines[-1] == (
+        "PASS: 29 families (10 vacuous) + 9 chain identities (arguments <= 79) at budget 100"
+    )
     code, out, _ = _run(
         capsys,
         ["verify", "--all", "--budget", "100", "--format", "json", "--no-cache"],
@@ -284,6 +286,49 @@ def test_verify_requires_a_selection(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--no-cache"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("budget", [0, -3])
+def test_verify_rejects_budget_below_one_before_any_table(capsys, tmp_path, budget):
+    argv = ["verify", "--all", "--budget", str(budget), "--cache-dir", str(tmp_path)]
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == f"error: budget must be >= 1, got {budget}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_verify_reads_one_table_per_budget(capsys, tmp_path):
+    # every selection reads the mod-120 table that --all stored
+    selections = [
+        ["--all"], ["--family", "pbar-40n35-mod40"], ["--family", "nonresidue-13"],
+        ["--family", "dissection-chain"], ["--family", "planted-false"],
+    ]
+    for selection in selections:
+        for fmt in ("text", "json"):
+            argv = ["verify", *selection, "--budget", "20000", "--format", fmt]
+            cached = _run(capsys, argv + ["--cache-dir", str(tmp_path)])
+            assert cached == _run(capsys, argv + ["--no-cache"])
+            assert cached[0] == (1 if "planted-false" in selection else 0)
+    assert [p.suffix for p in tmp_path.iterdir()] == [".qs"]
+
+
+def test_verify_reports_how_far_the_chain_reached(capsys):
+    # the chain order is budget // 80, capped at 2500
+    for budget, reach in ((79, 79), (5000, 4959), (300000, 199999)):
+        argv = ["verify", "--family", "dissection-chain", "--budget", str(budget)]
+        code, out, _ = _run(capsys, argv + ["--no-cache"])
+        assert code == 0
+        assert out.rstrip().endswith(
+            f"PASS: 0 families + 9 chain identities (arguments <= {reach}) "
+            f"at budget {budget}"
+        )
+        code, out, _ = _run(capsys, argv + ["--format", "json", "--no-cache"])
+        assert json.loads(out)["dissection_chain_max_argument"] == reach
+    # null when the chain did not run: below its budget, or not selected
+    for selection in (["--all", "--budget", "78"], ["--family", "pbar-4n3-mod8"]):
+        argv = ["verify", *selection, "--format", "json", "--no-cache"]
+        code, out, _ = _run(capsys, argv)
+        assert code == 0 and json.loads(out)["dissection_chain_max_argument"] is None
 
 
 # -- hecke ---------------------------------------------------------------------
