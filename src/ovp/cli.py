@@ -121,7 +121,7 @@ def _cmd_verify(args, parser) -> int:
         return 0
     if not args.all and not args.family:
         parser.error("choose --all or at least one --family")
-    # one registry build for --all; family_by_id builds it once per call
+    # one registry build for --all and the table modulus (family_by_id builds its own)
     everything = registry()
     families = list(everything) if args.all else []
     run_chain = args.all
