@@ -123,14 +123,15 @@ def _cmd_verify(args, parser) -> int:
         parser.error("choose --all or at least one --family")
     # one registry build for --all and the table modulus (family_by_id builds its own)
     everything = registry()
-    families = list(everything) if args.all else []
+    # each family once, in first-seen order, however often it is selected
+    families = {fam.id: fam for fam in everything} if args.all else {}
     run_chain = args.all
     try:
         for fid in args.family or []:
             if fid == "dissection-chain":
                 run_chain = True
-            else:
-                families.append(family_by_id(fid))
+            elif fid not in families:
+                families[fid] = family_by_id(fid)
     except KeyError as exc:
         parser.error(str(exc.args[0]))
 
@@ -144,7 +145,7 @@ def _cmd_verify(args, parser) -> int:
         mod_ring(table_mod), budget + 1, Method.THETA_INVERSION, args
     )
 
-    reports = [verify(fam, table, budget=budget) for fam in families]
+    reports = [verify(fam, table, budget=budget) for fam in families.values()]
     chain_checks, chain_not_run, chain_max_arg = [], None, None
     if run_chain:
         chain_order = max(1, min(_CHAIN_ORDER_CAP, budget // 80))

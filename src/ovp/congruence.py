@@ -9,7 +9,8 @@ progressions, for example
                          l == 3 (mod 5) and legendre(-n, l) = -1.
 
 A family is pure data: a left argument map A(n) = base * factors * (step*n
-+ offset), an optional right map with a sign/scale rule, parameter axes
++ offset), a relation pbar(A(n)) == c(n) pbar(B(n)) + legendre(n, p)
+pbar(A(n)) with c periodic in n and either term optional, parameter axes
 (power exponents, primes filtered by congruence conditions, finite residue
 choices), and an optional side condition on n.  verify() sweeps every
 parameter assignment and every n keeping all referenced arguments within a
@@ -108,32 +109,28 @@ class ChoiceAxis:
 
 @dataclass(frozen=True)
 class SideCondition:
-    """Restriction on the swept n, relative to a prime-valued axis.
+    """Keep the n with legendre(-n, l) in ``values``, for l the prime on
+    ``axis``: (-1,) keeps the n with -n a nonresidue mod l, (1, -1) the n
+    coprime to l, and (0,) the multiples of l."""
 
-    kind "legendre-minus-n": keep n with legendre(-n, p) == value;
-    kind "coprime":          keep n with p not dividing n.
-    """
-
-    kind: str
     axis: str
-    value: int = -1
+    values: tuple[int, ...] = (-1,)
 
 
 @dataclass(frozen=True)
 class Relation:
-    """Right-hand side of a family.
+    """Right-hand side of a family, with B the ``rhs`` map:
 
-    kind "zero":            pbar(A(n)) == 0
-    kind "equal":           pbar(A(n)) == sign * pbar(B(n))
-    kind "alternating":     pbar(A(n)) == (-1)^n * pbar(B(n))
-    kind "scaled":          pbar(A(n)) == scalar * pbar(B(n))
-    kind "legendre-split":  pbar(A(n)) == pbar(B(n)) + legendre(n, prime) * pbar(A(n))
+        pbar(A(n)) == factor[n % len(factor)] * pbar(B(n))
+                      + legendre(n, prime) * pbar(A(n))
+
+    The B term is absent when ``rhs`` is None and the Legendre term when
+    ``prime`` is None; with both absent, pbar(A(n)) == 0.  So (-1)^n is
+    ``factor=(1, -1)``, and the Hecke split is ``prime=5``.
     """
 
-    kind: str = "zero"
     rhs: ArgMap | None = None
-    sign: int = 1
-    scalar: int = 1
+    factor: tuple[int, ...] = (1,)
     prime: int | None = None
 
 
@@ -338,15 +335,6 @@ def _candidates(S: np.ndarray, maps: list[ArgMap], params: dict, n0: int, count:
     return np.unique(np.concatenate(parts))
 
 
-def _side_pattern(side: SideCondition, p: int) -> np.ndarray:
-    """Which n mod p the side condition keeps."""
-    if side.kind == "legendre-minus-n":
-        return _legendre_table(p, negate=True) == side.value
-    if side.kind == "coprime":
-        return np.arange(p) != 0
-    raise ValueError(f"unknown side condition {side.kind!r}")
-
-
 def _periodic(pattern: np.ndarray, n0: int, count: int, at=None) -> np.ndarray:
     """pattern[(n0 + i) % p] for i < count, where p = len(pattern), as a
     tiling with no index vector; or only for the offsets i in ``at``."""
@@ -368,13 +356,13 @@ def verify(
     The table must cover every index up to the budget; its ring must be
     exact or a residue ring whose modulus the family modulus divides.
 
-    Every relation kind holds at an n whose arguments are all == 0 (mod M):
-    both sides are then 0, as sign, scalar, (-1)^n and the Legendre term
-    only multiply them.  So a case can fail only where some argument lies
-    in S_M, the arguments at which pbar is nonzero mod M.  For M a power of
-    two S_M is kept per table (``_nonzero_set``), and it is sparse: by the
-    k <= 2 truncation of the 2-adic expansion, pbar(n) mod 8 is nonzero
-    only at n = 0, squares and twice squares, about 1.7 sqrt(T) of T.  An
+    Every relation holds at an n whose arguments are all == 0 (mod M): both
+    sides are then 0, as the factor and the Legendre symbol only multiply
+    pbar values.  So a case can fail only where some argument lies in S_M,
+    the arguments at which pbar is nonzero mod M.  For M a power of two S_M
+    is kept per table (``_nonzero_set``), and it is sparse: by the k <= 2
+    truncation of the 2-adic expansion, pbar(n) mod 8 is nonzero only at
+    n = 0, squares and twice squares, about 1.7 sqrt(T) of T.  An
     assignment of ``count`` offsets then reads only the preimages of S_M
     under its maps when len(S_M) * len(maps) < count, and strided views of
     every offset otherwise.  Reports are the same either way.
@@ -395,10 +383,18 @@ def verify(
     n0 = family.n_start
     maps = family.arg_maps()
     nonzero = _nonzero_set(table, res, M) if M & (M - 1) == 0 else None
-    patterns: dict[int, np.ndarray] = {}
-    # rhs values start in [0, M); sign, scalar, negation and the Legendre term
-    # keep them and M below this bound (M = 65536 needs int32, not int16)
-    rhs_dtype = np.min_scalar_type(-(abs(rel.sign) + abs(rel.scalar) + 2) * M)
+    keeps: dict[int, np.ndarray] = {}
+    if side is not None:
+        # indexed by the symbol, so -1 reads the last entry
+        kept_symbols = np.array([s in side.values for s in (0, 1, -1)])
+    # the factor and the symbol are taken mod M, so with pbar(B(n)) read mod
+    # M the rhs is unsigned, where % is faster than on mixed signs, and below
+    # 2 (M - 1)^2 (M = 65536 needs uint64, not uint32)
+    rhs_dtype = np.min_scalar_type(2 * M * M)
+    factor = np.array([c % M for c in rel.factor], dtype=rhs_dtype)
+    chi = None
+    if rel.prime is not None:
+        chi = (_legendre_table(rel.prime, negate=False) % M).astype(rhs_dtype)
 
     cases = 0
     violations = 0
@@ -418,9 +414,9 @@ def verify(
         last = count - 1
         if side is not None:
             p = params[side.axis]
-            if p not in patterns:
-                patterns[p] = _side_pattern(side, p)
-            keep = _periodic(patterns[p], n0, count)
+            if p not in keeps:
+                keeps[p] = kept_symbols[_legendre_table(p, negate=True)]
+            keep = _periodic(keeps[p], n0, count)
             kept = int(np.count_nonzero(keep))
             if not kept:
                 continue
@@ -435,20 +431,15 @@ def verify(
             at = _candidates(nonzero, maps, params, n0, count)
         lhs = _read(res, m, M, family.lhs, params, n0, count, at)
         rhs = None
-        if rel.kind != "zero":
-            rhs = _read(res, m, M, rel.rhs, params, n0, count, at).astype(rhs_dtype)
-            if rel.kind == "equal":
-                rhs = rel.sign * rhs % M
-            elif rel.kind == "alternating":
-                odd = slice((n0 + 1) % 2, None, 2) if at is None else (n0 + at) % 2 == 1
-                rhs[odd] = -rhs[odd] % M
-            elif rel.kind == "scaled":
-                rhs = rel.scalar * rhs % M
-            elif rel.kind == "legendre-split":
-                chi = _legendre_table(rel.prime, negate=False)
-                rhs = (rhs + _periodic(chi, n0, count, at) * lhs) % M
-            else:
-                raise ValueError(f"unknown relation kind {rel.kind!r}")
+        if rel.rhs is not None or chi is not None:
+            rhs = 0
+            if rel.rhs is not None:
+                rhs = _read(res, m, M, rel.rhs, params, n0, count, at).astype(rhs_dtype)
+                rhs *= _periodic(factor, n0, count, at)
+            if chi is not None:
+                # uint64 times int64 words would give float64
+                rhs = rhs + _periodic(chi, n0, count, at) * lhs.astype(rhs_dtype, copy=False)
+            rhs %= M
         bad = lhs if rhs is None else lhs != rhs
         if keep is not None:
             bad = np.logical_and(bad, keep if at is None else keep[at])
@@ -535,14 +526,14 @@ def registry() -> list[CongruenceFamily]:
             statement="pbar(5n) == (-1)^n pbar(20n) (mod 5)",
             modulus=5,
             lhs=ArgMap(step=5),
-            relation=Relation(kind="alternating", rhs=ArgMap(step=20)),
+            relation=Relation(rhs=ArgMap(step=20), factor=(1, -1)),
         ),
         CongruenceFamily(
             id="pbar-n-vs-4n-mod8",
             statement="pbar(n) == (-1)^n pbar(4n) (mod 8)",
             modulus=8,
             lhs=ArgMap(step=1),
-            relation=Relation(kind="alternating", rhs=ArgMap(step=4)),
+            relation=Relation(rhs=ArgMap(step=4), factor=(1, -1)),
         ),
         CongruenceFamily(
             id="pbar-4k-40n35-mod40",
@@ -563,14 +554,14 @@ def registry() -> list[CongruenceFamily]:
                 factors=(AxisFactor("k", base=4), AxisFactor("l", power=2)),
             ),
             axes=(PrimeAxis("l", mod=5, residues=(3,)), PowerAxis("k")),
-            side=SideCondition(kind="legendre-minus-n", axis="l", value=-1),
+            side=SideCondition(axis="l", values=(-1,)),
         ),
         CongruenceFamily(
             id="pbar-25n-vs-625n-mod5",
             statement="pbar(25n) == pbar(625n) (mod 5)",
             modulus=5,
             lhs=ArgMap(step=25),
-            relation=Relation(kind="equal", rhs=ArgMap(step=625)),
+            relation=Relation(rhs=ArgMap(step=625)),
         ),
         CongruenceFamily(
             id="pbar-4k-5odd-5n1-mod5",
@@ -629,7 +620,7 @@ def registry() -> list[CongruenceFamily]:
             modulus=5,
             lhs=ArgMap(base=5, factors=(AxisFactor("l", power=3),)),
             axes=(PrimeAxis("l", mod=5, residues=(4,)),),
-            side=SideCondition(kind="coprime", axis="l"),
+            side=SideCondition(axis="l", values=(1, -1)),
         ),
         CongruenceFamily(
             id="lovejoy-osburn-3l3-mod3",
@@ -640,7 +631,7 @@ def registry() -> list[CongruenceFamily]:
             modulus=3,
             lhs=ArgMap(base=3, factors=(AxisFactor("l", power=3),)),
             axes=(PrimeAxis("l", mod=3, residues=(2,)),),
-            side=SideCondition(kind="coprime", axis="l"),
+            side=SideCondition(axis="l", values=(1, -1)),
         ),
         CongruenceFamily(
             id="pbar-5-5n2-scaled-mod5",
@@ -648,11 +639,10 @@ def registry() -> list[CongruenceFamily]:
             modulus=5,
             lhs=ArgMap(base=5, step=5, offset_axis="r"),
             relation=Relation(
-                kind="scaled",
                 rhs=ArgMap(
                     base=125, step=5, offset_axis="r", factors=(AxisFactor("i", base=25),)
                 ),
-                scalar=3,
+                factor=(3,),
             ),
             axes=(PowerAxis("i"), ChoiceAxis("r", (2, 3))),
         ),
@@ -661,7 +651,7 @@ def registry() -> list[CongruenceFamily]:
             statement="pbar(5n) == pbar(125n) + legendre(n, 5) pbar(5n) (mod 5)",
             modulus=5,
             lhs=ArgMap(step=5),
-            relation=Relation(kind="legendre-split", rhs=ArgMap(step=125), prime=5),
+            relation=Relation(rhs=ArgMap(step=125), prime=5),
         ),
     ]
     return fams

@@ -154,6 +154,24 @@ def test_verify_single_family(capsys):
     assert out.rstrip().endswith("PASS: 1 families at budget 2000")
 
 
+def test_verify_sweeps_each_selected_family_once(capsys):
+    argv = ["verify", "--budget", "200", "--no-cache"]
+    code, out, _ = _run(capsys, argv + ["--all", "--family", "pbar-4n3-mod8"])
+    assert code == 0
+    assert out.count("PASS pbar-4n3-mod8:") == 1
+    assert out.splitlines()[-1].startswith("PASS: 29 families ")
+    code, out, _ = _run(capsys, argv + ["--family", "nonresidue-3"] * 2)
+    assert code == 0
+    assert out.count("PASS nonresidue-3:") == 1
+    assert out.rstrip().endswith("PASS: 1 families at budget 200")
+    # first-seen order, with the registry's own order under --all
+    argv += ["--format", "json", "--family", "planted-false", "--family", "nonresidue-5"]
+    code, out, _ = _run(capsys, argv + ["--family", "planted-false", "--all"])
+    ids = [f["family"] for f in json.loads(out)["families"]]
+    assert code == 1 and len(ids) == 30
+    assert ids[-1] == "planted-false" and ids.count("nonresidue-5") == 1
+
+
 def test_verify_planted_false_exits_one(capsys):
     code, out, _ = _run(
         capsys,

@@ -32,9 +32,6 @@ from ovp.congruence import (
 from ovp.hecke import _legendre_table, is_odd_prime, legendre
 from ovp.overpartition import CoeffTable
 
-VALID_KINDS = {"zero", "equal", "alternating", "scaled", "legendre-split"}
-
-
 @pytest.fixture(scope="module")
 def table_mod120():
     # 120 = lcm of every family modulus (8, 40, 5, 12, 3)
@@ -52,12 +49,16 @@ def test_registry_is_well_formed():
     for fam in fams:
         assert fam.modulus in (3, 4, 5, 8, 12, 40)
         assert fam.statement
-        assert fam.relation.kind in VALID_KINDS
         assert fam.n_start == 0
-        if fam.relation.kind != "zero":
-            assert fam.relation.rhs is not None
-        if fam.relation.kind == "legendre-split":
-            assert fam.relation.prime is not None
+        rel = fam.relation
+        assert rel.factor and all(type(c) is int for c in rel.factor)
+        # every registry factor and Legendre term comes with a right map
+        if rel.rhs is None:
+            assert rel.factor == (1,) and rel.prime is None
+        assert rel.prime is None or is_odd_prime(rel.prime)
+        if fam.side is not None:
+            assert fam.side.values and set(fam.side.values) <= {-1, 0, 1}
+            assert fam.side.axis in {a.name for a in fam.axes if isinstance(a, PrimeAxis)}
 
 
 def test_family_by_id():
@@ -98,26 +99,16 @@ def _reference_verify(family, table, budget, max_counterexamples=16):
         n = family.n_start
         while all(amap.evaluate(n, params) <= budget for amap in maps):
             n, this_n = n + 1, n
-            if side is not None:
-                p = params[side.axis]
-                if side.kind == "legendre-minus-n" and legendre(-this_n, p) != side.value:
-                    continue
-                if side.kind == "coprime" and this_n % p == 0:
-                    continue
+            if side is not None and legendre(-this_n, params[side.axis]) not in side.values:
+                continue
             args = [amap.evaluate(this_n, params) for amap in maps]
             lhs = int(table.values[args[0]]) % M
-            if rel.kind == "zero":
-                rhs = 0
-            else:
-                raw = int(table.values[args[1]])
-                if rel.kind == "equal":
-                    rhs = rel.sign * raw % M
-                elif rel.kind == "alternating":
-                    rhs = (-1) ** this_n * raw % M
-                elif rel.kind == "scaled":
-                    rhs = rel.scalar * raw % M
-                else:
-                    rhs = (raw + legendre(this_n, rel.prime) * lhs) % M
+            rhs = 0
+            if rel.rhs is not None:
+                rhs += rel.factor[this_n % len(rel.factor)] * int(table.values[args[1]])
+            if rel.prime is not None:
+                rhs += legendre(this_n, rel.prime) * lhs
+            rhs %= M
             cases += 1
             n_max = max(n_max, this_n)
             arg_max = max(arg_max, *args)
@@ -146,7 +137,7 @@ SWEEP_FAMILIES = registry() + [
         statement="pbar(5n) == -pbar(25n) (mod 5), n >= 2 [mostly false]",
         modulus=5,
         lhs=ArgMap(step=5),
-        relation=Relation(kind="equal", rhs=ArgMap(step=25), sign=-1),
+        relation=Relation(rhs=ArgMap(step=25), factor=(-1,)),
         n_start=2,
     ),
     CongruenceFamily(
@@ -154,7 +145,7 @@ SWEEP_FAMILIES = registry() + [
         statement="pbar(n) == (-1)^n pbar(4n) (mod 8), n >= 3",
         modulus=8,
         lhs=ArgMap(step=1),
-        relation=Relation(kind="alternating", rhs=ArgMap(step=4)),
+        relation=Relation(rhs=ArgMap(step=4), factor=(1, -1)),
         n_start=3,
     ),
     CongruenceFamily(
@@ -163,7 +154,7 @@ SWEEP_FAMILIES = registry() + [
         modulus=5,
         lhs=ArgMap(base=5, factors=(AxisFactor("l", power=2),)),
         axes=(PrimeAxis("l", mod=5, residues=(3,)),),
-        side=SideCondition(kind="legendre-minus-n", axis="l", value=1),
+        side=SideCondition(axis="l", values=(1,)),
         n_start=7,
     ),
     CongruenceFamily(
@@ -171,7 +162,7 @@ SWEEP_FAMILIES = registry() + [
         statement="pbar(3n + 1) == pbar(7n + 2) + legendre(n, 7) pbar(3n + 1) (mod 3), n >= 4",
         modulus=3,
         lhs=ArgMap(step=3, offset=1),
-        relation=Relation(kind="legendre-split", rhs=ArgMap(step=7, offset=2), prime=7),
+        relation=Relation(rhs=ArgMap(step=7, offset=2), prime=7),
         n_start=4,
     ),
     CongruenceFamily(
@@ -180,14 +171,14 @@ SWEEP_FAMILIES = registry() + [
         modulus=8,
         lhs=ArgMap(offset=1, factors=(AxisFactor("l", power=1),)),
         axes=(PrimeAxis("l", mod=3, residues=(2,)),),
-        side=SideCondition(kind="coprime", axis="l"),
+        side=SideCondition(axis="l", values=(1, -1)),
     ),
     CongruenceFamily(
         id="split-mod8-from-5",
         statement="pbar(2n + 1) == pbar(3n) + legendre(n, 7) pbar(2n + 1) (mod 8), n >= 5",
         modulus=8,
         lhs=ArgMap(step=2, offset=1),
-        relation=Relation(kind="legendre-split", rhs=ArgMap(step=3), prime=7),
+        relation=Relation(rhs=ArgMap(step=3), prime=7),
         n_start=5,
     ),
     CongruenceFamily(
@@ -195,7 +186,35 @@ SWEEP_FAMILIES = registry() + [
         statement="pbar(2n) == 7 pbar(6n + 1) (mod 12), n >= 1",
         modulus=12,
         lhs=ArgMap(step=2),
-        relation=Relation(kind="scaled", rhs=ArgMap(step=6, offset=1), scalar=7),
+        relation=Relation(rhs=ArgMap(step=6, offset=1), factor=(7,)),
+        n_start=1,
+    ),
+    CongruenceFamily(
+        id="alternating-split-mod8-from-3",
+        statement=(
+            "pbar(2n + 1) == (-1)^n 3 pbar(5n) + legendre(n, 5) pbar(2n + 1) (mod 8), "
+            "n >= 3 [false]"
+        ),
+        modulus=8,
+        lhs=ArgMap(step=2, offset=1),
+        relation=Relation(rhs=ArgMap(step=5), factor=(3, -3), prime=5),
+        n_start=3,
+    ),
+    CongruenceFamily(
+        id="period-3-from-2",
+        statement="pbar(5n) == c(n) pbar(20n) (mod 5), c(n) = (1, -1, 2)[n % 3], n >= 2 [false]",
+        modulus=5,
+        lhs=ArgMap(step=5),
+        relation=Relation(rhs=ArgMap(step=20), factor=(1, -1, 2)),
+        n_start=2,
+    ),
+    CongruenceFamily(
+        id="multiples-of-l-from-1",
+        statement="pbar(3 l n) == 0 (mod 3), primes l == 2 (mod 3), l | n, n >= 1 [false]",
+        modulus=3,
+        lhs=ArgMap(base=3, factors=(AxisFactor("l", power=1),)),
+        axes=(PrimeAxis("l", mod=3, residues=(2,)),),
+        side=SideCondition(axis="l", values=(0,)),
         n_start=1,
     ),
 ]
@@ -302,9 +321,10 @@ def test_nonzero_sets_mod_8_and_4_are_squares_and_twice_squares():
     assert np.array_equal(_nonzero_set(fresh, fresh.values, 4), s4)
 
 
-@pytest.mark.parametrize("m", (256, 65536))
+@pytest.mark.parametrize("m", (256, 65536, 2**31 - 1))
 def test_sweep_family_modulus_equal_to_a_full_word_table(m, pbar_exact):
-    # residues mod 256 fill uint8 (mod 65536, uint16); m itself does not fit
+    # residues mod 256 fill uint8 (mod 65536, uint16); m itself does not fit.
+    # Mod 2^31 - 1 the residues are int64 and the rhs sums reach 2^63.
     table = overpartition_table(mod_ring(m), 3000)
     families = [
         CongruenceFamily(
@@ -318,7 +338,15 @@ def test_sweep_family_modulus_equal_to_a_full_word_table(m, pbar_exact):
             statement=f"pbar(n) == (-1)^n pbar(2n) (mod {m}) [false]",
             modulus=m,
             lhs=ArgMap(step=1),
-            relation=Relation(kind="alternating", rhs=ArgMap(step=2)),
+            relation=Relation(rhs=ArgMap(step=2), factor=(1, -1)),
+        ),
+        CongruenceFamily(
+            id=f"split-mod{m}",
+            statement=f"pbar(2n + 1) == c(n) pbar(3n) + legendre(n, 7) pbar(2n + 1) (mod {m})",
+            modulus=m,
+            lhs=ArgMap(step=2, offset=1),
+            relation=Relation(rhs=ArgMap(step=3), factor=(1, -1, 5), prime=7),
+            n_start=500,  # where the first counterexamples read wide residues
         ),
     ]
     for fam in families:
@@ -399,6 +427,21 @@ def test_scaled_and_split_relations(pbar_big):
     for fid in ("pbar-5-5n2-scaled-mod5", "pbar-5n-hecke-split-mod5"):
         report = verify(family_by_id(fid), pbar_big, budget=10**5)
         assert report.ok and report.cases > 0, fid
+
+
+def test_constant_factor_is_applied(table_mod120):
+    # pbar(25n) == pbar(625n) (mod 5), so a factor of 3 fails wherever
+    # pbar(25n) is nonzero mod 5, first at n = 0 where both sides read pbar(0)
+    fam = CongruenceFamily(
+        id="x",
+        statement="pbar(25n) == 3 pbar(625n) (mod 5) [false]",
+        modulus=5,
+        lhs=ArgMap(step=25),
+        relation=Relation(rhs=ArgMap(step=625), factor=(3,)),
+    )
+    report = verify(fam, table_mod120, budget=10**4)
+    assert not report.ok
+    assert report.counterexamples[0] == (0, 0, 1, 3)
 
 
 def test_planted_false_family_is_rejected(table_mod120):
