@@ -71,7 +71,9 @@ class CoeffTable:
     Widen narrow words (``.astype(np.int64)``) before signed arithmetic,
     since under numpy 2 ``-2 * values`` raises on an unsigned dtype.
     ``nonzero`` keeps, per power of two M, the sorted n with values[n] % M
-    != 0 that ``congruence.verify`` builds, for as long as the table lives.
+    != 0 that ``congruence.verify`` builds, for as long as the table lives;
+    ``residues`` keeps, per modulus M, the residues mod M that it reads from
+    an exact table.
     """
 
     name: str
@@ -80,6 +82,7 @@ class CoeffTable:
     values: np.ndarray
     meta: dict = field(default_factory=dict)
     nonzero: dict = field(default_factory=dict, init=False, repr=False)
+    residues: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", Series(self.ring, self.values).coeffs)

@@ -17,7 +17,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import struct
+import threading
 from dataclasses import dataclass
 from itertools import chain
 from typing import IO, Iterable
@@ -529,13 +531,14 @@ def _mul(a: np.ndarray, b: np.ndarray, n: int, m: int | None) -> np.ndarray:
     bound_a = (_centred_max(a, m), nnz_a)
     bound_b = bound_a if square else (_centred_max(b, m), nnz_b)
     w, (ca, cb) = _limb_plan(m, size, bound_a, bound_b)
-    kernel = _FFTProduct(m, size, max(ca, cb))
+    kernel = _FFTProduct(m, [size], max(ca, cb))
     kernel.w = w
     kernel.spectra(a, size, 0, ca)
     if not square:
         kernel.spectra(b, size, 1, cb)
-    part = kernel.product(0, 0 if square else 1, size, 0, n)
-    return _canonical(part, m).astype(residue_dtype(m))
+    out = np.empty(n, dtype=residue_dtype(m))
+    kernel.residues(kernel.product(0, 0 if square else 1, size, 0, n), out)
+    return out
 
 
 def _shift_add(a: np.ndarray, b: np.ndarray, n: int, m: int | None) -> np.ndarray:
@@ -626,7 +629,21 @@ def _limb_plan(m: int, size: int, *operands: tuple[int, int]) -> tuple[int, list
     ceil(log2 N) <= 2^46, compared squared in integers, a factor 4 below
     the radix-2 limit (error bound 15/128 there); exactness
     of the transforms actually run rests on that reserve and on the tests
-    against exact integer products.  By Cauchy-Schwarz a rounded limb
+    against exact integer products.
+
+    From ``_FOUR_STEP_MIN`` = 2^16 on, each transform is the four-step one
+    of ``_FourStep``: sub-transforms of N1 and N2 points, ceil(log2 N1) +
+    ceil(log2 N2) <= ceil(log2 N) + 1 stages of the same passes, and one
+    multiply by a twiddle U[.] V[.] between them.  Each table entry is the
+    cos and sin of an angle in [-pi, pi] with relative error below 3e, so
+    it lies within 11e of its root, and the product U V and the multiply
+    by it leave each twiddled value within 26e of exact: less than two
+    stages of the bound's 15e.  The bound then reads as for ceil(log2 N) +
+    3 stages, and since ceil(log2 N) >= 16 on that path, that is at most
+    19/16 of what the plan charges: the reserve left is still above 3.  On
+    random operands at the one-limb boundary the largest distance from an
+    integer before rounding was about 1e-5 on both paths, the four-step one
+    no larger.  By Cauchy-Schwarz a rounded limb
     convolution is then an integer below 2^46 in magnitude, well inside the
     |x| < 2^51 that ``_centre`` needs to reduce it mod m exactly.
 
@@ -677,51 +694,245 @@ def _centre(x: np.ndarray, m: int, scratch: np.ndarray) -> np.ndarray:
 
 
 def _canonical(x: np.ndarray, m: int) -> np.ndarray:
-    """Canonical residues in [0, m) of residues x in [-m/2, m/2], in place;
-    a multiple of m may come out as -0.0, which converts to the integer 0."""
-    np.add(x, m, out=x, where=x < 0)
+    """Canonical residues in [0, m) of residues x in [-m/2, m/2], in place.
+    Adding m times the mask x < 0 took a fifth of the time of a masked
+    ``np.add(..., where=x < 0)`` on the mixed signs of a Newton step."""
+    x += (x < 0) * float(m)
     return x
 
 
+# Transforms of fewer points are one plain rfft (N1 = 1), in one thread:
+# below this size the four-step layout and the second thread did not pay.
+_FOUR_STEP_MIN = 1 << 16
+# Rows of the twiddle table V; U holds every _TWIDDLE_ROWS-th row.
+_TWIDDLE_ROWS = 64
+# The four-step stages and the elementwise passes around them split into
+# one piece per CPU this process may run on, at most two, the most they
+# were measured with; on one CPU every piece runs in the calling thread.
+_THREADS = min(
+    2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
+_POOL = None
+_POOL_LOCK = threading.Lock()
+
+
+def _parallel(fn, n: int, parts: int) -> None:
+    """Run fn(lo, hi) over ``parts`` contiguous pieces that cover range(n):
+    the first in this thread, the rest on a pool made at the first call
+    that needs it.  numpy's FFTs and ufuncs release the GIL, so the pieces
+    run at once, and each writes only its own slice.  It returns, or
+    raises, only once every piece has ended."""
+    global _POOL
+    if parts <= 1:
+        fn(0, n)
+        return
+    with _POOL_LOCK:
+        if _POOL is None:
+            from concurrent.futures import ThreadPoolExecutor  # 13 ms to import
+
+            _POOL = ThreadPoolExecutor(parts - 1, thread_name_prefix="ovp-fft")
+    cuts = [n * i // parts for i in range(parts + 1)]
+    jobs = [_POOL.submit(fn, lo, hi) for lo, hi in zip(cuts[1:-1], cuts[2:])]
+    try:
+        fn(cuts[0], cuts[1])
+    finally:
+        for job in jobs:
+            job.result()
+
+
+def _fft_split(size: int) -> tuple[int, int]:
+    """(N1, N2) with N1 N2 = size, the shape of the four-step transform of
+    ``size`` points: N2 the largest divisor of size at most sqrt(size),
+    odd or even, and N1 = size / N2; (1, size) below ``_FOUR_STEP_MIN``.
+    On the 5-smooth sizes of ``_fft_len`` N2 <= N1 <= 5 N2."""
+    if size < _FOUR_STEP_MIN:
+        return 1, size
+    n2 = math.isqrt(size)
+    while size % n2:
+        n2 -= 1
+    return size // n2, n2
+
+
+def _spectrum_len(size: int) -> int:
+    """Complex entries of the spectrum of ``size`` real points in the
+    four-step order: N1 (N2 // 2 + 1), at most size / 2 + N1."""
+    n1, n2 = _fft_split(size)
+    return n1 * (n2 // 2 + 1)
+
+
+def _roots(size: int, rows: np.ndarray, cols: int, parts: int) -> np.ndarray:
+    """The table w^(r c), r in ``rows``, c < cols, of w = exp(-2 pi i /
+    size), the root of numpy's forward transform.  Each exponent is reduced
+    into (-size/2, size/2], so every angle lies in [-pi, pi]; the rows are
+    split between ``parts`` threads."""
+    roots = np.empty((len(rows), cols), dtype=np.complex128)
+
+    def fill(lo: int, hi: int) -> None:
+        e = rows[lo:hi, None] * np.arange(cols) % size
+        e[e > size // 2] -= size
+        angle = e * (-2 * math.pi / size)
+        np.cos(angle, out=roots[lo:hi].real)  # half the time of np.exp(1j * angle)
+        np.sin(angle, out=roots[lo:hi].imag)
+
+    _parallel(fill, len(rows), parts)
+    return roots
+
+
+class _FourStep:
+    """The real DFT of N = N1 N2 points in the four-step layout (Bailey,
+    J. Supercomputing 4, 1990), split between ``_THREADS`` threads.
+
+    Real x is read as the (N2, N1) array X[a, b] = x[a N1 + b], and its
+    spectrum y is kept as the (N2 // 2 + 1, N1) array S[c, d] = y[c + N2 d]:
+    1. a batched rfft of length N2 down the columns of X, into S;
+    2. a multiply of S[c, b] by the twiddle w^(c b), w = exp(-2 pi i / N);
+    3. a batched complex fft of length N1 along the rows of S.
+    Those frequencies, c <= N2 / 2, hold the half spectrum that real data
+    needs, and the inverse runs the same stages in reverse with w^-(c b).
+    The kernel only multiplies spectra pointwise, so S stays in this order
+    and no transpose is made.  Every 1-D transform is short and fits in
+    cache, where one rfft of 10^6 points streams 8 MB per radix pass.
+
+    The twiddles come from two small tables, w^(c b) = U[c // B][b]
+    V[c % B][b] for B = ``_TWIDDLE_ROWS``, about 1.2 MB at 10^6 against
+    8 MB for all N/2 of them; stages 2 and 3 run over blocks of B rows.
+    Below ``_FOUR_STEP_MIN`` N1 = 1: stage 1 is one plain rfft, and there
+    is nothing to twiddle.  Columns and row blocks divide between threads.
+    """
+
+    def __init__(self, size: int) -> None:
+        self.size = size
+        self.n1, self.n2 = _fft_split(size)
+        self.rows = self.n2 // 2 + 1
+        self.spec_len = self.rows * self.n1
+        self.parts = _THREADS if self.n1 > 1 else 1
+        if self.n1 > 1:
+            step = _TWIDDLE_ROWS
+            self.u = _roots(size, np.arange(0, self.rows, step), self.n1, self.parts)
+            self.v = _roots(size, np.arange(step), self.n1, self.parts)
+
+    def _twiddled_blocks(self, spec: np.ndarray, stage) -> None:
+        """stage(r, block, twiddle) on each block of B rows of S from row r,
+        with the twiddles w^(c b) of those rows."""
+        step = _TWIDDLE_ROWS
+
+        def blocks(lo: int, hi: int) -> None:
+            for j in range(lo, hi):
+                block = spec[j * step : (j + 1) * step]
+                stage(j * step, block, np.multiply(self.v[: len(block)], self.u[j]))
+
+        _parallel(blocks, len(self.u), self.parts)
+
+    def forward(self, x: np.ndarray, out: np.ndarray) -> None:
+        """The spectrum of real x, whose length is a multiple of N1 and at
+        most N (missing rows are zeros), into the front of the flat complex
+        vector ``out``."""
+        spec = out[: self.spec_len].reshape(self.rows, self.n1)
+        grid = x.reshape(-1, self.n1)
+
+        def columns(lo: int, hi: int) -> None:
+            np.fft.rfft(grid[:, lo:hi], self.n2, axis=0, out=spec[:, lo:hi])
+
+        _parallel(columns, self.n1, self.parts)
+        if self.n1 > 1:
+
+            def stage(r: int, block: np.ndarray, twiddle: np.ndarray) -> None:
+                block *= twiddle
+                np.fft.fft(block, axis=1, out=block)
+
+            self._twiddled_blocks(spec, stage)
+
+    def inverse(self, spec: np.ndarray, out: np.ndarray, fill) -> None:
+        """The N real points of a spectrum into ``out``.  ``fill(lo, hi)``
+        first writes entries lo..hi-1 of the spectrum to the front of the
+        flat vector ``spec``, one block of rows at a time, so that each is
+        still in cache when it is transformed."""
+        spec = spec[: self.spec_len].reshape(self.rows, self.n1)
+        grid = out.reshape(self.n2, self.n1)
+        if self.n1 > 1:
+
+            def stage(r: int, block: np.ndarray, twiddle: np.ndarray) -> None:
+                fill(r * self.n1, r * self.n1 + block.size)
+                np.fft.ifft(block, axis=1, out=block)
+                block *= np.conjugate(twiddle, out=twiddle)
+
+            self._twiddled_blocks(spec, stage)
+        else:
+            fill(0, self.spec_len)
+
+        def columns(lo: int, hi: int) -> None:
+            np.fft.irfft(spec[:, lo:hi], self.n2, axis=0, out=grid[:, lo:hi])
+
+        _parallel(columns, self.n1, self.parts)
+
+
 class _FFTProduct:
-    """Exact cyclic products mod m through numpy's rfft and irfft.
+    """Exact cyclic products mod m through the real transforms of
+    ``_FourStep``.
 
     One float64 buffer holds the centred input of each forward transform and
     the output of each inverse one; two slots, in one block, hold one
     spectrum per limb, up to ``limbs`` each, and each slot records its
-    operand's limb count.  The caller sets the limb width ``w`` from
-    ``_limb_plan`` before it fills the slots.
+    operand's limb count.  The block is sized for the largest spectrum of
+    the transform sizes ``sizes``; the twiddle tables are kept for one size
+    at a time.  The caller sets the limb width ``w`` from ``_limb_plan``
+    before it fills the slots.
     Residues stay centred into [-m/2, m/2] between transforms: each rounded
     inverse transform is reduced by ``_centre``, with no ``np.mod``, and
-    callers make residues canonical (``_canonical``) only where they leave.
+    callers make residues canonical (``residues``) only where they leave.
+    Every elementwise pass splits between threads as the transforms do.
     """
 
-    def __init__(self, m: int, size: int, limbs: int) -> None:
+    def __init__(self, m: int, sizes: list[int], limbs: int) -> None:
         self.m = m
         self.w = 0
-        self.buf = np.empty(size)
-        self.spec = np.empty((2, limbs, size // 2 + 1), dtype=np.complex128)
+        self.buf = np.empty(max(sizes, default=1))
+        cap = max(map(_spectrum_len, sizes), default=1)
+        self.spec = np.empty((2, limbs, cap), dtype=np.complex128)
         self.limbs = [0, 0]
+        self.plan = None
+
+    def _plan(self, size: int) -> _FourStep:
+        if self.plan is None or self.plan.size != size:
+            self.plan = None  # free the old tables before the new are built
+            self.plan = _FourStep(size)
+        return self.plan
 
     def spectra(self, x: np.ndarray, size: int, slot: int, limbs: int) -> None:
         """Put the spectra of residues x, split into ``limbs`` limbs of w
         bits, in ``slot``.
 
         Integer x holds canonical residues, centred in the buffer.  Float x
-        is a buffer view of centred residues, as ``product`` returns.
+        is a buffer view of centred residues, as ``product`` returns, and
+        is moved to the front of the buffer when it is not there.
         """
+        plan = self._plan(size)
         self.limbs[slot] = limbs
+        n = len(x)
+        buf = self.buf[: -(-n // plan.n1) * plan.n1]
         if x.dtype != np.float64:
-            self.buf[: len(x)] = x
-            x = self.buf[: len(x)]
-            np.subtract(x, self.m, out=x, where=x > self.m // 2)
+            self._centred(x, buf)
+        else:
+            buf[:n] = x  # numpy skips the copy of a view onto itself
+        buf[n:] = 0
         radix = float(1 << self.w)
-        out = self.spec[slot, :limbs, : size // 2 + 1]
+        out = self.spec[slot, :limbs]
+        low = np.empty_like(buf) if limbs > 1 else None
+
+        def split(lo: int, hi: int) -> None:
+            # low = x - radix rint(x / radix), x <- (x - low) / radix; exact
+            part, bits = buf[lo:hi], low[lo:hi]
+            np.divide(part, radix, out=bits)
+            np.rint(bits, out=bits)
+            bits *= radix
+            np.subtract(part, bits, out=bits)
+            part -= bits
+            part /= radix
+
         for limb in out[:-1]:
-            low = x - radix * np.rint(x / radix)
-            np.fft.rfft(low, size, out=limb)
-            x = (x - low) / radix
-        np.fft.rfft(x, size, out=out[-1])
+            _parallel(split, len(buf), plan.parts)
+            plan.forward(low, limb)
+        plan.forward(buf, out[-1])
 
     def product(self, a: int, b: int, size: int, lo: int, hi: int) -> np.ndarray:
         """Coefficients lo..hi-1 of the product of slots a and b.
@@ -733,28 +944,66 @@ class _FFTProduct:
         each step stays below 2^62.  Each spent spectrum, viewed as floats,
         is ``_centre``'s scratch.
         """
-        m, ca, cb = self.m, self.limbs[a], self.limbs[b]
-        spec_a = self.spec[a, :ca, : size // 2 + 1]
-        spec_b = self.spec[b, :cb, : size // 2 + 1]
-        acc = 0
+        plan = self._plan(size)
+        m, ca, cb, parts = self.m, self.limbs[a], self.limbs[b], plan.parts
+        n = plan.spec_len
+        spec_a = self.spec[a, :ca, :n]
+        spec_b = self.spec[b, :cb, :n]
+        horner = ca + cb > 2
+        acc = np.zeros(hi - lo, dtype=np.int64) if horner else None
+        scale = pow(2, self.w, m)
+        part = self.buf[lo:hi]
         for k in reversed(range(ca + cb - 1)):
-            if k:
-                i0 = max(0, k - cb + 1)
-                spec = spec_a[i0] * spec_b[k - i0]
-                for i in range(i0 + 1, min(k, ca - 1) + 1):
-                    spec += spec_a[i] * spec_b[k - i]
-            else:  # the last use of slot a, so multiply in place
-                spec = np.multiply(spec_a[0], spec_b[0], out=spec_a[0])
-            part = np.fft.irfft(spec, size, out=self.buf[:size])[lo:hi]
-            _centre(np.rint(part, out=part), m, spec.view(np.float64))
-            if ca + cb > 2:
-                acc *= pow(2, self.w, m)
-                acc += part.astype(np.int64)
-                acc %= m
-        if ca + cb > 2:
-            part[...] = acc
-            np.subtract(part, m, out=part, where=part > m // 2)
+            pairs = [(i, k - i) for i in range(max(0, k - cb + 1), min(k, ca - 1) + 1)]
+            # the last use of slot a, so multiply in place
+            spec = spec_a[0] if k == 0 else np.empty(n, dtype=np.complex128)
+
+            def convolve(s: int, e: int) -> None:
+                (i, j), *rest = pairs
+                np.multiply(spec_a[i, s:e], spec_b[j, s:e], out=spec[s:e])
+                for i, j in rest:
+                    spec[s:e] += spec_a[i, s:e] * spec_b[j, s:e]
+
+            plan.inverse(spec, self.buf[:size], convolve)
+            scratch = spec.view(np.float64)
+
+            def reduce(s: int, e: int) -> None:
+                x = part[s:e]
+                _centre(np.rint(x, out=x), m, scratch[s:e])
+                if horner:
+                    acc[s:e] *= scale
+                    acc[s:e] += x.astype(np.int64)
+                    acc[s:e] %= m
+
+            _parallel(reduce, hi - lo, parts)
+        if horner:
+            self._centred(acc, part)
         return part
+
+    def _centred(self, x: np.ndarray, out: np.ndarray) -> None:
+        """The canonical residues x, centred into [-m/2, m/2], into the front
+        of the float vector out."""
+        m = self.m
+
+        def centre(lo: int, hi: int) -> None:
+            part = out[lo:hi]
+            part[...] = x[lo:hi]
+            part -= (part > m // 2) * float(m)
+
+        _parallel(centre, len(x), self.plan.parts)
+
+    def residues(self, x: np.ndarray, out: np.ndarray, negate: bool = False) -> None:
+        """Canonical residues of the centred floats x (of -x with
+        ``negate``), which are overwritten, into the integer vector out."""
+        m = self.m
+
+        def canonical(lo: int, hi: int) -> None:
+            part = x[lo:hi]
+            if negate:
+                np.negative(part, out=part)
+            out[lo:hi] = _canonical(part, m)
+
+        _parallel(canonical, len(x), self.plan.parts)
 
 
 def _invert_mod(f: np.ndarray, m: int) -> np.ndarray:
@@ -794,15 +1043,15 @@ def _invert_mod(f: np.ndarray, m: int) -> np.ndarray:
     # at T = 10^6 mod 120, one 8 MB array per slot made the transforms about
     # 20% slower than one 16 MB block.
     steps = [(k, k2, int(np.searchsorted(exps, k2))) for k, k2 in zip(lengths, lengths[1:])]
+    sizes = [_fft_len(k2) for _, k2, _ in steps]
     plans = [
-        _limb_plan(m, _fft_len(k2), (m // 2, k), (f_max, j), (m // 2, k2 - k))
-        for k, k2, j in steps
+        _limb_plan(m, size, (m // 2, k), (f_max, j), (m // 2, k2 - k))
+        for (k, k2, j), size in zip(steps, sizes)
     ]
     g = np.empty(T, dtype=residue_dtype(m))
     g[0] = pow(a0, -1, m)
-    kernel = _FFTProduct(m, _fft_len(T), max((max(c) for _, c in plans), default=1))
-    for (k, k2, j), (w, (cg, cf, ce)) in zip(steps, plans):
-        size = _fft_len(k2)
+    kernel = _FFTProduct(m, sizes, max((max(c) for _, c in plans), default=1))
+    for (k, k2, j), (w, (cg, cf, ce)), size in zip(steps, plans, sizes):
         kernel.w = w
         kernel.spectra(g[:k], size, 1, cg)
         fk = kernel.buf[:k2]
@@ -810,6 +1059,5 @@ def _invert_mod(f: np.ndarray, m: int) -> np.ndarray:
         fk[exps[:j]] = terms[:j]
         kernel.spectra(fk, size, 0, cf)
         kernel.spectra(kernel.product(0, 1, size, k, k2), size, 0, ce)
-        corr = kernel.product(0, 1, size, 0, k2 - k)
-        g[k:k2] = _canonical(np.negative(corr, out=corr), m)
+        kernel.residues(kernel.product(0, 1, size, 0, k2 - k), g[k:k2], negate=True)
     return g

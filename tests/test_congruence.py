@@ -321,6 +321,30 @@ def test_nonzero_sets_mod_8_and_4_are_squares_and_twice_squares():
     assert np.array_equal(_nonzero_set(fresh, fresh.values, 4), s4)
 
 
+def test_an_exact_table_is_reduced_once_per_modulus(monkeypatch, pbar_exact):
+    # two sweeps of every family and the chain reduce a fresh exact table
+    # once per distinct modulus, and report as the residue table does
+    table = CoeffTable("pbar", "copy", ZZ, pbar_exact.values)
+    reduced = []
+    series = congruence.Series
+
+    def spy(ring, coeffs):
+        if coeffs is table.values:
+            reduced.append(ring.modulus)
+        return series(ring, coeffs)
+
+    monkeypatch.setattr(congruence, "Series", spy)
+    families = registry()
+    budget = table.length - 1
+    for _ in range(2):
+        reports = [verify(family, table, budget) for family in families]
+        assert all(check.ok for check in verify_dissection_chain(50, table))
+    moduli = {family.modulus for family in families} | {5}
+    assert sorted(reduced) == sorted(moduli)
+    mod120 = overpartition_table(mod_ring(120), table.length)
+    assert reports == [verify(family, mod120, budget) for family in families]
+
+
 @pytest.mark.parametrize("m", (256, 65536, 2**31 - 1))
 def test_sweep_family_modulus_equal_to_a_full_word_table(m, pbar_exact):
     # residues mod 256 fill uint8 (mod 65536, uint16); m itself does not fit.

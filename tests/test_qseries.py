@@ -12,6 +12,8 @@ import io
 import json
 import math
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -364,18 +366,21 @@ def test_pbar_payload_digests_across_limb_plans_are_pinned(m, length):
 
 def _product_mod_python(a, b, n: int, m: int) -> list[int]:
     """(a * b mod q^n) mod m in Python ints.  Both residue vectors are
-    packed into 128-bit slots of one integer each (Kronecker substitution),
-    so one big-int product holds every coefficient, each below n m^2."""
+    packed into slots of one integer each (Kronecker substitution), so one
+    big-int product holds every coefficient.  Each is below n (m - 1)^2,
+    and a slot has the fewest whole bytes that hold that bound, so no slot
+    carries into the next."""
+    width = -(-(n * (m - 1) ** 2).bit_length() // 8)
+    keep = min(width, 8)
 
     def pack(x) -> int:
-        words = np.zeros((n, 2), dtype="<u8")
-        words[:, 0] = x[:n]
-        return int.from_bytes(words.tobytes(), "little")
+        slots = np.zeros((n, width), dtype=np.uint8)
+        le = np.asarray(x[:n], dtype="<u8").view(np.uint8).reshape(n, 8)
+        slots[:, :keep] = le[:, :keep]
+        return int.from_bytes(slots.tobytes(), "little")
 
-    assert n * m * m < 2**128
-    prod = (pack(a) * pack(b)).to_bytes(32 * n, "little")
-    words = np.frombuffer(prod, dtype="<u8", count=2 * n).reshape(n, 2)
-    return [(lo + (hi << 64)) % m for lo, hi in words.tolist()]
+    prod = (pack(a) * pack(b)).to_bytes(2 * n * width, "little")
+    return [int.from_bytes(prod[i * width : (i + 1) * width], "little") % m for i in range(n)]
 
 
 def _dense_residues(rng: random.Random, n: int, h: int, m: int) -> np.ndarray:
@@ -415,6 +420,145 @@ def test_dense_products_at_the_one_limb_boundary(m, limb_plans):
     n1 = 2**46 // (14 * h * h)
     assert qseries._limb_plan(m, size, (h, n1), (h, n1))[1] == [1, 1]
     assert min(qseries._limb_plan(m, size, (h, n1 + 1), (h, n1 + 1))[1]) > 1
+
+
+# Products through 32768 terms run transforms of size 65536 = 256 * 256, the
+# smallest size on the four-step path, ceil(log2) 16.
+FOUR_STEP_N = 32768
+FOUR_STEP_H1 = math.isqrt(2**46 // (16 * FOUR_STEP_N))
+
+
+@pytest.mark.parametrize("m", [120, 2**31 - 1])
+def test_dense_products_at_the_one_limb_boundary_on_the_four_step_path(m, limb_plans):
+    # the boundary of the test above at the four-step sizes: just inside
+    # the one-limb region, and just outside it, in two limbs
+    rng = random.Random(m)
+    ring, n = mod_ring(m), FOUR_STEP_N
+    size = qseries._fft_len(2 * n - 1)
+    assert size == qseries._FOUR_STEP_MIN
+    assert qseries._fft_split(size) == (256, 256)
+    cases = [(min(m // 2, FOUR_STEP_H1), [1, 1])]
+    if FOUR_STEP_H1 < m // 2:
+        cases.append((FOUR_STEP_H1 + 1, [2, 2]))
+    for h, counts in cases:
+        a, b = (_dense_residues(rng, n, h, m) for _ in range(2))
+        limb_plans.clear()
+        got = Series(ring, a) * Series(ring, b)
+        assert [c for _, c in limb_plans] == [counts]
+        assert got.coeffs.tolist() == _product_mod_python(a, b, n, m)
+
+
+def test_wide_inversion_through_multi_limb_four_step_transforms(limb_plans):
+    # the last two Newton steps, at sizes 101250 and 202500, run the
+    # four-step transforms with g and e in three limbs
+    m, T = 2**31 - 1, 2 * 10**5 + 1
+    _assert_inverts_phi_minus(overpartition_table(mod_ring(m), T))
+    for k2, (_, counts) in zip((T // 2 + 1, T), limb_plans[-2:]):
+        assert qseries._fft_split(qseries._fft_len(k2))[0] > 1
+        assert counts == [3, 1, 3]
+
+
+def _smooth_sizes(limit: int) -> list[int]:
+    """Every 5-smooth integer up to limit: the outputs of ``_fft_len`` on
+    1..limit."""
+    sizes, p2 = [], 1
+    while p2 <= limit:
+        p3 = p2
+        while p3 <= limit:
+            p5 = p3
+            while p5 <= limit:
+                sizes.append(p5)
+                p5 *= 5
+            p3 *= 3
+        p2 *= 2
+    return sorted(sizes)
+
+
+def test_every_transform_size_splits():
+    # the sizes of every Newton step up to length 10^7 and of every product
+    # up to 5 * 10^6 terms, odd ones included: an odd size has no even
+    # factor to split off
+    sizes = _smooth_sizes(10**7)
+    assert [qseries._fft_len(n) for n in (1, 7, 97, 65537, 10**6 + 1)] == [
+        1, 8, 100, 65610, 1012500,
+    ]
+    assert all(qseries._fft_len(size) == size for size in sizes)
+    odd = 0
+    for size in sizes:
+        n1, n2 = qseries._fft_split(size)
+        assert n1 * n2 == size
+        if size < qseries._FOUR_STEP_MIN:
+            assert n1 == 1
+        else:
+            assert 2 <= n2 <= n1 <= 5 * n2
+            odd += size % 2
+        assert qseries._spectrum_len(size) == n1 * (n2 // 2 + 1)
+    assert odd > 20
+
+
+@pytest.mark.parametrize("size", [4096, 65536, 78125, 101250, 177147])
+def test_four_step_spectrum_is_numpys_in_its_order(size):
+    # S[c, d] = y[c + N2 d] for the DFT y of x, at even and odd N1 and N2;
+    # the inverse brings x back
+    plan = qseries._FourStep(size)
+    x = np.random.default_rng(size).standard_normal(size)
+    spec = np.empty(plan.spec_len, dtype=np.complex128)
+    plan.forward(x.copy(), spec)
+    c, d = np.ogrid[: plan.rows, : plan.n1]
+    want = np.fft.fft(x)[c + plan.n2 * d]
+    err = np.abs(spec.reshape(plan.rows, plan.n1) - want).max()
+    assert err < 1e-12 * np.abs(want).max()
+    out = np.empty(size)
+    plan.inverse(spec, out, lambda lo, hi: None)
+    assert np.abs(out - x).max() < 1e-12
+
+
+def test_one_thread_gives_the_same_bits(monkeypatch):
+    # a machine with one CPU splits no stage; tables and products agree
+    # with the two-thread split to the byte
+    m, n = 998244353, FOUR_STEP_N
+    rng = random.Random(1)
+    a, b = (Series(mod_ring(m), _dense_residues(rng, n, m // 2, m)) for _ in range(2))
+    runs = []
+    for threads in (1, 2):
+        monkeypatch.setattr(qseries, "_THREADS", threads)
+        table = overpartition_table(mod_ring(120), 10**5 + 1)
+        runs.append((table.content_hash(), (a * b).coeffs.tobytes()))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == PBAR_MOD120_SHA256[10**5 + 1]
+
+
+def test_concurrent_products_share_the_pool(monkeypatch):
+    # more callers than CPUs, switching as often as the interpreter allows:
+    # every product still equals the one made alone, so no piece of one
+    # kernel's split lands in another's buffers
+    monkeypatch.setattr(qseries, "_THREADS", 2)
+    m, n = 998244353, FOUR_STEP_N
+    rng = random.Random(2)
+    ring = mod_ring(m)
+    operands = [
+        [Series(ring, _dense_residues(rng, n, m // 2, m)) for _ in range(2)] for _ in range(4)
+    ]
+    want = [(a * b).coeffs.tobytes() for a, b in operands]
+    got = [[] for _ in operands]
+
+    def work(i: int) -> None:
+        a, b = operands[i]
+        for _ in range(3):
+            got[i].append((a * b).coeffs.tobytes())
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(operands))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [[w] * 3 for w in want]
 
 
 def test_dense_product_of_small_and_wide_residues(limb_plans):
