@@ -531,13 +531,16 @@ def _mul(a: np.ndarray, b: np.ndarray, n: int, m: int | None) -> np.ndarray:
     bound_a = (_centred_max(a, m), nnz_a)
     bound_b = bound_a if square else (_centred_max(b, m), nnz_b)
     w, (ca, cb) = _limb_plan(m, size, bound_a, bound_b)
-    kernel = _FFTProduct(m, [size], max(ca, cb))
+    # a product reads the limbs of slot b after it has spent those of slot
+    # a, so only a one-limb square runs in one slot
+    shared = square and ca == 1
+    kernel = _FFTProduct(m, [size], (ca + min(2, cb - 1), 0 if shared else cb))
     kernel.w = w
-    kernel.spectra(a, size, 0, ca)
-    if not square:
-        kernel.spectra(b, size, 1, cb)
+    kernel.spectra(size, 0, ca, 0, n, a)
+    if not shared:
+        kernel.spectra(size, 1, cb, 0, n, b)
     out = np.empty(n, dtype=residue_dtype(m))
-    kernel.residues(kernel.product(0, 0 if square else 1, size, 0, n), out)
+    kernel.residues(kernel.product(0, 0 if shared else 1, size, 0, n), out)
     return out
 
 
@@ -596,7 +599,9 @@ def _fft_len(n: int) -> int:
     while p5 < best:
         p = p5
         while p < best:
-            best = min(best, p << (-(-n // p) - 1).bit_length())
+            size = p << (-(-n // p) - 1).bit_length()
+            if size < best:
+                best = size
             p *= 3
         p5 *= 5
     return best
@@ -643,9 +648,15 @@ def _limb_plan(m: int, size: int, *operands: tuple[int, int]) -> tuple[int, list
     19/16 of what the plan charges: the reserve left is still above 3.  On
     random operands at the one-limb boundary the largest distance from an
     integer before rounding was about 1e-5 on both paths, the four-step one
-    no larger.  By Cauchy-Schwarz a rounded limb
-    convolution is then an integer below 2^46 in magnitude, well inside the
-    |x| < 2^51 that ``_centre`` needs to reduce it mod m exactly.
+    no larger.  Running each transform in place in its spectrum slot adds
+    no multiply to that count: the limb split is the same exact steps, a
+    block at a time; phi(-q)'s column stage skips only columns whose
+    spectra are exactly zero; and the second product of a Newton step
+    reads e where the first left it, whole grid rows from its indices,
+    with no phase multiplied into its spectrum.  By Cauchy-Schwarz a
+    rounded limb convolution is then an integer below 2^46 in magnitude,
+    well inside the |x| < 2^51 that ``_centre`` needs to reduce it mod m
+    exactly.
 
     The limb counts change only at the widths ceil(B / c), B = bits(h) + 1,
     and between two of those a narrower width has the same counts and
@@ -677,20 +688,19 @@ def _centred_max(x: np.ndarray, m: int) -> int:
     return int(np.minimum(x, m - x).max(initial=0))
 
 
-def _centre(x: np.ndarray, m: int, scratch: np.ndarray) -> np.ndarray:
-    """Reduce integer-valued floats x, |x| < 2^51, into [-m/2, m/2] in place.
+def _centre(x: np.ndarray, m: int, out: np.ndarray) -> np.ndarray:
+    """Integer-valued floats x, |x| < 2^51, reduced into [-m/2, m/2] into
+    the float64 array out of the shape of x, which is returned.
 
     x - m rint(x fl(1/m)) is exact.  The product x fl(1/m) has relative
     error below 2^-52, so for |x| < 2^51 it lies within 1/(2m) of x/m, and
     1/(2m) is the least distance from x/m to a half-integer unless x/m is
     one.  Such a tie may round either way; both sides give |residue| = m/2.
-    ``scratch`` is a float64 buffer at least as long as x.
     """
-    q = np.multiply(x, 1 / m, out=scratch[: len(x)])
+    q = np.multiply(x, 1 / m, out=out)
     np.rint(q, out=q)
     q *= m
-    x -= q
-    return x
+    return np.subtract(x, q, out=q)
 
 
 def _canonical(x: np.ndarray, m: int) -> np.ndarray:
@@ -706,6 +716,9 @@ def _canonical(x: np.ndarray, m: int) -> np.ndarray:
 _FOUR_STEP_MIN = 1 << 16
 # Rows of the twiddle table V; U holds every _TWIDDLE_ROWS-th row.
 _TWIDDLE_ROWS = 64
+# Floats in the temporary of one column block of a four-step transform, and
+# entries in one chunk of an elementwise pass: what a thread holds at once.
+_CHUNK = 1 << 15
 # The four-step stages and the elementwise passes around them split into
 # one piece per CPU this process may run on, at most two, the most they
 # were measured with; on one CPU every piece runs in the calling thread.
@@ -782,7 +795,7 @@ class _FourStep:
     """The real DFT of N = N1 N2 points in the four-step layout (Bailey,
     J. Supercomputing 4, 1990), split between ``_THREADS`` threads.
 
-    Real x is read as the (N2, N1) array X[a, b] = x[a N1 + b], and its
+    Real x is read as the (N2, N1) grid X[a, b] = x[a N1 + b], and its
     spectrum y is kept as the (N2 // 2 + 1, N1) array S[c, d] = y[c + N2 d]:
     1. a batched rfft of length N2 down the columns of X, into S;
     2. a multiply of S[c, b] by the twiddle w^(c b), w = exp(-2 pi i / N);
@@ -792,6 +805,14 @@ class _FourStep:
     The kernel only multiplies spectra pointwise, so S stays in this order
     and no transpose is made.  Every 1-D transform is short and fits in
     cache, where one rfft of 10^6 points streams 8 MB per radix pass.
+
+    Stage 1 and its inverse run over blocks of ``cols`` columns, about
+    ``_CHUNK`` floats, through a temporary of one block per thread, so
+    each block reads and writes only its own columns of S, and no array of
+    N floats is made where N1 > 1.  A forward transform takes its grid a
+    block at a time from a loader, and an inverse one keeps only the grid
+    rows r0..r1-1 that its caller reads, as rows 0..r1-r0-1 of the real
+    parts of S, where a later forward transform can load them from.
 
     The twiddles come from two small tables, w^(c b) = U[c // B][b]
     V[c % B][b] for B = ``_TWIDDLE_ROWS``, about 1.2 MB at 10^6 against
@@ -805,6 +826,7 @@ class _FourStep:
         self.n1, self.n2 = _fft_split(size)
         self.rows = self.n2 // 2 + 1
         self.spec_len = self.rows * self.n1
+        self.cols = min(self.n1, max(1, _CHUNK // self.n2))
         self.parts = _THREADS if self.n1 > 1 else 1
         if self.n1 > 1:
             step = _TWIDDLE_ROWS
@@ -813,27 +835,20 @@ class _FourStep:
 
     def _twiddled_blocks(self, spec: np.ndarray, stage) -> None:
         """stage(r, block, twiddle) on each block of B rows of S from row r,
-        with the twiddles w^(c b) of those rows."""
+        with the twiddles w^(c b) of those rows in a buffer of the thread."""
         step = _TWIDDLE_ROWS
 
         def blocks(lo: int, hi: int) -> None:
+            twiddle = np.empty((step, self.n1), dtype=np.complex128)
             for j in range(lo, hi):
                 block = spec[j * step : (j + 1) * step]
-                stage(j * step, block, np.multiply(self.v[: len(block)], self.u[j]))
+                tw = np.multiply(self.v[: len(block)], self.u[j], out=twiddle[: len(block)])
+                stage(j * step, block, tw)
 
         _parallel(blocks, len(self.u), self.parts)
 
-    def forward(self, x: np.ndarray, out: np.ndarray) -> None:
-        """The spectrum of real x, whose length is a multiple of N1 and at
-        most N (missing rows are zeros), into the front of the flat complex
-        vector ``out``."""
-        spec = out[: self.spec_len].reshape(self.rows, self.n1)
-        grid = x.reshape(-1, self.n1)
-
-        def columns(lo: int, hi: int) -> None:
-            np.fft.rfft(grid[:, lo:hi], self.n2, axis=0, out=spec[:, lo:hi])
-
-        _parallel(columns, self.n1, self.parts)
+    def _rows_forward(self, spec: np.ndarray) -> None:
+        """Stages 2 and 3 of the forward transform, in place."""
         if self.n1 > 1:
 
             def stage(r: int, block: np.ndarray, twiddle: np.ndarray) -> None:
@@ -842,13 +857,68 @@ class _FourStep:
 
             self._twiddled_blocks(spec, stage)
 
-    def inverse(self, spec: np.ndarray, out: np.ndarray, fill) -> None:
-        """The N real points of a spectrum into ``out``.  ``fill(lo, hi)``
-        first writes entries lo..hi-1 of the spectrum to the front of the
-        flat vector ``spec``, one block of rows at a time, so that each is
-        still in cache when it is transformed."""
-        spec = spec[: self.spec_len].reshape(self.rows, self.n1)
-        grid = out.reshape(self.n2, self.n1)
+    def forward(self, specs: list[np.ndarray], load) -> None:
+        """The spectra of grids into the (N2 // 2 + 1, N1) arrays ``specs``:
+        ``load(lo, hi)`` gives the first rows of their columns lo..hi-1, the
+        later rows being zeros, in one float temporary per spectrum."""
+
+        def columns(lo: int, hi: int) -> None:
+            for c in range(lo, hi, self.cols):
+                d = min(c + self.cols, hi)
+                for spec, block in zip(specs, load(c, d)):
+                    np.fft.rfft(block, self.n2, axis=0, out=spec[:, c:d])
+
+        _parallel(columns, self.n1, self.parts)
+        for spec in specs:
+            self._rows_forward(spec)
+
+    def forward_sparse(self, spec: np.ndarray, exps: np.ndarray, terms: np.ndarray) -> None:
+        """The spectrum of the vector with ``terms`` at the distinct ``exps``,
+        all below N, into spec.  Stage 1 runs only on the columns that hold
+        a term, each block of them built from its terms; the other columns
+        of S are zeros.  At 10^6 phi(-q) holds a term in 212 of the 1,125
+        columns, the squares mod N1."""
+        if self.n1 == 1:  # the one column is the whole vector
+            x = np.zeros(self.n2)
+            x[exps] = terms
+            np.fft.rfft(x, out=spec[:, 0])
+            return
+        row, col = np.divmod(exps, self.n1)
+        order = col.argsort(kind="stable")
+        row, col, terms = row[order], col[order], terms[order]
+        # the columns that hold a term, and where the terms of each end
+        counts = np.bincount(col, minlength=self.n1)
+        held, ends = counts.nonzero()[0], counts.cumsum()
+
+        def columns(lo: int, hi: int) -> None:
+            first, last = held.searchsorted(lo), held.searchsorted(hi)
+            if last - first < hi - lo:
+                spec[:, lo:hi] = 0
+            x = np.empty((self.n2, self.cols))
+            for s in range(first, last, self.cols):
+                block = held[s : s + self.cols]
+                c, d = int(block[0]), int(block[-1]) + 1
+                t0, t1 = int(ends[c - 1]) if c else 0, int(ends[d - 1])
+                grid = x[:, : len(block)]
+                grid.fill(0)
+                grid[row[t0:t1], block.searchsorted(col[t0:t1])] = terms[t0:t1]
+                if d - c == len(block):
+                    np.fft.rfft(grid, axis=0, out=spec[:, c:d])
+                else:
+                    spec[:, block] = np.fft.rfft(grid, axis=0)
+
+        _parallel(columns, self.n1, self.parts)
+        self._rows_forward(spec)
+
+    def inverse(self, spec: np.ndarray, rows: tuple[int, int], fill, reduce) -> None:
+        """In place, grid rows r0..r1-1 of the spectrum that ``fill(lo, hi)``
+        first writes, entries lo..hi-1 of spec flattened, one block of rows
+        at a time, so that each is still in cache when it is transformed.
+        ``reduce(x, out, lo, hi)`` gets those rows of columns lo..hi-1 in a
+        temporary x, which it may overwrite, and writes what is kept to the
+        temporary out, which goes to the real parts of rows 0..r1-r0-1 of
+        those columns.  The caller checks that r1 - r0 <= N2 // 2 + 1."""
+        r0, r1 = rows
         if self.n1 > 1:
 
             def stage(r: int, block: np.ndarray, twiddle: np.ndarray) -> None:
@@ -861,34 +931,46 @@ class _FourStep:
             fill(0, self.spec_len)
 
         def columns(lo: int, hi: int) -> None:
-            np.fft.irfft(spec[:, lo:hi], self.n2, axis=0, out=grid[:, lo:hi])
+            # a block's columns, then what is kept of them: elementwise
+            # passes on real parts in place took two to three times as long
+            x = np.empty((self.n2 + r1 - r0, self.cols))
+            for c in range(lo, hi, self.cols):
+                d = min(c + self.cols, hi)
+                block, out = x[: self.n2, : d - c], x[self.n2 :, : d - c]
+                np.fft.irfft(spec[:, c:d], self.n2, axis=0, out=block)
+                reduce(block[r0:r1], out, c, d)
+                np.copyto(spec[: r1 - r0, c:d].real, out)
 
         _parallel(columns, self.n1, self.parts)
 
 
 class _FFTProduct:
-    """Exact cyclic products mod m through the real transforms of
-    ``_FourStep``.
+    """Exact cyclic products mod m through the transforms of ``_FourStep``,
+    each in place in its spectrum slot.
 
-    One float64 buffer holds the centred input of each forward transform and
-    the output of each inverse one; two slots, in one block, hold one
-    spectrum per limb, up to ``limbs`` each, and each slot records its
-    operand's limb count.  The block is sized for the largest spectrum of
-    the transform sizes ``sizes``; the twiddle tables are kept for one size
-    at a time.  The caller sets the limb width ``w`` from ``_limb_plan``
-    before it fills the slots.
-    Residues stay centred into [-m/2, m/2] between transforms: each rounded
-    inverse transform is reduced by ``_centre``, with no ``np.mod``, and
-    callers make residues canonical (``residues``) only where they leave.
-    Every elementwise pass splits between threads as the transforms do.
+    It holds two slots of spectra, (l0, l1) = ``limbs`` of them, in one
+    block sized for the largest spectrum of the transform sizes ``sizes``,
+    and the twiddle tables of one size at a time: no float buffer.  Each
+    slot records its operand's limb count.  Integer operands are read
+    straight from their vectors, a column block at a time; ``product``
+    leaves its output in the real parts of slot a, in the grid layout of
+    ``_FourStep``, where the next forward transform of that slot reads it.
+    Every operand and output a step reads is at most about half a
+    transform long, so it fits there, as ``spectra`` and ``product``
+    check.  The caller sets the limb width ``w`` from ``_limb_plan`` before
+    it fills the slots.  Residues stay centred into [-m/2, m/2] between
+    transforms: each rounded inverse transform is reduced by ``_centre``,
+    with no ``np.mod``, and callers make residues canonical (``residues``)
+    only where they leave, a chunk of ``_CHUNK`` entries at a time, split
+    between threads as the transforms are.
     """
 
-    def __init__(self, m: int, sizes: list[int], limbs: int) -> None:
+    def __init__(self, m: int, sizes: list[int], limbs: tuple[int, int]) -> None:
         self.m = m
         self.w = 0
-        self.buf = np.empty(max(sizes, default=1))
         cap = max(map(_spectrum_len, sizes), default=1)
-        self.spec = np.empty((2, limbs, cap), dtype=np.complex128)
+        block = np.empty((sum(limbs), cap), dtype=np.complex128)
+        self.slots = (block[: limbs[0]], block[limbs[0] :])
         self.limbs = [0, 0]
         self.plan = None
 
@@ -898,110 +980,147 @@ class _FFTProduct:
             self.plan = _FourStep(size)
         return self.plan
 
-    def spectra(self, x: np.ndarray, size: int, slot: int, limbs: int) -> None:
-        """Put the spectra of residues x, split into ``limbs`` limbs of w
-        bits, in ``slot``.
+    def _grid(self, slot: int, limb: int) -> np.ndarray:
+        plan = self.plan
+        return self.slots[slot][limb, : plan.spec_len].reshape(plan.rows, plan.n1)
 
-        Integer x holds canonical residues, centred in the buffer.  Float x
-        is a buffer view of centred residues, as ``product`` returns, and
-        is moved to the front of the buffer when it is not there.
+    def spectra(
+        self, size: int, slot: int, limbs: int, lo: int, hi: int, x: np.ndarray | None = None
+    ) -> None:
+        """Put the spectra of centred residues at positions lo..hi-1, split
+        into ``limbs`` limbs of w bits, in ``slot``: of the canonical
+        residues x, read block by block, when x is given (and lo = 0); else
+        of those the slot's real parts hold, as ``product`` leaves them,
+        with the positions below lo and from hi to the end of its grid row
+        first zeroed.
         """
+        plan = self._plan(size)
+        n1, m, radix = plan.n1, self.m, float(1 << self.w)
+        rows = -(-hi // n1)
+        if rows > plan.rows:
+            raise ValueError(f"{rows} grid rows exceed the {plan.rows} of a slot")
+        self.limbs[slot] = limbs
+        specs = [self._grid(slot, limb) for limb in range(limbs)]
+        if x is None:
+            source = specs[0][:rows].real
+            flat = source.reshape(-1)
+            if lo:
+                flat[:lo] = 0
+            if hi < flat.size:
+                flat[hi:] = 0
+        else:
+            full = hi // n1
+            whole = x[: full * n1].reshape(full, n1)
+            if full < rows:
+                tail = np.zeros(n1, dtype=x.dtype)
+                tail[: hi - full * n1] = x[full * n1 : hi]
+
+        def load(c: int, d: int) -> list[np.ndarray]:
+            if x is None:
+                block = source[:, c:d].copy()
+            else:
+                block = np.empty((rows, d - c))
+                block[:full] = whole[:, c:d]
+                if full < rows:
+                    block[full] = tail[c:d]
+                block -= (block > m // 2) * float(m)
+            # limb i keeps y - radix rint(y / radix), and the next limbs
+            # split rint(y / radix); both exact
+            digits = []
+            for _ in range(limbs - 1):
+                high = np.rint(block / radix)
+                block -= high * radix
+                digits.append(block)
+                block = high
+            return digits + [block]
+
+        plan.forward(specs, load)
+
+    def sparse_spectra(
+        self, size: int, slot: int, limbs: int, exps: np.ndarray, terms: np.ndarray
+    ) -> None:
+        """Put the spectra of the centred ``terms`` at the distinct ``exps``,
+        all below ``size``, split into ``limbs`` limbs of w bits, in
+        ``slot``; the column stage runs only where a term is."""
         plan = self._plan(size)
         self.limbs[slot] = limbs
-        n = len(x)
-        buf = self.buf[: -(-n // plan.n1) * plan.n1]
-        if x.dtype != np.float64:
-            self._centred(x, buf)
-        else:
-            buf[:n] = x  # numpy skips the copy of a view onto itself
-        buf[n:] = 0
         radix = float(1 << self.w)
-        out = self.spec[slot, :limbs]
-        low = np.empty_like(buf) if limbs > 1 else None
-
-        def split(lo: int, hi: int) -> None:
-            # low = x - radix rint(x / radix), x <- (x - low) / radix; exact
-            part, bits = buf[lo:hi], low[lo:hi]
-            np.divide(part, radix, out=bits)
-            np.rint(bits, out=bits)
-            bits *= radix
-            np.subtract(part, bits, out=bits)
-            part -= bits
-            part /= radix
-
-        for limb in out[:-1]:
-            _parallel(split, len(buf), plan.parts)
-            plan.forward(low, limb)
-        plan.forward(buf, out[-1])
+        for limb in range(limbs):
+            high = np.rint(terms / radix) if limb < limbs - 1 else None
+            plan.forward_sparse(
+                self._grid(slot, limb), exps, terms if high is None else terms - high * radix
+            )
+            terms = high
 
     def product(self, a: int, b: int, size: int, lo: int, hi: int) -> np.ndarray:
-        """Coefficients lo..hi-1 of the product of slots a and b.
+        """Coefficients lo..hi-1 of the cyclic product of slots a and b.
 
-        Returns float residues centred into [-m/2, m/2], in a buffer view
-        valid until the next call, and overwrites the first limb of slot a.
-        Slots of ca and cb limbs take ca + cb - 1 inverse transforms, one
-        per power of 2^w; they are combined by Horner's rule in 2^w, and
-        each step stays below 2^62.  Each spent spectrum, viewed as floats,
-        is ``_centre``'s scratch.
+        They are left as float residues centred into [-m/2, m/2] in the
+        real parts of slot a, grid rows lo // N1 to ceil(hi / N1) from its
+        first row, and returned as that view, valid until the slot is next
+        written.  Slot b is kept.  Slots of ca and cb limbs take ca + cb - 1
+        inverse transforms, one per power of 2^w, combined by Horner's rule
+        in 2^w; each step stays below 2^63.  The transform for the power k
+        of 2^w runs in the spectrum of limb k of slot a, its last use, and
+        for k >= ca in one of min(2, cb - 1) more spectra of slot a, in
+        turn: the running sum sits in the real parts of the one before.
+
+        The rows fit in a slot when hi <= N and hi - lo <= lo, as in a
+        Newton step (and for lo = 0, hi <= (N + 1) / 2, as in ``_mul``).
+        With lo = r0 N1 + s, s < N1, and R = N2 // 2 + 1 rows: if 2 lo <=
+        N, ceil(hi / N1) - r0 <= r0 + ceil(2 s / N1), which exceeds R only
+        if r0 = N2 // 2 and 2 s > N1, that is only if lo > N / 2; and if
+        2 lo > N, r0 >= N2 // 2 and ceil(hi / N1) <= N2.
         """
         plan = self._plan(size)
-        m, ca, cb, parts = self.m, self.limbs[a], self.limbs[b], plan.parts
-        n = plan.spec_len
-        spec_a = self.spec[a, :ca, :n]
-        spec_b = self.spec[b, :cb, :n]
-        horner = ca + cb > 2
-        acc = np.zeros(hi - lo, dtype=np.int64) if horner else None
+        n1, m, ca, cb = plan.n1, self.m, self.limbs[a], self.limbs[b]
+        r0, r1 = lo // n1, -(-hi // n1)
+        if r1 - r0 > plan.rows:
+            raise ValueError(f"{r1 - r0} grid rows exceed the {plan.rows} of a slot")
+        spec_a, spec_b = self.slots[a], self.slots[b]
+        if len(spec_a) < ca + min(2, cb - 1):
+            raise ValueError("slot a has no spectrum free for the product")
         scale = pow(2, self.w, m)
-        part = self.buf[lo:hi]
+        prev = None
         for k in reversed(range(ca + cb - 1)):
-            pairs = [(i, k - i) for i in range(max(0, k - cb + 1), min(k, ca - 1) + 1)]
-            # the last use of slot a, so multiply in place
-            spec = spec_a[0] if k == 0 else np.empty(n, dtype=np.complex128)
+            # the pair (k, 0) first, while limb k of slot a is still unread
+            pairs = [(i, k - i) for i in range(min(k, ca - 1), max(0, k - cb + 1) - 1, -1)]
+            dst = spec_a[k if k < ca else ca + (k - ca) % 2]
 
-            def convolve(s: int, e: int) -> None:
+            def fill(s: int, e: int, pairs=pairs, dst=dst) -> None:
                 (i, j), *rest = pairs
-                np.multiply(spec_a[i, s:e], spec_b[j, s:e], out=spec[s:e])
+                np.multiply(spec_a[i, s:e], spec_b[j, s:e], out=dst[s:e])
                 for i, j in rest:
-                    spec[s:e] += spec_a[i, s:e] * spec_b[j, s:e]
+                    dst[s:e] += spec_a[i, s:e] * spec_b[j, s:e]
 
-            plan.inverse(spec, self.buf[:size], convolve)
-            scratch = spec.view(np.float64)
+            def reduce(x: np.ndarray, out: np.ndarray, s: int, e: int, k=k, prev=prev) -> None:
+                np.rint(x, out=x)
+                if prev is None:
+                    _centre(x, m, out)
+                    return
+                # |x| < 2^46 and the sum so far is a residue below 2^31
+                acc = prev[: len(x), s:e].real.astype(np.int64)
+                acc *= scale
+                acc += x.astype(np.int64)
+                acc %= m
+                out[...] = acc
+                if k == 0:
+                    out -= (out > m // 2) * float(m)
 
-            def reduce(s: int, e: int) -> None:
-                x = part[s:e]
-                _centre(np.rint(x, out=x), m, scratch[s:e])
-                if horner:
-                    acc[s:e] *= scale
-                    acc[s:e] += x.astype(np.int64)
-                    acc[s:e] %= m
-
-            _parallel(reduce, hi - lo, parts)
-        if horner:
-            self._centred(acc, part)
-        return part
-
-    def _centred(self, x: np.ndarray, out: np.ndarray) -> None:
-        """The canonical residues x, centred into [-m/2, m/2], into the front
-        of the float vector out."""
-        m = self.m
-
-        def centre(lo: int, hi: int) -> None:
-            part = out[lo:hi]
-            part[...] = x[lo:hi]
-            part -= (part > m // 2) * float(m)
-
-        _parallel(centre, len(x), self.plan.parts)
+            prev = dst[: plan.spec_len].reshape(plan.rows, n1)
+            plan.inverse(prev, (r0, r1), fill, reduce)
+        return spec_a[0, : (r1 - r0) * n1].real[lo - r0 * n1 : hi - r0 * n1]
 
     def residues(self, x: np.ndarray, out: np.ndarray, negate: bool = False) -> None:
         """Canonical residues of the centred floats x (of -x with
-        ``negate``), which are overwritten, into the integer vector out."""
+        ``negate``) into the integer vector out."""
         m = self.m
 
         def canonical(lo: int, hi: int) -> None:
-            part = x[lo:hi]
-            if negate:
-                np.negative(part, out=part)
-            out[lo:hi] = _canonical(part, m)
+            for s in range(lo, hi, _CHUNK):
+                e = min(s + _CHUNK, hi)
+                part = np.negative(x[s:e]) if negate else x[s:e].copy()
+                out[s:e] = _canonical(part, m)
 
         _parallel(canonical, len(x), self.plan.parts)
 
@@ -1010,17 +1129,23 @@ def _invert_mod(f: np.ndarray, m: int) -> np.ndarray:
     """Inverse mod m of the residue vector f; its constant term must be a unit.
 
     Newton iteration (Brent & Kung, J. ACM 25, 1978) lifts g = 1/f from
-    mod q^k to mod q^k2, k2 <= 2k, by g <- g - q^k g [f g]_{k..k2}.  Both
-    products come from cyclic products of size N >= k2, which share the
-    spectrum of g: the middle product [f g]_{k..k2} wraps only onto
-    coefficients below k (Hanrot, Quercia & Zimmermann, 2004).  Each step
-    writes the centred nonzero terms of f below k2 into a zeroed buffer,
-    which costs little for a sparse f such as phi(-q), and plans its limbs
-    from its own lengths and f's largest term.  Early steps need fewer
-    limbs than the last, and phi(-q) is one limb, so a step whose g takes
-    three limbs (mod a prime near 2^31, up to T of about 2 * 10^6) runs 15
-    transforms where limbs sized for the worst case ran 19.  g is built in
-    ``residue_dtype(m)``, so the ``Series`` that returns it holds it as is.
+    mod q^k to mod q^k2, k2 <= 2k, by g <- g - q^k g e for e = [f g]_{k..k2}.
+    Both products are middle products (Hanrot, Quercia & Zimmermann, 2004)
+    of cyclic products of size N >= k2 that share the spectrum of g, and
+    neither needs a float buffer.  The first, f g, wraps only onto
+    coefficients below k.  Its outputs e stay where ``product`` leaves
+    them, from s = k mod N1 on in the real parts of f's slot (grid row k //
+    N1 moves to the first row).  So the second product is g times q^s e:
+    of its k2 + s - 1 terms, those past N wrap onto indices below s, as k2
+    <= N, and its outputs s..s + k2 - k - 1 are g e through k2 - k terms,
+    the new terms negated.  phi(-q)'s spectrum is built from its nonzero
+    terms below k2, with the column stage only where they are.  Each step
+    plans its limbs from its own lengths and f's largest term.  Early
+    steps need fewer limbs than the last, and phi(-q) is one limb, so a
+    step whose g takes three limbs (mod a prime near 2^31, up to T of about
+    2 * 10^6) runs 15 transforms where limbs sized for the worst case ran
+    19.  g is built in ``residue_dtype(m)``, so the ``Series`` that returns
+    it holds it as is.
     """
     a0 = int(f[0])
     d = math.gcd(a0, m)
@@ -1050,14 +1175,17 @@ def _invert_mod(f: np.ndarray, m: int) -> np.ndarray:
     ]
     g = np.empty(T, dtype=residue_dtype(m))
     g[0] = pow(a0, -1, m)
-    kernel = _FFTProduct(m, sizes, max((max(c) for _, c in plans), default=1))
+    # slot 0 takes f and then e, with the spectra the products spend beyond
+    # them; slot 1 holds g through both products
+    slot0 = max((max(cf, ce) + min(2, cg - 1) for _, (cg, cf, ce) in plans), default=1)
+    slot1 = max((cg for _, (cg, _, _) in plans), default=1)
+    kernel = _FFTProduct(m, sizes, (slot0, slot1))
     for (k, k2, j), (w, (cg, cf, ce)), size in zip(steps, plans, sizes):
         kernel.w = w
-        kernel.spectra(g[:k], size, 1, cg)
-        fk = kernel.buf[:k2]
-        fk.fill(0)
-        fk[exps[:j]] = terms[:j]
-        kernel.spectra(fk, size, 0, cf)
-        kernel.spectra(kernel.product(0, 1, size, k, k2), size, 0, ce)
-        kernel.residues(kernel.product(0, 1, size, 0, k2 - k), g[k:k2], negate=True)
+        kernel.spectra(size, 1, cg, 0, k, g[:k])
+        kernel.sparse_spectra(size, 0, cf, exps[:j], terms[:j])
+        kernel.product(0, 1, size, k, k2)
+        s = k % kernel.plan.n1
+        kernel.spectra(size, 0, ce, s, s + k2 - k)
+        kernel.residues(kernel.product(0, 1, size, s, s + k2 - k), g[k:k2], negate=True)
     return g

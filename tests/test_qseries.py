@@ -14,6 +14,7 @@ import math
 import random
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -496,21 +497,153 @@ def test_every_transform_size_splits():
     assert odd > 20
 
 
-@pytest.mark.parametrize("size", [4096, 65536, 78125, 101250, 177147])
+# transform sizes with N1 = 1 (even and odd N2) and N1 > 1: 256 x 256,
+# 625 x 125, 405 x 250 and 729 x 243
+TRANSFORM_SIZES = [4096, 3375, 65536, 78125, 101250, 177147]
+
+
+def _loader(x: np.ndarray, plan):
+    """A ``_FourStep.forward`` loader of the real vector x, zero-padded to
+    whole grid rows."""
+    grid = np.zeros(-(-len(x) // plan.n1) * plan.n1)
+    grid[: len(x)] = x
+    grid = grid.reshape(-1, plan.n1)
+    return lambda lo, hi: [grid[:, lo:hi].copy()]
+
+
+def _spectrum_in_four_step_order(x: np.ndarray, plan) -> np.ndarray:
+    """S[c, d] = y[c + N2 d] for the DFT y of x, from np.fft.rfft and
+    y[N - j] = conj(y[j])."""
+    y = np.fft.rfft(x, plan.size)
+    c, d = np.ogrid[: plan.rows, : plan.n1]
+    j = c + plan.n2 * d
+    half = y[np.minimum(j, plan.size - j)]
+    return np.where(j <= plan.size // 2, half, np.conj(half))
+
+
+@pytest.mark.parametrize("size", TRANSFORM_SIZES)
 def test_four_step_spectrum_is_numpys_in_its_order(size):
-    # S[c, d] = y[c + N2 d] for the DFT y of x, at even and odd N1 and N2;
-    # the inverse brings x back
+    # the spectrum of a grid loaded a column block at a time; an inverse
+    # keeps the grid rows asked for in the real parts of the spectrum, as
+    # many as it has rows
     plan = qseries._FourStep(size)
     x = np.random.default_rng(size).standard_normal(size)
-    spec = np.empty(plan.spec_len, dtype=np.complex128)
-    plan.forward(x.copy(), spec)
-    c, d = np.ogrid[: plan.rows, : plan.n1]
-    want = np.fft.fft(x)[c + plan.n2 * d]
-    err = np.abs(spec.reshape(plan.rows, plan.n1) - want).max()
-    assert err < 1e-12 * np.abs(want).max()
-    out = np.empty(size)
-    plan.inverse(spec, out, lambda lo, hi: None)
-    assert np.abs(out - x).max() < 1e-12
+    want = _spectrum_in_four_step_order(x, plan)
+    grid = x.reshape(plan.n2, plan.n1)
+    for r0, r1 in ((0, plan.rows), (plan.n2 - plan.rows, plan.n2), (3, 5)):
+        spec = np.empty((plan.rows, plan.n1), dtype=np.complex128)
+        plan.forward([spec], _loader(x, plan))
+        assert np.abs(spec - want).max() < 1e-12 * np.abs(want).max()
+        plan.inverse(spec, (r0, r1), lambda lo, hi: None, lambda x, out, lo, hi: np.copyto(out, x))
+        assert np.abs(spec[: r1 - r0].real - grid[r0:r1]).max() < 1e-12
+
+
+@pytest.mark.parametrize("size", TRANSFORM_SIZES)
+def test_nonzero_column_spectrum_is_the_dense_one(size):
+    # phi(-q)'s terms, and terms at random exponents, whose columns are
+    # then nearly all held: the column stage only where a term is gives the
+    # spectrum of the dense vector
+    plan = qseries._FourStep(size)
+    rng = np.random.default_rng(size)
+    squares = np.arange(math.isqrt(size - 1) + 1) ** 2
+    scattered = np.sort(rng.choice(size, size // 7, replace=False))
+    for exps in (squares, scattered):
+        terms = rng.choice((-2.0, 1.0, 2.0), len(exps))
+        dense = np.zeros(size)
+        dense[exps] = terms
+        want = np.empty((plan.rows, plan.n1), dtype=np.complex128)
+        plan.forward([want], _loader(dense, plan))
+        got = np.full_like(want, np.nan)
+        plan.forward_sparse(got, exps, terms)
+        assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
+        if plan.n1 > 1 and exps is squares:
+            held = len(np.unique(squares % plan.n1))
+            assert held < plan.n1 // 2
+
+
+@pytest.mark.parametrize("m", [120, 2**31 - 1])
+@pytest.mark.parametrize("size", TRANSFORM_SIZES)
+def test_product_at_an_offset_is_the_product(m, size):
+    # the second product of a Newton step: e at s = k mod N1 in the real
+    # parts of its slot, where the first product leaves e = [f g]_{k..k2},
+    # times g; outputs s..s + k2 - k - 1 are g e with no wrap, also at k2 = N
+    # (``_mul``, the reference, is itself checked against exact products)
+    rng = np.random.default_rng(size)
+    n1 = qseries._fft_split(size)[0]
+    for k2 in (size, size - 1 - size // 3):
+        k = -(-k2 // 2)
+        g, e = (rng.integers(0, m, n) for n in (k, k2 - k))
+        s = k % n1
+        w, (cg, ce) = qseries._limb_plan(m, size, (m // 2, k), (m // 2, k2 - k))
+        kernel = qseries._FFTProduct(m, [size], (ce + min(2, cg - 1), cg))
+        kernel.w = w
+        kernel.spectra(size, 1, cg, 0, k, g)
+        rows = -(-(s + k2 - k) // n1)
+        flat = kernel.slots[0][0, : rows * n1].real
+        flat[:] = np.nan  # spectra must zero what lies outside e
+        flat[s : s + k2 - k] = np.where(e > m // 2, e - m, e)
+        kernel.spectra(size, 0, ce, s, s + k2 - k)
+        got = np.empty(k2 - k, dtype=np.int64)
+        kernel.residues(kernel.product(0, 1, size, s, s + k2 - k), got)
+        # the same product from index 0, as ``_mul`` makes it
+        padded = np.append(e, np.zeros(2 * k - k2, e.dtype))
+        want = Series(mod_ring(m), g) * Series(mod_ring(m), padded)
+        assert np.array_equal(got, want.coeffs[: k2 - k])
+
+
+def test_outputs_fit_in_a_slot_and_the_check_holds():
+    # every Newton step k -> k2 = 2k - 1 or 2k up to 10^6 reads at most
+    # N2 // 2 + 1 grid rows, as the bound in ``product`` proves; one more
+    # row is refused
+    sizes = np.array(_smooth_sizes(2 * 10**6))
+    k2 = np.arange(2, 10**6 + 1)
+    size = sizes[np.searchsorted(sizes, k2)]
+    splits = {int(n): qseries._fft_split(int(n)) for n in np.unique(size)}
+    n1 = np.array([splits[int(n)][0] for n in size])
+    n2 = np.array([splits[int(n)][1] for n in size])
+    k = -(-k2 // 2)
+    assert (-(-k2 // n1) - k // n1 <= n2 // 2 + 1).all()
+    size = qseries._FOUR_STEP_MIN
+    plan = qseries._FourStep(size)
+    kernel = qseries._FFTProduct(120, [size], (1, 1))
+    kernel.w = 7
+    with pytest.raises(ValueError, match="grid rows exceed"):
+        kernel.spectra(size, 0, 1, 0, plan.rows * plan.n1 + 1, np.zeros(size, np.uint8))
+    kernel.spectra(size, 0, 1, 0, plan.rows * plan.n1, np.zeros(size, np.uint8))
+    kernel.spectra(size, 1, 1, 0, 1, np.ones(1, np.uint8))
+    with pytest.raises(ValueError, match="grid rows exceed"):
+        kernel.product(0, 1, size, 0, plan.rows * plan.n1 + 1)
+
+
+def _traced_peak(fn) -> int:
+    fn()  # numpy's FFT plans and the thread pool are made outside the trace
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_inversion_peak_bytes_per_coefficient():
+    # phi(-q) mod 120 at 2 * 10^5 + 1, whose last two Newton steps are
+    # four-step transforms.  With a float buffer beside the spectra the
+    # inversion peaked at about 33 B per coefficient (33.8 here, 32.8 at
+    # 3 * 10^5 + 7); with none, 26.0 on two threads and 22.9 on one.
+    T = 2 * 10**5 + 1
+    f = theta_series(ThetaKind.PHI_MINUS, mod_ring(120), T).coeffs
+    assert _traced_peak(lambda: qseries._invert_mod(f, 120)) <= 27 * T
+
+
+def test_dense_product_peak_bytes_per_coefficient():
+    # a dense product mod 120 through 10^5 terms, a four-step transform of
+    # 200000 = 500 * 400 points: 67.5 B per term with the float buffer,
+    # 51.5 on two threads and 45.1 on one with none
+    n = 10**5
+    rng = np.random.default_rng(5)
+    a, b = (Series(mod_ring(120), rng.integers(0, 120, n)) for _ in range(2))
+    assert qseries._fft_split(qseries._fft_len(2 * n - 1))[0] > 1
+    assert _traced_peak(lambda: a * b) <= 53 * n
 
 
 def test_one_thread_gives_the_same_bits(monkeypatch):
@@ -559,6 +692,16 @@ def test_concurrent_products_share_the_pool(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert got == [[w] * 3 for w in want]
+
+
+def test_multi_limb_square_is_exact(limb_plans):
+    # a square of several limbs loads its operand into both slots, since a
+    # product spends the limbs of one slot while it still reads the other
+    m, n = 2**31 - 1, LIMB_N
+    a = _dense_residues(random.Random(4), n, m // 2, m)
+    square = Series(mod_ring(m), a)
+    assert (square * square).coeffs.tolist() == _product_mod_python(a, a, n, m)
+    assert [c for _, c in limb_plans] == [[3, 3]]
 
 
 def test_dense_product_of_small_and_wide_residues(limb_plans):
