@@ -94,6 +94,8 @@ def _cmd_compute(args, parser) -> int:
         _emit_coeffs(series, args, name=f"theta:{args.kind}")
         return 0
     # ck: representation counts by ordered sums of positive squares
+    if args.mod is not None:
+        parser.error("--mod does not apply to ck: its counts are exact")
     table = squares_table(args.k, args.order)
     if args.format == "json":
         payload = {
@@ -200,6 +202,8 @@ def _cmd_verify(args, parser) -> int:
 
 
 def _cmd_hecke(args, parser) -> int:
+    if args.eigenvalue is not None and not args.check_eigen:
+        parser.error("--eigenvalue needs --check-eigen")
     try:
         params = HeckeParams(k=args.k, N=args.level, ell=args.ell)
     except ValueError as exc:

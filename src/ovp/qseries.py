@@ -649,12 +649,14 @@ def _limb_plan(m: int, size: int, *operands: tuple[int, int]) -> tuple[int, list
     random operands at the one-limb boundary the largest distance from an
     integer before rounding was about 1e-5 on both paths, the four-step one
     no larger.  Running each transform in place in its spectrum slot adds
-    no multiply to that count: the limb split is the same exact steps, a
-    block at a time; phi(-q)'s column stage skips only columns whose
-    spectra are exactly zero; and the second product of a Newton step
-    reads e where the first left it, whole grid rows from its indices,
-    with no phase multiplied into its spectrum.  By Cauchy-Schwarz a
-    rounded limb convolution is then an integer below 2^46 in magnitude,
+    no multiply to that count: every source, a loaded vector, its nonzero
+    terms or a slot's own parts, goes through the same exact limb split a
+    column block at a time, and is transformed from the same values with
+    zero rows after them; stage 1 skips only the columns of a sparse
+    operand, whose spectra are exactly zero; and the second product of a
+    Newton step reads e where the first left it, whole grid rows from its
+    indices, with no phase multiplied into its spectrum.  By Cauchy-Schwarz
+    a rounded limb convolution is then an integer below 2^46 in magnitude,
     well inside the |x| < 2^51 that ``_centre`` needs to reduce it mod m
     exactly.
 
@@ -809,10 +811,12 @@ class _FourStep:
     Stage 1 and its inverse run over blocks of ``cols`` columns, about
     ``_CHUNK`` floats, through a temporary of one block per thread, so
     each block reads and writes only its own columns of S, and no array of
-    N floats is made where N1 > 1.  A forward transform takes its grid a
-    block at a time from a loader, and an inverse one keeps only the grid
-    rows r0..r1-1 that its caller reads, as rows 0..r1-r0-1 of the real
-    parts of S, where a later forward transform can load them from.
+    N floats is made where N1 > 1.  A forward transform runs on every
+    column, or only on the columns a caller names (the rest of S is then
+    zeros), with each block of its grid put in the temporary by a loader;
+    an inverse one keeps only the grid rows r0..r1-1 that its caller
+    reads, as rows 0..r1-r0-1 of the real parts of S, where a later
+    forward transform can load them from.
 
     The twiddles come from two small tables, w^(c b) = U[c // B][b]
     V[c % B][b] for B = ``_TWIDDLE_ROWS``, about 1.2 MB at 10^6 against
@@ -847,68 +851,46 @@ class _FourStep:
 
         _parallel(blocks, len(self.u), self.parts)
 
-    def _rows_forward(self, spec: np.ndarray) -> None:
-        """Stages 2 and 3 of the forward transform, in place."""
+    def forward(self, specs: list[np.ndarray], rows: int, load, held=None) -> None:
+        """The spectra of grids into the (N2 // 2 + 1, N1) arrays ``specs``.
+        Stage 1 runs on the sorted columns ``held``, or on every column when
+        ``held`` is None; the other columns of S are zeros.  ``load(i, j,
+        x)`` fills x, a (len(specs), rows, j - i) view of the thread's
+        temporary, with the first rows of the grids' columns i..j-1 of that
+        list, the later rows being zeros.  Each thread's blocks stop at the
+        end of its range of columns.  Where N1 > 1 the temporary holds all
+        N2 rows, those past ``rows`` zeroed once: numpy's rfft of a block
+        padded to N2 rows took 1.7 to 2 times as long.  At N1 = 1 it holds
+        only ``rows``, as N2 would pass glibc's mmap threshold from 2^14
+        points on: a g of 15,001 terms then took a fifth longer."""
+        n2, step = self.n2, self.cols
+
+        def columns(lo: int, hi: int) -> None:
+            first, last = (lo, hi) if held is None else map(int, held.searchsorted((lo, hi)))
+            if last - first < hi - lo:
+                for spec in specs:
+                    spec[:, lo:hi] = 0
+            x = np.empty((len(specs), n2 if self.n1 > 1 else rows, step))
+            x[:, rows:] = 0
+            for i in range(first, last, step):
+                j = min(i + step, last)
+                c, d = (i, j) if held is None else (int(held[i]), int(held[j - 1]) + 1)
+                load(i, j, x[:, :rows, : j - i])
+                for spec, grid in zip(specs, x[:, :, : j - i]):
+                    if d - c == j - i:
+                        np.fft.rfft(grid, n2, axis=0, out=spec[:, c:d])
+                    else:
+                        spec[:, held[i:j]] = np.fft.rfft(grid, n2, axis=0)
+
+        _parallel(columns, self.n1, self.parts)
         if self.n1 > 1:
 
             def stage(r: int, block: np.ndarray, twiddle: np.ndarray) -> None:
                 block *= twiddle
                 np.fft.fft(block, axis=1, out=block)
 
-            self._twiddled_blocks(spec, stage)
-
-    def forward(self, specs: list[np.ndarray], load) -> None:
-        """The spectra of grids into the (N2 // 2 + 1, N1) arrays ``specs``:
-        ``load(lo, hi)`` gives the first rows of their columns lo..hi-1, the
-        later rows being zeros, in one float temporary per spectrum."""
-
-        def columns(lo: int, hi: int) -> None:
-            for c in range(lo, hi, self.cols):
-                d = min(c + self.cols, hi)
-                for spec, block in zip(specs, load(c, d)):
-                    np.fft.rfft(block, self.n2, axis=0, out=spec[:, c:d])
-
-        _parallel(columns, self.n1, self.parts)
-        for spec in specs:
-            self._rows_forward(spec)
-
-    def forward_sparse(self, spec: np.ndarray, exps: np.ndarray, terms: np.ndarray) -> None:
-        """The spectrum of the vector with ``terms`` at the distinct ``exps``,
-        all below N, into spec.  Stage 1 runs only on the columns that hold
-        a term, each block of them built from its terms; the other columns
-        of S are zeros.  At 10^6 phi(-q) holds a term in 212 of the 1,125
-        columns, the squares mod N1."""
-        if self.n1 == 1:  # the one column is the whole vector
-            x = np.zeros(self.n2)
-            x[exps] = terms
-            np.fft.rfft(x, out=spec[:, 0])
-            return
-        row, col = np.divmod(exps, self.n1)
-        order = col.argsort(kind="stable")
-        row, col, terms = row[order], col[order], terms[order]
-        # the columns that hold a term, and where the terms of each end
-        counts = np.bincount(col, minlength=self.n1)
-        held, ends = counts.nonzero()[0], counts.cumsum()
-
-        def columns(lo: int, hi: int) -> None:
-            first, last = held.searchsorted(lo), held.searchsorted(hi)
-            if last - first < hi - lo:
-                spec[:, lo:hi] = 0
-            x = np.empty((self.n2, self.cols))
-            for s in range(first, last, self.cols):
-                block = held[s : s + self.cols]
-                c, d = int(block[0]), int(block[-1]) + 1
-                t0, t1 = int(ends[c - 1]) if c else 0, int(ends[d - 1])
-                grid = x[:, : len(block)]
-                grid.fill(0)
-                grid[row[t0:t1], block.searchsorted(col[t0:t1])] = terms[t0:t1]
-                if d - c == len(block):
-                    np.fft.rfft(grid, axis=0, out=spec[:, c:d])
-                else:
-                    spec[:, block] = np.fft.rfft(grid, axis=0)
-
-        _parallel(columns, self.n1, self.parts)
-        self._rows_forward(spec)
+            for spec in specs:
+                self._twiddled_blocks(spec, stage)
 
     def inverse(self, spec: np.ndarray, rows: tuple[int, int], fill, reduce) -> None:
         """In place, grid rows r0..r1-1 of the spectrum that ``fill(lo, hi)``
@@ -952,12 +934,13 @@ class _FFTProduct:
     block sized for the largest spectrum of the transform sizes ``sizes``,
     and the twiddle tables of one size at a time: no float buffer.  Each
     slot records its operand's limb count.  Integer operands are read
-    straight from their vectors, a column block at a time; ``product``
-    leaves its output in the real parts of slot a, in the grid layout of
+    straight from their vectors, or from their nonzero terms, a column
+    block at a time, and may be a whole transform long; ``product`` leaves
+    its output in the real parts of slot a, in the grid layout of
     ``_FourStep``, where the next forward transform of that slot reads it.
-    Every operand and output a step reads is at most about half a
-    transform long, so it fits there, as ``spectra`` and ``product``
-    check.  The caller sets the limb width ``w`` from ``_limb_plan`` before
+    Every output a step reads is at most about half a transform long, so
+    it fits there, as ``spectra`` and ``product`` check.  The caller sets
+    the limb width ``w`` from ``_limb_plan`` before
     it fills the slots.  Residues stay centred into [-m/2, m/2] between
     transforms: each rounded inverse transform is reduced by ``_centre``,
     with no ``np.mod``, and callers make residues canonical (``residues``)
@@ -980,27 +963,34 @@ class _FFTProduct:
             self.plan = _FourStep(size)
         return self.plan
 
-    def _grid(self, slot: int, limb: int) -> np.ndarray:
-        plan = self.plan
-        return self.slots[slot][limb, : plan.spec_len].reshape(plan.rows, plan.n1)
-
     def spectra(
-        self, size: int, slot: int, limbs: int, lo: int, hi: int, x: np.ndarray | None = None
+        self, size: int, slot: int, limbs: int, lo: int, hi: int,
+        x: np.ndarray | None = None, exps: np.ndarray | None = None,
     ) -> None:
         """Put the spectra of centred residues at positions lo..hi-1, split
         into ``limbs`` limbs of w bits, in ``slot``: of the canonical
-        residues x, read block by block, when x is given (and lo = 0); else
-        of those the slot's real parts hold, as ``product`` leaves them,
-        with the positions below lo and from hi to the end of its grid row
-        first zeroed.
+        residues x when x is given (and lo = 0); else of those the slot's
+        real parts hold, as ``product`` leaves them, with the positions
+        below lo and from hi to the end of its grid row first zeroed.  With
+        ``exps``, x's sorted nonzero positions, stage 1 runs only on the
+        columns that hold a term, built from the terms, if N1 > 1 and at
+        most 4 isqrt(hi) of them lie below hi (``_mul``'s rule); else whole
+        rows are loaded, up to all N2 (the slot's own parts fill at most
+        N2 // 2 + 1).
         """
         plan = self._plan(size)
         n1, m, radix = plan.n1, self.m, float(1 << self.w)
         rows = -(-hi // n1)
-        if rows > plan.rows:
-            raise ValueError(f"{rows} grid rows exceed the {plan.rows} of a slot")
+        fit = plan.rows if x is None else plan.n2
+        if rows > fit:
+            raise ValueError(f"{rows} grid rows exceed the {fit} that fit")
         self.limbs[slot] = limbs
-        specs = [self._grid(slot, limb) for limb in range(limbs)]
+        specs = [spec[: plan.spec_len].reshape(plan.rows, n1) for spec in self.slots[slot][:limbs]]
+        held = None
+        if exps is not None:
+            exps = exps[: exps.searchsorted(hi)]
+            if n1 == 1 or len(exps) > 4 * math.isqrt(hi):
+                exps = None
         if x is None:
             source = specs[0][:rows].real
             flat = source.reshape(-1)
@@ -1008,6 +998,27 @@ class _FFTProduct:
                 flat[:lo] = 0
             if hi < flat.size:
                 flat[hi:] = 0
+
+            def fill(i: int, j: int, block: np.ndarray) -> None:
+                np.copyto(block, source[:, i:j])
+
+        elif exps is not None:
+            row, col = np.divmod(exps, n1)
+            order = col.argsort()
+            row, col = row[order], col[order]
+            terms = x[exps[order]].astype(np.float64)
+            terms -= (terms > m // 2) * float(m)
+            counts = np.bincount(col, minlength=n1)
+            held = counts.nonzero()[0]
+            # where the terms of each held column end, and each term's place
+            # in held
+            ends, place = counts[held].cumsum(), held.searchsorted(col)
+
+            def fill(i: int, j: int, block: np.ndarray) -> None:
+                t0, t1 = int(ends[i - 1]) if i else 0, int(ends[j - 1])
+                block.fill(0)
+                block[row[t0:t1], place[t0:t1] - i] = terms[t0:t1]
+
         else:
             full = hi // n1
             whole = x[: full * n1].reshape(full, n1)
@@ -1015,42 +1026,23 @@ class _FFTProduct:
                 tail = np.zeros(n1, dtype=x.dtype)
                 tail[: hi - full * n1] = x[full * n1 : hi]
 
-        def load(c: int, d: int) -> list[np.ndarray]:
-            if x is None:
-                block = source[:, c:d].copy()
-            else:
-                block = np.empty((rows, d - c))
-                block[:full] = whole[:, c:d]
+            def fill(i: int, j: int, block: np.ndarray) -> None:
+                block[:full] = whole[:, i:j]
                 if full < rows:
-                    block[full] = tail[c:d]
+                    block[full] = tail[i:j]
                 block -= (block > m // 2) * float(m)
-            # limb i keeps y - radix rint(y / radix), and the next limbs
-            # split rint(y / radix); both exact
-            digits = []
-            for _ in range(limbs - 1):
-                high = np.rint(block / radix)
-                block -= high * radix
-                digits.append(block)
-                block = high
-            return digits + [block]
 
-        plan.forward(specs, load)
+        def load(i: int, j: int, digits: np.ndarray) -> None:
+            fill(i, j, digits[0])
+            # limb i keeps y - radix rint(y / radix) and the next limbs split
+            # rint(y / radix), each step exact: radix is a power of 2
+            for y, high in zip(digits, digits[1:]):
+                y /= radix
+                np.rint(y, out=high)
+                y -= high
+                y *= radix
 
-    def sparse_spectra(
-        self, size: int, slot: int, limbs: int, exps: np.ndarray, terms: np.ndarray
-    ) -> None:
-        """Put the spectra of the centred ``terms`` at the distinct ``exps``,
-        all below ``size``, split into ``limbs`` limbs of w bits, in
-        ``slot``; the column stage runs only where a term is."""
-        plan = self._plan(size)
-        self.limbs[slot] = limbs
-        radix = float(1 << self.w)
-        for limb in range(limbs):
-            high = np.rint(terms / radix) if limb < limbs - 1 else None
-            plan.forward_sparse(
-                self._grid(slot, limb), exps, terms if high is None else terms - high * radix
-            )
-            terms = high
+        plan.forward(specs, rows, load, held)
 
     def product(self, a: int, b: int, size: int, lo: int, hi: int) -> np.ndarray:
         """Coefficients lo..hi-1 of the cyclic product of slots a and b.
@@ -1138,14 +1130,15 @@ def _invert_mod(f: np.ndarray, m: int) -> np.ndarray:
     N1 moves to the first row).  So the second product is g times q^s e:
     of its k2 + s - 1 terms, those past N wrap onto indices below s, as k2
     <= N, and its outputs s..s + k2 - k - 1 are g e through k2 - k terms,
-    the new terms negated.  phi(-q)'s spectrum is built from its nonzero
-    terms below k2, with the column stage only where they are.  Each step
-    plans its limbs from its own lengths and f's largest term.  Early
-    steps need fewer limbs than the last, and phi(-q) is one limb, so a
-    step whose g takes three limbs (mod a prime near 2^31, up to T of about
-    2 * 10^6) runs 15 transforms where limbs sized for the worst case ran
-    19.  g is built in ``residue_dtype(m)``, so the ``Series`` that returns
-    it holds it as is.
+    the new terms negated.  f goes to ``spectra`` with its nonzero
+    positions: phi(-q)'s spectrum is built from its terms below k2 wherever
+    the grid has more than one column, and a dense f's from whole rows.
+    Each step plans its limbs from its own lengths and f's largest term.
+    Early steps need fewer limbs than the last, and phi(-q) is one limb, so
+    a step whose g takes three limbs (mod a prime near 2^31, up to T of
+    about 2 * 10^6) runs 15 transforms where limbs sized for the worst case
+    ran 19.  g is built in ``residue_dtype(m)``, so the ``Series`` that
+    returns it holds it as is.
     """
     a0 = int(f[0])
     d = math.gcd(a0, m)
@@ -1159,9 +1152,7 @@ def _invert_mod(f: np.ndarray, m: int) -> np.ndarray:
         lengths.append((lengths[-1] + 1) // 2)
     lengths.reverse()
     exps = np.flatnonzero(f)
-    terms = f[exps].astype(np.float64)
-    np.subtract(terms, m, out=terms, where=terms > m // 2)
-    f_max = int(np.abs(terms).max())
+    f_max = _centred_max(f[exps], m)
     # A step from k to k2 lifts g of k terms, with the j nonzeros of f below
     # k2 and e = [f g]_{k..k2} of k2 - k terms; g and e are dense.  The
     # spectra are one block, allocated once for the most limbs a step takes:
@@ -1183,7 +1174,7 @@ def _invert_mod(f: np.ndarray, m: int) -> np.ndarray:
     for (k, k2, j), (w, (cg, cf, ce)), size in zip(steps, plans, sizes):
         kernel.w = w
         kernel.spectra(size, 1, cg, 0, k, g[:k])
-        kernel.sparse_spectra(size, 0, cf, exps[:j], terms[:j])
+        kernel.spectra(size, 0, cf, 0, k2, f, exps)
         kernel.product(0, 1, size, k, k2)
         s = k % kernel.plan.n1
         kernel.spectra(size, 0, ce, s, s + k2 - k)

@@ -134,6 +134,13 @@ def test_compute_rejects_bad_modulus(capsys):
     assert code == 2 and "modulus" in err
 
 
+def test_compute_ck_rejects_a_modulus(capsys):
+    # the counts are exact: --mod 3 would print c_3(27) = 4, not 1
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", "ck", "--k", "3", "-T", "50", "--mod", "3"])
+    assert exc.value.code == 2 and "--mod" in capsys.readouterr().err
+
+
 def test_compute_enum_over_cap(capsys):
     code, _, err = _run(
         capsys, ["compute", "pbar", "--method", "enum", "-T", "65", "--no-cache"]
@@ -381,6 +388,14 @@ def test_hecke_apply_multiplies_eigenform(capsys):
     assert out == "4,24,48,32,24,96,96,0,48,120\n"
 
 
+def test_hecke_eigenvalue_needs_the_eigen_check(capsys):
+    # without --check-eigen the image under T(25) is printed and the
+    # eigenvalue would be ignored
+    with pytest.raises(SystemExit) as exc:
+        main(["hecke", "--ell", "5", "--eigenvalue", "7", "--no-cache"])
+    assert exc.value.code == 2 and "--eigenvalue" in capsys.readouterr().err
+
+
 def test_hecke_rejects_composite_ell(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["hecke", "--ell", "9", "--no-cache"])
@@ -454,6 +469,14 @@ def test_export_ck_json(capsys, tmp_path):
     assert payload["rows"][1][5] == 2  # c2(5)
 
 
+def test_export_ck_rejects_a_modulus(capsys, tmp_path):
+    out = tmp_path / "ck.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["export", "--table", "ck", "--mod", "3", "-T", "50", "--out", str(out)])
+    assert exc.value.code == 2 and "--mod" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_export_requires_out(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["export", "--table", "pbar", "-T", "8"])
@@ -499,7 +522,7 @@ def test_cached_verify_all_allocates_no_wide_table(capsys, tmp_path):
 def test_cached_dissect_widens_only_its_output(capsys, tmp_path):
     argv = [
         "dissect", "--d", "5", "--r", "0", "--mod", "120",
-        "-T", str(10**6), "--cache-dir", str(tmp_path),
+        "-T", str(2 * 10**5), "--cache-dir", str(tmp_path),
     ]
     assert main(argv) == 0
     first = capsys.readouterr().out
@@ -510,13 +533,14 @@ def test_cached_dissect_widens_only_its_output(capsys, tmp_path):
     finally:
         tracemalloc.stop()
     out = capsys.readouterr().out
-    assert code == 0 and out == first and out.count(",") == 2 * 10**5 - 1
-    # the mod-120 table is 1 MB of uint8; one int64 copy of it would be 8 MB
-    assert peak < 4 * 10**6, peak
+    assert code == 0 and out == first and out.count(",") == 4 * 10**4 - 1
+    # the mod-120 table is 0.2 MB of uint8, and the run traced 0.64 MB; one
+    # int64 copy of the table traced 1.9 MB, and the output written whole 3 MB
+    assert peak < 1.2 * 10**6, peak
 
 
 def test_cached_dissect_streams_csv_to_its_file(tmp_path):
-    T = 10**6
+    T = 2 * 10**5
     words = np.random.default_rng(7).integers(0, 120, T, dtype=np.uint8)
     store_table(CoeffTable("pbar", Method.THETA_INVERSION, mod_ring(120), words), tmp_path)
     out = tmp_path / "part.csv"
@@ -532,24 +556,25 @@ def test_cached_dissect_streams_csv_to_its_file(tmp_path):
         tracemalloc.stop()
     rows = "".join(f"{n},{v}\n" for n, v in enumerate(words[::5].tolist()))
     assert code == 0 and out.read_text() == "n,value\n" + rows
-    # the table is 1 MB and the CSV 1.85 MB: building the CSV whole fails here
-    assert peak < 3 * 10**6, peak
+    # the table is 0.2 MB, and the run traced 0.5 MB; building the CSV whole
+    # traced 3.3 MB, and an int64 copy of the table 1.9 MB
+    assert peak < 1.2 * 10**6, peak
 
 
 @pytest.mark.parametrize(
     "argv, step",
     [
-        (["compute", "pbar", "--format", "json"], 1),
-        (["compute", "pbar", "--format", "text"], 1),
-        (["dissect", "--d", "5", "--r", "0", "--format", "json"], 5),
+        (["compute", "pbar", "--format", "json", "-T", "50000"], 1),
+        (["compute", "pbar", "--format", "text", "-T", "50000"], 1),
+        (["dissect", "--d", "5", "--r", "0", "--format", "json", "-T", "300000"], 5),
     ],
 )
 def test_cached_coefficients_stream_text_and_json_to_their_file(tmp_path, argv, step):
-    T = 3 * 10**5
+    T = int(argv[-1])
     words = np.random.default_rng(11).integers(0, 120, T, dtype=np.uint8)
     store_table(CoeffTable("pbar", Method.THETA_INVERSION, mod_ring(120), words), tmp_path)
     out = tmp_path / "coeffs.out"
-    argv = argv + ["--mod", "120", "-T", str(T), "--out", str(out), "--cache-dir", str(tmp_path)]
+    argv = argv + ["--mod", "120", "--out", str(out), "--cache-dir", str(tmp_path)]
     tracemalloc.start()
     try:
         code = main(argv)
@@ -562,8 +587,9 @@ def test_cached_coefficients_stream_text_and_json_to_their_file(tmp_path, argv, 
         assert json.loads(out.read_text())["coeffs"] == want
     else:
         assert out.read_text() == ",".join(map(str, want))
-    # the table is 0.3 MB; writing the output whole traced 2.2 MB (text),
-    # 5.3 MB (dissect JSON) and 25 MB (JSON)
+    # the table is T bytes, and the runs traced 0.4-0.7 MB; writing the
+    # output whole traced 3.5 MB (text and JSON at T = 5 * 10^4) and 4.4 MB
+    # (dissect JSON at 3 * 10^5), and an int64 copy of that table 2.8 MB
     assert peak < 1.5 * 10**6, peak
 
 

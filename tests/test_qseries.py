@@ -459,6 +459,18 @@ def test_wide_inversion_through_multi_limb_four_step_transforms(limb_plans):
         assert counts == [3, 1, 3]
 
 
+@pytest.mark.parametrize("m", [120, 2**31 - 1])
+def test_dense_series_inverts_through_whole_rows(m):
+    # a dense f is loaded as whole grid rows at every Newton step, up to
+    # all N2 rows of the four-step grids of the last two
+    T = 2 * 10**5 + 1
+    coeffs = np.random.default_rng(m).integers(0, m, T)
+    coeffs[0] = 1
+    f = Series(mod_ring(m), coeffs)
+    assert qseries._fft_split(qseries._fft_len(T // 2 + 1))[0] > 1
+    assert f * f.invert() == one(mod_ring(m), T)
+
+
 def _smooth_sizes(limit: int) -> list[int]:
     """Every 5-smooth integer up to limit: the outputs of ``_fft_len`` on
     1..limit."""
@@ -498,17 +510,18 @@ def test_every_transform_size_splits():
 
 
 # transform sizes with N1 = 1 (even and odd N2) and N1 > 1: 256 x 256,
-# 625 x 125, 405 x 250 and 729 x 243
+# 625 x 125, 375 x 270 and 729 x 243
 TRANSFORM_SIZES = [4096, 3375, 65536, 78125, 101250, 177147]
 
 
 def _loader(x: np.ndarray, plan):
-    """A ``_FourStep.forward`` loader of the real vector x, zero-padded to
-    whole grid rows."""
-    grid = np.zeros(-(-len(x) // plan.n1) * plan.n1)
+    """The grid rows of the real vector x, zero-padded to whole rows, and a
+    ``_FourStep.forward`` loader of them."""
+    rows = -(-len(x) // plan.n1)
+    grid = np.zeros(rows * plan.n1)
     grid[: len(x)] = x
-    grid = grid.reshape(-1, plan.n1)
-    return lambda lo, hi: [grid[:, lo:hi].copy()]
+    grid = grid.reshape(rows, plan.n1)
+    return rows, lambda i, j, temp: np.copyto(temp[0], grid[:, i:j])
 
 
 def _spectrum_in_four_step_order(x: np.ndarray, plan) -> np.ndarray:
@@ -532,33 +545,72 @@ def test_four_step_spectrum_is_numpys_in_its_order(size):
     grid = x.reshape(plan.n2, plan.n1)
     for r0, r1 in ((0, plan.rows), (plan.n2 - plan.rows, plan.n2), (3, 5)):
         spec = np.empty((plan.rows, plan.n1), dtype=np.complex128)
-        plan.forward([spec], _loader(x, plan))
+        plan.forward([spec], *_loader(x, plan))
         assert np.abs(spec - want).max() < 1e-12 * np.abs(want).max()
         plan.inverse(spec, (r0, r1), lambda lo, hi: None, lambda x, out, lo, hi: np.copyto(out, x))
         assert np.abs(spec[: r1 - r0].real - grid[r0:r1]).max() < 1e-12
 
 
 @pytest.mark.parametrize("size", TRANSFORM_SIZES)
-def test_nonzero_column_spectrum_is_the_dense_one(size):
-    # phi(-q)'s terms, and terms at random exponents, whose columns are
-    # then nearly all held: the column stage only where a term is gives the
-    # spectrum of the dense vector
+def test_nonzero_column_spectrum_is_the_dense_one(size, monkeypatch):
+    # phi(-q), and as many terms at random positions as the positions route
+    # takes, whose columns are then nearly all held, in one limb mod 120 and
+    # three mod 2^31 - 1: stage 1 on the held columns alone gives the
+    # spectra of whole rows bit for bit; with one column (N1 = 1) the
+    # positions are not used
     plan = qseries._FourStep(size)
     rng = np.random.default_rng(size)
-    squares = np.arange(math.isqrt(size - 1) + 1) ** 2
-    scattered = np.sort(rng.choice(size, size // 7, replace=False))
-    for exps in (squares, scattered):
-        terms = rng.choice((-2.0, 1.0, 2.0), len(exps))
-        dense = np.zeros(size)
-        dense[exps] = terms
-        want = np.empty((plan.rows, plan.n1), dtype=np.complex128)
-        plan.forward([want], _loader(dense, plan))
-        got = np.full_like(want, np.nan)
-        plan.forward_sparse(got, exps, terms)
-        assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
-        if plan.n1 > 1 and exps is squares:
-            held = len(np.unique(squares % plan.n1))
-            assert held < plan.n1 // 2
+    forward, held = qseries._FourStep.forward, []
+
+    def spy(self, specs, rows, load, cols=None):
+        held.append(cols)
+        forward(self, specs, rows, load, cols)
+
+    monkeypatch.setattr(qseries._FourStep, "forward", spy)
+    for m, w, limbs in ((120, 7, 1), (2**31 - 1, 12, 3)):
+        phi = theta_series(ThetaKind.PHI_MINUS, mod_ring(m), size).coeffs
+        scattered = np.zeros(size, np.int64)
+        nnz = 4 * math.isqrt(size)
+        scattered[rng.choice(size, nnz, replace=False)] = rng.integers(1, m, nnz)
+        for x in (phi, scattered):
+            spectra = []
+            for exps in (None, np.flatnonzero(x)):
+                kernel = qseries._FFTProduct(m, [size], (limbs, 0))
+                kernel.w = w
+                kernel.slots[0][:] = np.nan
+                kernel.spectra(size, 0, limbs, 0, size, x, exps)
+                spectra.append(kernel.slots[0][:, : plan.spec_len])
+            assert np.array_equal(*spectra)
+            assert held.pop(0) is None
+            cols = held.pop()
+            if plan.n1 == 1:
+                assert cols is None
+            else:
+                assert len(cols) < (plan.n1 // 2 if x is phi else plan.n1)
+
+
+def test_each_held_column_is_loaded_and_transformed_once(monkeypatch):
+    # 375 x 270 points in blocks of 121 columns, split between two threads
+    # at column 187: the first thread's second block stops there
+    monkeypatch.setattr(qseries, "_THREADS", 2)
+    plan = qseries._FourStep(101250)
+    assert (plan.n1, plan.cols, plan.parts) == (375, 121, 2)
+    held = np.sort(np.random.default_rng(0).choice(plan.n1, 280, replace=False))
+    loaded, transformed = [], []
+    rfft = np.fft.rfft
+
+    def load(i: int, j: int, temp: np.ndarray) -> None:
+        loaded.extend(held[i:j].tolist())
+        temp.fill(1)
+
+    def counted(grid, *args, **kwargs):
+        transformed.append(grid.shape[1])
+        return rfft(grid, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", counted)
+    plan.forward([np.empty((plan.rows, plan.n1), np.complex128)], plan.n2, load, held)
+    assert sorted(loaded) == held.tolist()
+    assert sum(transformed) == len(held)
 
 
 @pytest.mark.parametrize("m", [120, 2**31 - 1])
@@ -594,7 +646,8 @@ def test_product_at_an_offset_is_the_product(m, size):
 def test_outputs_fit_in_a_slot_and_the_check_holds():
     # every Newton step k -> k2 = 2k - 1 or 2k up to 10^6 reads at most
     # N2 // 2 + 1 grid rows, as the bound in ``product`` proves; one more
-    # row is refused
+    # row is refused, in a slot's own parts and in a product; a loaded
+    # operand goes through a temporary and may take all N2 rows
     sizes = np.array(_smooth_sizes(2 * 10**6))
     k2 = np.arange(2, 10**6 + 1)
     size = sizes[np.searchsorted(sizes, k2)]
@@ -608,8 +661,11 @@ def test_outputs_fit_in_a_slot_and_the_check_holds():
     kernel = qseries._FFTProduct(120, [size], (1, 1))
     kernel.w = 7
     with pytest.raises(ValueError, match="grid rows exceed"):
-        kernel.spectra(size, 0, 1, 0, plan.rows * plan.n1 + 1, np.zeros(size, np.uint8))
-    kernel.spectra(size, 0, 1, 0, plan.rows * plan.n1, np.zeros(size, np.uint8))
+        kernel.spectra(size, 0, 1, 0, size + 1, np.zeros(size + 1, np.uint8))
+    kernel.spectra(size, 0, 1, 0, size, np.zeros(size, np.uint8))
+    with pytest.raises(ValueError, match="grid rows exceed"):
+        kernel.spectra(size, 0, 1, 0, plan.rows * plan.n1 + 1)
+    kernel.spectra(size, 0, 1, 0, plan.rows * plan.n1)
     kernel.spectra(size, 1, 1, 0, 1, np.ones(1, np.uint8))
     with pytest.raises(ValueError, match="grid rows exceed"):
         kernel.product(0, 1, size, 0, plan.rows * plan.n1 + 1)
