@@ -82,7 +82,29 @@ def _get_pbar_table(
 # -- compute -----------------------------------------------------------------
 
 
+# Options of compute and export that apply to one target each: (name,
+# target, default, argparse keywords).  They default to None, so that one
+# given for another target is refused rather than ignored.
+_TARGET_OPTIONS = (
+    ("method", "pbar", "theta", {"help": "pbar method: theta | euler | enum | two-adic"}),
+    ("kind", "theta", "phi", {"choices": _THETA_NAMES, "help": "theta kind"}),
+    ("k", "ck", 2, {"type": int, "help": "k_max of the ck table"}),
+)
+
+
+def _add_target_options(p: argparse.ArgumentParser, targets: tuple[str, ...]) -> None:
+    for name, target, default, kwargs in _TARGET_OPTIONS:
+        if target in targets:
+            kwargs = {**kwargs, "help": f"{kwargs['help']} (default {default})"}
+            p.add_argument(f"--{name}", default=None, **kwargs)
+
+
 def _cmd_compute(args, parser) -> int:
+    for name, target, default, _ in _TARGET_OPTIONS:
+        if getattr(args, name, None) is None:
+            setattr(args, name, default)
+        elif args.target != target:
+            parser.error(f"--{name} applies to {target} only, not to {args.target}")
     if args.target == "pbar":
         method = canonical_method(args.method)
         table = _get_pbar_table(_ring_from(args.mod), args.order, method, args)
@@ -204,6 +226,8 @@ def _cmd_verify(args, parser) -> int:
 def _cmd_hecke(args, parser) -> int:
     if args.eigenvalue is not None and not args.check_eigen:
         parser.error("--eigenvalue needs --check-eigen")
+    if args.check_eigen and args.format == "csv":
+        parser.error("--format csv does not apply with --check-eigen: its report is text or json")
     try:
         params = HeckeParams(k=args.k, N=args.level, ell=args.ell)
     except ValueError as exc:
@@ -286,18 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compute", help="coefficient tables: pbar, theta, ck")
     p.add_argument("target", choices=("pbar", "theta", "ck"))
     _add_common(p, order_default=100)
-    p.add_argument(
-        "--method",
-        default="theta",
-        help="pbar method: theta | euler | enum | two-adic",
-    )
-    p.add_argument(
-        "--kind",
-        choices=_THETA_NAMES,
-        default="phi",
-        help="theta kind for target 'theta'",
-    )
-    p.add_argument("--k", type=int, default=2, help="k_max for target 'ck'")
+    _add_target_options(p, ("pbar", "theta", "ck"))
     p.set_defaults(func=_cmd_compute)
 
     p = sub.add_parser("verify", help="verify congruence families")
@@ -349,8 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     # export is compute with --out required and CSV by default
     p = sub.add_parser("export", help="write a table to --out")
     p.add_argument("--table", dest="target", choices=("pbar", "ck"), default="pbar")
-    p.add_argument("--method", default="theta")
-    p.add_argument("--k", type=int, default=2)
+    _add_target_options(p, ("pbar", "ck"))
     p.add_argument(
         "-T", "--order", type=int, required=True, help="table length"
     )

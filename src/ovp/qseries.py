@@ -22,7 +22,7 @@ import struct
 import threading
 from dataclasses import dataclass
 from itertools import chain
-from typing import IO, Iterable
+from typing import IO, Callable, Iterable
 
 import numpy as np
 
@@ -306,7 +306,13 @@ class Series:
                     s -= c * r[n - e]
                 r[n] = s
             return Series._of(self.ring, r)
-        return Series._of(self.ring, _invert_mod(self._coeffs, self.ring.modulus))
+        ring, run = self.ring, _newton(self._coeffs, self.ring.modulus)
+        # run holds none of a sparse vector (phi(-q)'s; see ``_invert_mod``).
+        # From CPython 3.11 on a call hands its arguments' references to the
+        # callee, so a series that only the caller's expression made, as in
+        # ``overpartition_table``, is freed here, before the transforms.
+        del self
+        return Series._of(ring, run())
 
     # -- reindexing ------------------------------------------------------
 
@@ -685,9 +691,13 @@ def _limb_plan(m: int, size: int, *operands: tuple[int, int]) -> tuple[int, list
 
 def _centred_max(x: np.ndarray, m: int) -> int:
     """Largest |c| over the canonical residues x mod m, centred into
-    [-m/2, m/2]."""
-    x = x.astype(np.int64, copy=False)
-    return int(np.minimum(x, m - x).max(initial=0))
+    [-m/2, m/2], widened ``_CHUNK`` entries at a time: an int64 copy of a
+    dense f of T bytes would hold 8 T."""
+    best = 0
+    for i in range(0, len(x), _CHUNK):
+        c = x[i : i + _CHUNK].astype(np.int64)
+        best = max(best, int(np.minimum(c, m - c).max()))
+    return best
 
 
 def _centre(x: np.ndarray, m: int, out: np.ndarray) -> np.ndarray:
@@ -716,8 +726,6 @@ def _canonical(x: np.ndarray, m: int) -> np.ndarray:
 # Transforms of fewer points are one plain rfft (N1 = 1), in one thread:
 # below this size the four-step layout and the second thread did not pay.
 _FOUR_STEP_MIN = 1 << 16
-# Rows of the twiddle table V; U holds every _TWIDDLE_ROWS-th row.
-_TWIDDLE_ROWS = 64
 # Floats in the temporary of one column block of a four-step transform, and
 # entries in one chunk of an elementwise pass: what a thread holds at once.
 _CHUNK = 1 << 15
@@ -819,10 +827,18 @@ class _FourStep:
     forward transform can load them from.
 
     The twiddles come from two small tables, w^(c b) = U[c // B][b]
-    V[c % B][b] for B = ``_TWIDDLE_ROWS``, about 1.2 MB at 10^6 against
-    8 MB for all N/2 of them; stages 2 and 3 run over blocks of B rows.
-    Below ``_FOUR_STEP_MIN`` N1 = 1: stage 1 is one plain rfft, and there
-    is nothing to twiddle.  Columns and row blocks divide between threads.
+    V[c % B][b]; stages 2 and 3 run over blocks of B rows, each thread
+    forming the twiddles of its block in a buffer of B rows.  Tables and
+    two buffers hold R / B + 3 B rows of N1 entries for R = N2 // 2 + 1
+    rows of S, least at B = sqrt(R / 3), so B = ``step`` is max(16,
+    isqrt(R // 3)): 16 at 10^6 (R = 451, 1.4 MB against 3.6 MB with 64
+    rows, and 8 MB for all N/2 twiddles), 36 at 10^8 (R = 4097, 44 MB
+    against 51 MB).  Below 16 rows the calls per block cost more: stages
+    2 and 3 on 161 rows of 400 took 0.63 ms in blocks of 8 rows, 0.54 ms
+    in blocks of 16 and 0.50 ms in blocks of 64.  Blocks divide between
+    threads by count, so their rows differ by at most B.  Below
+    ``_FOUR_STEP_MIN`` N1 = 1: stage 1 is one plain rfft, and there is
+    nothing to twiddle.  Columns divide between threads too.
     """
 
     def __init__(self, size: int) -> None:
@@ -833,14 +849,14 @@ class _FourStep:
         self.cols = min(self.n1, max(1, _CHUNK // self.n2))
         self.parts = _THREADS if self.n1 > 1 else 1
         if self.n1 > 1:
-            step = _TWIDDLE_ROWS
-            self.u = _roots(size, np.arange(0, self.rows, step), self.n1, self.parts)
-            self.v = _roots(size, np.arange(step), self.n1, self.parts)
+            self.step = max(16, math.isqrt(self.rows // 3))
+            self.u = _roots(size, np.arange(0, self.rows, self.step), self.n1, self.parts)
+            self.v = _roots(size, np.arange(self.step), self.n1, self.parts)
 
     def _twiddled_blocks(self, spec: np.ndarray, stage) -> None:
         """stage(r, block, twiddle) on each block of B rows of S from row r,
         with the twiddles w^(c b) of those rows in a buffer of the thread."""
-        step = _TWIDDLE_ROWS
+        step = self.step
 
         def blocks(lo: int, hi: int) -> None:
             twiddle = np.empty((step, self.n1), dtype=np.complex128)
@@ -965,49 +981,38 @@ class _FFTProduct:
 
     def spectra(
         self, size: int, slot: int, limbs: int, lo: int, hi: int,
-        x: np.ndarray | None = None, exps: np.ndarray | None = None,
+        x: np.ndarray | None = None, terms: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> None:
         """Put the spectra of centred residues at positions lo..hi-1, split
-        into ``limbs`` limbs of w bits, in ``slot``: of the canonical
-        residues x when x is given (and lo = 0); else of those the slot's
-        real parts hold, as ``product`` leaves them, with the positions
-        below lo and from hi to the end of its grid row first zeroed.  With
-        ``exps``, x's sorted nonzero positions, stage 1 runs only on the
-        columns that hold a term, built from the terms, if N1 > 1 and at
-        most 4 isqrt(hi) of them lie below hi (``_mul``'s rule); else whole
-        rows are loaded, up to all N2 (the slot's own parts fill at most
-        N2 // 2 + 1).
+        into ``limbs`` limbs of w bits, in ``slot`` (lo = 0 for the first
+        two sources):
+        - with ``terms``, sorted positions below hi and their canonical
+          residues, of those terms: stage 1 runs only on the columns that
+          hold one, built from the terms, and nothing of length hi is read;
+        - else with x, of the canonical residues x[:hi], loaded as whole
+          grid rows, up to all N2;
+        - else of those the slot's real parts hold, as ``product`` leaves
+          them, with the positions below lo and from hi to the end of its
+          grid row first zeroed; they fill at most N2 // 2 + 1 rows.
+        The caller passes terms where they are few (``_invert_mod``):
+        at N1 = 1 loading x[:hi] took less time.
         """
         plan = self._plan(size)
         n1, m, radix = plan.n1, self.m, float(1 << self.w)
         rows = -(-hi // n1)
-        fit = plan.rows if x is None else plan.n2
+        fit = plan.rows if x is None and terms is None else plan.n2
         if rows > fit:
             raise ValueError(f"{rows} grid rows exceed the {fit} that fit")
         self.limbs[slot] = limbs
         specs = [spec[: plan.spec_len].reshape(plan.rows, n1) for spec in self.slots[slot][:limbs]]
         held = None
-        if exps is not None:
-            exps = exps[: exps.searchsorted(hi)]
-            if n1 == 1 or len(exps) > 4 * math.isqrt(hi):
-                exps = None
-        if x is None:
-            source = specs[0][:rows].real
-            flat = source.reshape(-1)
-            if lo:
-                flat[:lo] = 0
-            if hi < flat.size:
-                flat[hi:] = 0
-
-            def fill(i: int, j: int, block: np.ndarray) -> None:
-                np.copyto(block, source[:, i:j])
-
-        elif exps is not None:
+        if terms is not None:
+            exps, values = terms
             row, col = np.divmod(exps, n1)
             order = col.argsort()
             row, col = row[order], col[order]
-            terms = x[exps[order]].astype(np.float64)
-            terms -= (terms > m // 2) * float(m)
+            centred = values[order].astype(np.float64)
+            centred -= (centred > m // 2) * float(m)
             counts = np.bincount(col, minlength=n1)
             held = counts.nonzero()[0]
             # where the terms of each held column end, and each term's place
@@ -1017,9 +1022,9 @@ class _FFTProduct:
             def fill(i: int, j: int, block: np.ndarray) -> None:
                 t0, t1 = int(ends[i - 1]) if i else 0, int(ends[j - 1])
                 block.fill(0)
-                block[row[t0:t1], place[t0:t1] - i] = terms[t0:t1]
+                block[row[t0:t1], place[t0:t1] - i] = centred[t0:t1]
 
-        else:
+        elif x is not None:
             full = hi // n1
             whole = x[: full * n1].reshape(full, n1)
             if full < rows:
@@ -1031,6 +1036,17 @@ class _FFTProduct:
                 if full < rows:
                     block[full] = tail[i:j]
                 block -= (block > m // 2) * float(m)
+
+        else:
+            source = specs[0][:rows].real
+            flat = source.reshape(-1)
+            if lo:
+                flat[:lo] = 0
+            if hi < flat.size:
+                flat[hi:] = 0
+
+            def fill(i: int, j: int, block: np.ndarray) -> None:
+                np.copyto(block, source[:, i:j])
 
         def load(i: int, j: int, digits: np.ndarray) -> None:
             fill(i, j, digits[0])
@@ -1130,9 +1146,20 @@ def _invert_mod(f: np.ndarray, m: int) -> np.ndarray:
     N1 moves to the first row).  So the second product is g times q^s e:
     of its k2 + s - 1 terms, those past N wrap onto indices below s, as k2
     <= N, and its outputs s..s + k2 - k - 1 are g e through k2 - k terms,
-    the new terms negated.  f goes to ``spectra`` with its nonzero
-    positions: phi(-q)'s spectrum is built from its terms below k2 wherever
-    the grid has more than one column, and a dense f's from whole rows.
+    the new terms negated.
+
+    A four-step step (N1 > 1) whose f has at most 4 isqrt(k2) nonzeros
+    below k2 (``_mul``'s rule) gives ``spectra`` f's terms there, and its
+    column stage runs only on the columns that hold one; every other step
+    loads f[:k2] as whole rows.  So the inversion holds f's positions and
+    values only if some step reads them, and keeps of f itself only the
+    head that rows are loaded from: for phi(-q), which passes the rule at
+    every four-step step, the terms and f below the last k2 of a
+    one-column step (under 2^16 entries), and none of its T entries; a
+    dense f is kept whole, with no positions.  ``_newton`` reads f and
+    returns the iteration, which holds only that, and ``Series.invert``
+    lets go of its series between the two.
+
     Each step plans its limbs from its own lengths and f's largest term.
     Early steps need fewer limbs than the last, and phi(-q) is one limb, so
     a step whose g takes three limbs (mod a prime near 2^31, up to T of
@@ -1140,6 +1167,12 @@ def _invert_mod(f: np.ndarray, m: int) -> np.ndarray:
     ran 19.  g is built in ``residue_dtype(m)``, so the ``Series`` that
     returns it holds it as is.
     """
+    return _newton(f, m)()
+
+
+def _newton(f: np.ndarray, m: int) -> Callable[[], np.ndarray]:
+    """The Newton iteration of ``_invert_mod`` as a function of no
+    arguments, which holds only what its steps read of f."""
     a0 = int(f[0])
     d = math.gcd(a0, m)
     if d != 1:
@@ -1151,32 +1184,46 @@ def _invert_mod(f: np.ndarray, m: int) -> np.ndarray:
     while lengths[-1] > 1:
         lengths.append((lengths[-1] + 1) // 2)
     lengths.reverse()
-    exps = np.flatnonzero(f)
-    f_max = _centred_max(f[exps], m)
     # A step from k to k2 lifts g of k terms, with the j nonzeros of f below
     # k2 and e = [f g]_{k..k2} of k2 - k terms; g and e are dense.  The
     # spectra are one block, allocated once for the most limbs a step takes:
     # at T = 10^6 mod 120, one 8 MB array per slot made the transforms about
     # 20% slower than one 16 MB block.
-    steps = [(k, k2, int(np.searchsorted(exps, k2))) for k, k2 in zip(lengths, lengths[1:])]
+    steps = [(k, k2, int(np.count_nonzero(f[:k2]))) for k, k2 in zip(lengths, lengths[1:])]
     sizes = [_fft_len(k2) for _, k2, _ in steps]
+    sparse = [
+        _fft_split(size)[0] > 1 and j <= 4 * math.isqrt(k2)
+        for (_, k2, j), size in zip(steps, sizes)
+    ]
+    exps = values = None
+    if any(sparse):
+        exps = np.flatnonzero(f)
+        values = f[exps]
+    f_max = _centred_max(f if values is None else values, m)
+    head = max((k2 for (_, k2, _), terms in zip(steps, sparse) if not terms), default=0)
+    if head < T:
+        f = f[:head].copy()
     plans = [
         _limb_plan(m, size, (m // 2, k), (f_max, j), (m // 2, k2 - k))
         for (k, k2, j), size in zip(steps, sizes)
     ]
-    g = np.empty(T, dtype=residue_dtype(m))
-    g[0] = pow(a0, -1, m)
     # slot 0 takes f and then e, with the spectra the products spend beyond
     # them; slot 1 holds g through both products
     slot0 = max((max(cf, ce) + min(2, cg - 1) for _, (cg, cf, ce) in plans), default=1)
     slot1 = max((cg for _, (cg, _, _) in plans), default=1)
-    kernel = _FFTProduct(m, sizes, (slot0, slot1))
-    for (k, k2, j), (w, (cg, cf, ce)), size in zip(steps, plans, sizes):
-        kernel.w = w
-        kernel.spectra(size, 1, cg, 0, k, g[:k])
-        kernel.spectra(size, 0, cf, 0, k2, f, exps)
-        kernel.product(0, 1, size, k, k2)
-        s = k % kernel.plan.n1
-        kernel.spectra(size, 0, ce, s, s + k2 - k)
-        kernel.residues(kernel.product(0, 1, size, s, s + k2 - k), g[k:k2], negate=True)
-    return g
+
+    def run() -> np.ndarray:
+        g = np.empty(T, dtype=residue_dtype(m))
+        g[0] = pow(a0, -1, m)
+        kernel = _FFTProduct(m, sizes, (slot0, slot1))
+        for (k, k2, j), (w, (cg, cf, ce)), size, terms in zip(steps, plans, sizes, sparse):
+            kernel.w = w
+            kernel.spectra(size, 1, cg, 0, k, g[:k])
+            kernel.spectra(size, 0, cf, 0, k2, f, (exps[:j], values[:j]) if terms else None)
+            kernel.product(0, 1, size, k, k2)
+            s = k % kernel.plan.n1
+            kernel.spectra(size, 0, ce, s, s + k2 - k)
+            kernel.residues(kernel.product(0, 1, size, s, s + k2 - k), g[k:k2], negate=True)
+        return g
+
+    return run

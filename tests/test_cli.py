@@ -477,6 +477,31 @@ def test_export_ck_rejects_a_modulus(capsys, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["compute", "theta", "-T", "5", "--method", "euler"], "--method"),
+        (["compute", "ck", "-T", "5", "--method", "euler"], "--method"),
+        (["compute", "pbar", "-T", "5", "--kind", "psi"], "--kind"),
+        (["compute", "ck", "-T", "5", "--kind", "psi"], "--kind"),
+        (["compute", "pbar", "-T", "5", "--k", "7"], "--k"),
+        (["compute", "theta", "-T", "5", "--k", "7"], "--k"),
+        (["export", "--table", "ck", "-T", "5", "--method", "euler"], "--method"),
+        (["export", "--table", "pbar", "-T", "5", "--k", "9"], "--k"),
+        (["hecke", "--ell", "5", "--check-eigen", "--format", "csv"], "--format csv"),
+    ],
+)
+def test_options_a_command_would_ignore_are_usage_errors(capsys, tmp_path, argv, option):
+    # each was accepted and ignored: the output was that of the defaults
+    out = tmp_path / "out"
+    if argv[0] == "export":
+        argv = argv + ["--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--no-cache"])
+    assert exc.value.code == 2 and option in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_export_requires_out(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["export", "--table", "pbar", "-T", "8"])

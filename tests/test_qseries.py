@@ -553,11 +553,11 @@ def test_four_step_spectrum_is_numpys_in_its_order(size):
 
 @pytest.mark.parametrize("size", TRANSFORM_SIZES)
 def test_nonzero_column_spectrum_is_the_dense_one(size, monkeypatch):
-    # phi(-q), and as many terms at random positions as the positions route
-    # takes, whose columns are then nearly all held, in one limb mod 120 and
-    # three mod 2^31 - 1: stage 1 on the held columns alone gives the
-    # spectra of whole rows bit for bit; with one column (N1 = 1) the
-    # positions are not used
+    # phi(-q), and as many terms at random positions as the inversion passes
+    # as terms, whose columns are then nearly all held, in one limb mod 120
+    # and three mod 2^31 - 1: stage 1 on the held columns alone, built from
+    # the positions and their values with no vector of the operand, gives
+    # the spectra of whole rows bit for bit, with one column (N1 = 1) too
     plan = qseries._FourStep(size)
     rng = np.random.default_rng(size)
     forward, held = qseries._FourStep.forward, []
@@ -573,18 +573,19 @@ def test_nonzero_column_spectrum_is_the_dense_one(size, monkeypatch):
         nnz = 4 * math.isqrt(size)
         scattered[rng.choice(size, nnz, replace=False)] = rng.integers(1, m, nnz)
         for x in (phi, scattered):
+            exps = np.flatnonzero(x)
             spectra = []
-            for exps in (None, np.flatnonzero(x)):
+            for source in ({"x": x}, {"terms": (exps, x[exps])}):
                 kernel = qseries._FFTProduct(m, [size], (limbs, 0))
                 kernel.w = w
                 kernel.slots[0][:] = np.nan
-                kernel.spectra(size, 0, limbs, 0, size, x, exps)
+                kernel.spectra(size, 0, limbs, 0, size, **source)
                 spectra.append(kernel.slots[0][:, : plan.spec_len])
             assert np.array_equal(*spectra)
             assert held.pop(0) is None
             cols = held.pop()
             if plan.n1 == 1:
-                assert cols is None
+                assert cols.tolist() == [0]
             else:
                 assert len(cols) < (plan.n1 // 2 if x is phi else plan.n1)
 
@@ -611,6 +612,45 @@ def test_each_held_column_is_loaded_and_transformed_once(monkeypatch):
     plan.forward([np.empty((plan.rows, plan.n1), np.complex128)], plan.n2, load, held)
     assert sorted(loaded) == held.tolist()
     assert sum(transformed) == len(held)
+
+
+# the four-step sizes of a mod-120 inversion at budget 10^6, with 161, 203,
+# 338 and 451 rows of spectrum, and its last size at budget 10^8 (4097 rows)
+BUDGET_GRIDS = [128000, 253125, 506250, 1012500, 100663296]
+
+
+@pytest.mark.parametrize("size", BUDGET_GRIDS)
+def test_twiddle_blocks_take_no_more_than_blocks_of_64_rows(size, monkeypatch):
+    # U, V and one block of B rows per thread against the same with B = 64,
+    # read from the shapes of the tables: the roots are not computed
+    monkeypatch.setattr(qseries, "_THREADS", 2)
+    monkeypatch.setattr(
+        qseries, "_roots", lambda size, rows, cols, parts: np.empty((len(rows), cols), complex)
+    )
+    plan = qseries._FourStep(size)
+    assert plan.parts == 2 and len(plan.v) == plan.step
+    assert len(plan.u) == -(-plan.rows // plan.step)
+    rows = len(plan.u) + len(plan.v) + plan.parts * plan.step
+    assert rows <= -(-plan.rows // 64) + 64 + plan.parts * 64
+    assert plan.step == (16 if size < 10**8 else 36)
+
+
+@pytest.mark.parametrize("size", BUDGET_GRIDS[:-1])
+def test_two_threads_take_rows_to_within_one_block(size, monkeypatch):
+    # stages 2 and 3 split their blocks of B rows between the threads by
+    # count; with 64 rows 451 split 256 / 195 and 161 split 64 / 97
+    monkeypatch.setattr(qseries, "_THREADS", 2)
+    plan = qseries._FourStep(size)
+    rows: dict[int, int] = {}
+    lock = threading.Lock()
+
+    def stage(r: int, block: np.ndarray, twiddle: np.ndarray) -> None:
+        with lock:
+            rows[threading.get_ident()] = rows.get(threading.get_ident(), 0) + len(block)
+
+    plan._twiddled_blocks(np.zeros((plan.rows, plan.n1), complex), stage)
+    assert len(rows) == 2 and sum(rows.values()) == plan.rows
+    assert abs(rows.popitem()[1] - rows.popitem()[1]) <= plan.step <= 16
 
 
 @pytest.mark.parametrize("m", [120, 2**31 - 1])
@@ -685,21 +725,48 @@ def test_inversion_peak_bytes_per_coefficient():
     # phi(-q) mod 120 at 2 * 10^5 + 1, whose last two Newton steps are
     # four-step transforms.  With a float buffer beside the spectra the
     # inversion peaked at about 33 B per coefficient (33.8 here, 32.8 at
-    # 3 * 10^5 + 7); with none, 26.0 on two threads and 22.9 on one.
+    # 3 * 10^5 + 7); with none, 26.0 on two threads and 22.9 on one; with
+    # twiddle blocks of 16 rows instead of 64, 24.9.
     T = 2 * 10**5 + 1
     f = theta_series(ThetaKind.PHI_MINUS, mod_ring(120), T).coeffs
-    assert _traced_peak(lambda: qseries._invert_mod(f, 120)) <= 27 * T
+    assert _traced_peak(lambda: qseries._invert_mod(f, 120)) <= 25.5 * T
+
+
+def test_table_peak_bytes_per_coefficient():
+    # the same inversion with phi(-q) built inside the trace, as
+    # ``overpartition_table`` does: 27.1 B per coefficient with twiddle
+    # blocks of 64 rows and phi(-q)'s vector held through the inversion,
+    # 25.7 with blocks of 16, and 25.0 with the vector freed once its terms
+    # are read.  CPython 3.10 keeps a call's arguments on the caller's stack
+    # until it returns, so there the vector stays, 1 B per coefficient.
+    T = 2 * 10**5 + 1
+    bound = 25.4 if sys.version_info >= (3, 11) else 26.3
+    assert _traced_peak(lambda: overpartition_table(mod_ring(120), T)) <= bound * T
+
+
+def test_dense_inversion_keeps_no_positions():
+    # a random dense f mod 120 at 2 * 10^5 + 1 is loaded as rows at every
+    # step: the inversion holds no vector of its T nonzero positions (8 B
+    # per coefficient) and no int64 copy of f.  It peaked at 33.9 B per
+    # coefficient while it held both (with twiddle blocks of 64 rows), and
+    # at 24.7 without.
+    T = 2 * 10**5 + 1
+    coeffs = np.random.default_rng(7).integers(0, 120, T)
+    coeffs[0] = 1
+    f = Series(mod_ring(120), coeffs).coeffs
+    assert _traced_peak(lambda: qseries._invert_mod(f, 120)) <= 25.5 * T
 
 
 def test_dense_product_peak_bytes_per_coefficient():
     # a dense product mod 120 through 10^5 terms, a four-step transform of
     # 200000 = 500 * 400 points: 67.5 B per term with the float buffer,
-    # 51.5 on two threads and 45.1 on one with none
+    # 51.5 on two threads and 45.1 on one with none, 48.0 with twiddle
+    # blocks of 16 rows instead of 64
     n = 10**5
     rng = np.random.default_rng(5)
     a, b = (Series(mod_ring(120), rng.integers(0, 120, n)) for _ in range(2))
     assert qseries._fft_split(qseries._fft_len(2 * n - 1))[0] > 1
-    assert _traced_peak(lambda: a * b) <= 53 * n
+    assert _traced_peak(lambda: a * b) <= 49 * n
 
 
 def test_one_thread_gives_the_same_bits(monkeypatch):
