@@ -18,9 +18,10 @@ budget, and reports counterexamples instead of raising.  A case can fail
 only where some argument has pbar nonzero mod the family modulus M, so for
 M a power of two (the twelve families mod 4 or 8, 95.8% of the cases) it
 reads only the preimages of the table's sparse set of such arguments, when
-that set times the number of maps is smaller than the progression; other
-families read strided views.  At budget 4*10^6 the 29-family sweep takes
-about 19 ms, against 45 ms reading every case (2-vCPU Xeon VM).
+that set times the number of maps is smaller than the progression.  Those
+assignments and the short dense ones of a family are read in one gathered
+pass; long dense ones read strided views.  At budget 4*10^6 the 29-family
+sweep of a freshly loaded table takes about 10 ms (2-vCPU Xeon VM).
 
 Also here: the two-level dissection chain relating pbar(5n) mod 5 to theta
 products, and zero-density reports for pbar modulo powers of 2.
@@ -208,9 +209,10 @@ def _primes_where(mod: int, residues: tuple[int, ...]) -> Iterator[int]:
     """
     infinite = any(math.gcd(r, mod) == 1 for r in residues if 0 <= r < mod)
     odd = itertools.count(3, 2) if infinite else range(3, mod + 1, 2)
-    if not infinite and not any(p % mod in residues for p in odd if is_odd_prime(p)):
+    # the residue test first: it spares most trial divisions
+    if not infinite and not any(is_odd_prime(p) for p in odd if p % mod in residues):
         raise ValueError(f"prime axis p % {mod} in {residues} admits no odd prime")
-    return (p for p in odd if is_odd_prime(p) and p % mod in residues)
+    return (p for p in odd if p % mod in residues and is_odd_prime(p))
 
 
 def _min_arg(family: CongruenceFamily, params: dict[str, int]) -> int:
@@ -243,22 +245,20 @@ def _axis_assignments(
             yield dict(partial)
         return
     axis, rest = axes[0], axes[1:]
+    # a value fits when the smallest values of the later axes do; for a
+    # leaf that is its own check, made once
+    smallest = {later.name: next(iter(_axis_values(later))) for later in rest}
     for v in _axis_values(axis):
         partial[axis.name] = v
-        if _fits_with_minimal_rest(family, rest, partial, budget):
-            yield from _axis_assignments(family, rest, partial, budget)
-        elif not isinstance(axis, ChoiceAxis):
+        if _min_arg(family, {**partial, **smallest}) > budget:
+            if isinstance(axis, ChoiceAxis):
+                continue
             break  # power and prime values only grow the arguments
+        if rest:
+            yield from _axis_assignments(family, rest, partial, budget)
+        else:
+            yield dict(partial)
     del partial[axis.name]
-
-
-def _fits_with_minimal_rest(
-    family: CongruenceFamily, rest: tuple, partial: dict[str, int], budget: int
-) -> bool:
-    filled = dict(partial)
-    for axis in rest:
-        filled[axis.name] = next(iter(_axis_values(axis)))
-    return _min_arg(family, filled) <= budget
 
 
 # -- verification ------------------------------------------------------------
@@ -282,21 +282,45 @@ def _residues(table: CoeffTable, modulus: int) -> tuple[np.ndarray, int]:
     return table.values, table.ring.modulus
 
 
-def _read(res, m: int, M: int, amap: ArgMap, params: dict, n0: int, count: int, at=None):
-    """pbar(A(n)) mod M, n0 <= n < n0 + count, from a strided view of the
-    residues mod m; only at the offsets ``at`` (n - n0) when given.  When
-    M == m the view needs no reduction, and ``% M`` would raise: M need not
-    fit the residues' dtype (m = 256 in uint8).  For M a power of two,
-    ``& (M - 1)`` replaces ``% M``, which is about four times slower on
-    narrow words."""
-    start = amap.evaluate(n0, params)
-    stride = amap.scale(params) * amap.step
-    view = res[start : start + stride * (count - 1) + 1 : stride]
-    if at is not None:
-        view = view[at]
+# Dense assignments of at most this many offsets join their family's gathered
+# pass; longer ones read strided views.  The 29 families took 14.98 ms at
+# budget 4*10^6 with none gathered, 14.25 ms with 256 and 14.10-14.24 ms
+# from 512 to 2048; at 10^6, 8.51, 7.99 and 8.05-8.18 ms (sums of medians
+# of 31, in a slow phase of a 2-vCPU Xeon VM).
+_GATHER_LEN = 256
+# Elements per block of the gathered pass, and mask entries per pass of
+# ``_side_cases``: an int64 temporary holds 512 KB.
+_GATHER_BLOCK = 1 << 16
+
+
+def _reduce(words: np.ndarray, m: int, M: int) -> np.ndarray:
+    """Residues mod M of residues mod m.  When M == m they need no
+    reduction, and ``% M`` would raise: M need not fit the words' dtype
+    (m = 256 in uint8).  For M a power of two, ``& (M - 1)`` replaces the
+    remainder."""
     if m == M:
-        return view
-    return view & (M - 1) if M & (M - 1) == 0 else view % M
+        return words
+    return words & (M - 1) if M & (M - 1) == 0 else _mod(words, M)
+
+
+def _mod(words: np.ndarray, M: int) -> np.ndarray:
+    """words % M, as words - (words // M) * M in a new contiguous array.
+    numpy's ``%`` divides word by word, while ``//`` by a scalar is
+    vectorised over contiguous words: on 200,001 uint8 words mod 5 ``%``
+    took 404 us and this 23 us.  Strided words are copied first, since
+    ``//`` on a view runs word by word as well."""
+    M = words.dtype.type(M)
+    if not words.flags.c_contiguous:
+        words = words.copy()
+    q = words // M
+    q *= M
+    return np.subtract(words, q, out=q)
+
+
+def _read(res, m: int, M: int, start: int, stride: int, count: int) -> np.ndarray:
+    """pbar(start + stride * i) mod M for i < count, from a strided view of
+    the residues mod m."""
+    return _reduce(res[start : start + stride * (count - 1) + 1 : stride], m, M)
 
 
 def _nonzero_set(table: CoeffTable, res: np.ndarray, M: int) -> np.ndarray | None:
@@ -328,27 +352,153 @@ def _nonzero_set(table: CoeffTable, res: np.ndarray, M: int) -> np.ndarray | Non
     return memo[M]
 
 
-def _candidates(S: np.ndarray, maps: list[ArgMap], params: dict, n0: int, count: int):
-    """The sorted offsets i < count at which some map's argument A(n0 + i)
-    lies in S: the union of S's preimages under the argument maps."""
-    parts = []
-    for amap in maps:
-        a = amap.scale(params) * amap.step
-        b = amap.evaluate(n0, params)
-        lo, hi = np.searchsorted(S, b), np.searchsorted(S, b + a * (count - 1), "right")
-        d = S[lo:hi] - b
-        parts.append(d[d % a == 0] // a)
-    return np.unique(np.concatenate(parts))
+def _preimages(S: np.ndarray, rows: list[tuple], span: int) -> np.ndarray:
+    """Keys r * span + i, sorted and distinct, of the offsets i < count at
+    which some argument start + stride * i of row r = (starts, strides,
+    count) lies in S: the union of S's preimages under each row's maps.
+    The (row, map) pairs of one stride share a pass over S that looks each
+    element's residue up among their starts; starts that collide mod the
+    stride take another pass.  A pass reads S in blocks of
+    ``_GATHER_BLOCK`` elements."""
+    passes: dict[int, list[dict]] = {}
+    for r, (starts, strides, count) in enumerate(rows):
+        for b, a in zip(starts, strides):
+            layers = passes.setdefault(a, [])
+            layer = next((layer for layer in layers if b % a not in layer), None)
+            if layer is None:
+                layers.append(layer := {})
+            layer[b % a] = (r, b, b + a * (count - 1))
+    keys = [np.empty(0, dtype=np.int64)]
+    for a, layers in passes.items():
+        for layer in layers:
+            residues = np.array(sorted(layer))
+            row, first, last = np.array([layer[c] for c in residues.tolist()]).T
+            lo, hi = np.searchsorted(S, (first.min(), last.max() + 1)).tolist()
+            for at in range(lo, hi, _GATHER_BLOCK):
+                x = S[at : min(hi, at + _GATHER_BLOCK)]
+                if len(residues) == 1:  # x lies within the one pair's range
+                    d = x - first[0]
+                    keys.append(row[0] * span + d[_mod(d, a) == 0] // a)
+                    continue
+                c = _mod(x, a)
+                k = np.searchsorted(residues, c).clip(max=len(residues) - 1)
+                hit = residues[k] == c
+                k, x = k[hit], x[hit]
+                ok = (x >= first[k]) & (x <= last[k])
+                k, x = k[ok], x[ok]
+                keys.append(row[k] * span + (x - first[k]) // a)
+    return np.unique(np.concatenate(keys))
 
 
-def _periodic(pattern: np.ndarray, n0: int, count: int, at=None) -> np.ndarray:
+def _periodic(pattern: np.ndarray, n0: int, count: int) -> np.ndarray:
     """pattern[(n0 + i) % p] for i < count, where p = len(pattern), as a
-    tiling with no index vector; or only for the offsets i in ``at``."""
-    if at is not None:
-        return pattern[(n0 + at) % len(pattern)]
+    tiling with no index vector."""
     shift = n0 % len(pattern)
     reps = -(-(shift + count) // len(pattern))
     return np.tile(pattern, reps)[shift : shift + count]
+
+
+def _side_cases(primes: list[int], counts: list[int], n0: int, values: tuple) -> tuple:
+    """A side condition over assignments of these primes and counts.  For
+    each distinct prime p, the mask over n % p of the n with legendre(-n,
+    p) in ``values``; and per assignment, the offset of its prime's mask in
+    the masks end to end, how many of its n0 <= n < n0 + count are kept,
+    and how far below n0 + count - 1 the last of them lies.  Primes share
+    passes of about ``_GATHER_BLOCK`` mask entries: a table per prime took
+    about 20 us, and pbar-4k-5l2-mod5 meets 40 primes in 96 assignments at
+    4*10^6."""
+    p_all, count_all = np.array(primes), np.array(counts)
+    at, kept, back = (np.zeros(len(primes), dtype=np.int64) for _ in range(3))
+    parts, group, size, offset = [], [], 0, 0
+    distinct = np.unique(p_all).tolist()
+    for q in distinct:
+        group.append(q)
+        size += q
+        if size < _GATHER_BLOCK and q != distinct[-1]:
+            continue
+        sizes = np.array(group)
+        ends = np.cumsum(sizes)
+        base = np.repeat(ends - sizes, sizes)
+        mod = np.repeat(sizes, sizes)
+        r = np.arange(size) - base
+        symbol = np.full(size, -1, dtype=np.int8)  # legendre(r, p)
+        symbol[base + r * r % mod] = 1
+        symbol[ends - sizes] = 0
+        # by the symbol of -r, so that -1 reads the last entry
+        kept_symbols = np.array([s in values for s in (0, 1, -1)])
+        mask = kept_symbols[symbol[np.where(r, base + mod - r, base)]]
+        below = np.concatenate(([0], np.cumsum(mask)))  # kept entries below each entry
+        last = np.maximum.accumulate(np.where(mask, np.arange(size), -1))
+
+        mine = np.flatnonzero((p_all >= group[0]) & (p_all <= group[-1]))
+        p, count = p_all[mine], count_all[mine]
+        a = (ends - sizes)[np.searchsorted(sizes, p)]
+        full, rem = divmod(count, p)
+        lo = n0 % p
+        hi = lo + rem
+        kept[mine] = (
+            full * (below[a + p] - below[a])
+            + below[a + np.minimum(hi, p)] - below[a + lo]
+            + np.where(hi > p, below[a + np.maximum(hi - p, 0)] - below[a], 0)
+        )
+        end = a + (n0 + count - 1) % p
+        back[mine] = np.where(last[end] >= a, end - last[end], end + p - last[a + p - 1])
+        at[mine] = a + offset
+        parts.append(mask)
+        group, size, offset = [], 0, offset + size
+    return np.concatenate(parts), at.tolist(), kept.tolist(), back.tolist()
+
+
+def _mismatch(words, M: int, dtype, factor, chi, phase):
+    """Where the relation fails, and its right side, given the words read
+    mod M of each map (lhs first) and ``phase(pattern)``, the entries
+    pattern[n % len(pattern)] at the n read.  With no right side the
+    relation fails where the lhs is nonzero."""
+    lhs = words[0]
+    if factor is None and chi is None:
+        return lhs, None
+    rhs = 0
+    if factor is not None:
+        rhs = words[1].astype(dtype)
+        rhs *= factor[0] if len(factor) == 1 else phase(factor)
+    if chi is not None:
+        # uint64 times int64 words would give float64
+        rhs = rhs + phase(chi) * lhs.astype(dtype, copy=False)
+    rhs = _mod(rhs, M)
+    return lhs != rhs, rhs
+
+
+def _gathered_blocks(rows: list[tuple], sparse: list[bool], S: np.ndarray | None):
+    """The gathered pass in blocks of about ``_GATHER_BLOCK`` elements, in
+    (row, offset) order: first the S_M preimages of the sparse rows, then
+    every offset of the others.  A block is (ids, args): the row id of each
+    element, and per map the arguments start + stride * i it reads."""
+    maps = range(len(rows[0][0]))
+    span = max(count for *_, count in rows)
+    picked = [r for r, few in enumerate(sparse) if few]
+    if picked:
+        keys = _preimages(S, [rows[r] for r in picked], span)
+        firsts, strides = (np.array([rows[r][f] for r in picked]).T for f in (0, 1))
+        for at in range(0, len(keys), _GATHER_BLOCK):
+            ids, i = np.divmod(keys[at : at + _GATHER_BLOCK], span)
+            args = [first[ids] + stride[ids] * i for first, stride in zip(firsts, strides)]
+            yield np.array(picked)[ids], args
+    batch, size = [], 0
+    for r, few in enumerate(sparse):
+        if not few:
+            batch.append(r)
+            size += rows[r][2]
+        if batch and (size >= _GATHER_BLOCK or r == len(rows) - 1):
+            # an arange per row and map: short rows cost less this way than
+            # as offsets repeated from the row starts
+            args = [
+                np.concatenate([np.arange(b, b + a * c, a) for b, a, c in (
+                    (rows[k][0][j], rows[k][1][j], rows[k][2]) for k in batch
+                )])
+                for j in maps
+            ]
+            yield np.repeat(batch, [rows[k][2] for k in batch]), args
+            batch, size = [], 0
 
 
 def verify(
@@ -368,10 +518,15 @@ def verify(
     the arguments at which pbar is nonzero mod M.  For M a power of two S_M
     is kept per table (``_nonzero_set``), and it is sparse: by the k <= 2
     truncation of the 2-adic expansion, pbar(n) mod 8 is nonzero only at
-    n = 0, squares and twice squares, about 1.7 sqrt(T) of T.  An
-    assignment of ``count`` offsets then reads only the preimages of S_M
-    under its maps when len(S_M) * len(maps) < count, and strided views of
-    every offset otherwise.  Reports are the same either way.
+    n = 0, squares and twice squares, about 1.7 sqrt(T) of T.
+
+    Cases, n_max and max_argument are arithmetic per assignment.  An
+    assignment of ``count`` offsets is read at the preimages of S_M under
+    its maps when len(S_M) * len(maps) < count; such assignments and the
+    dense ones of at most ``_GATHER_LEN`` offsets join one gathered pass,
+    which reads pbar at start + stride * i for every (assignment, offset)
+    of the family at once.  Longer dense assignments read strided views.
+    Reports are the same whichever way an assignment is read.
     """
     if budget is None:
         budget = table.length - 1
@@ -389,79 +544,99 @@ def verify(
     n0 = family.n_start
     maps = family.arg_maps()
     nonzero = _nonzero_set(table, res, M) if M & (M - 1) == 0 else None
-    keeps: dict[int, np.ndarray] = {}
-    if side is not None:
-        # indexed by the symbol, so -1 reads the last entry
-        kept_symbols = np.array([s in side.values for s in (0, 1, -1)])
     # the factor and the symbol are taken mod M, so with pbar(B(n)) read mod
     # M the rhs is unsigned, where % is faster than on mixed signs, and below
     # 2 (M - 1)^2 (M = 65536 needs uint64, not uint32)
-    rhs_dtype = np.min_scalar_type(2 * M * M)
-    factor = np.array([c % M for c in rel.factor], dtype=rhs_dtype)
-    chi = None
+    dtype = np.min_scalar_type(2 * M * M)
+    factor = chi = None
+    if rel.rhs is not None:
+        factor = np.array([c % M for c in rel.factor], dtype=dtype)
     if rel.prime is not None:
-        chi = (_legendre_table(rel.prime, negate=False) % M).astype(rhs_dtype)
+        chi = (_legendre_table(rel.prime, negate=False) % M).astype(dtype)
+
+    # (assignment, starts, strides, count, side prime) per assignment
+    todo = []
+    for index, params in enumerate(_axis_assignments(family, tuple(family.axes), {}, budget)):
+        scales = [amap.scale(params) for amap in maps]
+        offsets = [amap.offset_value(params) for amap in maps]
+        count = 1 - n0 + min(
+            (budget // s - o) // amap.step for amap, s, o in zip(maps, scales, offsets)
+        )
+        if count >= 1:
+            starts = [s * (amap.step * n0 + o) for amap, s, o in zip(maps, scales, offsets)]
+            strides = [s * amap.step for amap, s in zip(maps, scales)]
+            todo.append((index, starts, strides, count, params[side.axis] if side else None))
+    if side is not None and todo:
+        masks, mask_at, kept, back = _side_cases(
+            [a[4] for a in todo], [a[3] for a in todo], n0, side.values
+        )
 
     cases = 0
     violations = 0
     n_max_seen = 0
     arg_max_seen = 0
-    counterexamples: list[tuple[int, int, int, int]] = []
-
-    for params in _axis_assignments(family, tuple(family.axes), {}, budget):
-        count = 1 - n0 + min(
-            (budget // amap.scale(params) - amap.offset_value(params)) // amap.step
-            for amap in maps
-        )
-        if count < 1:
-            continue
-
-        keep = None
+    # (assignment, n, arg, lhs, rhs): the first max_counterexamples of the
+    # strided assignments, then of each gathered block
+    found: list[tuple[int, int, int, int, int]] = []
+    gathered: list[int] = []  # indices into todo
+    rows: list[tuple[list[int], list[int], int]] = []  # (starts, strides, count)
+    sparse: list[bool] = []
+    for k, (index, starts, strides, count, p) in enumerate(todo):
         last = count - 1
-        if side is not None:
-            p = params[side.axis]
-            if p not in keeps:
-                keeps[p] = kept_symbols[_legendre_table(p, negate=True)]
-            keep = _periodic(keeps[p], n0, count)
-            kept = int(np.count_nonzero(keep))
-            if not kept:
+        if p is not None:
+            if not kept[k]:
                 continue
-            last -= int(np.argmax(keep[::-1]))
-            cases += kept
+            cases += kept[k]
+            last -= back[k]
         else:
             cases += count
-
-        # offsets i = n - n0 to read: all of them, or the preimages of S_M
-        at = None
-        if nonzero is not None and len(nonzero) * len(maps) < count:
-            at = _candidates(nonzero, maps, params, n0, count)
-        lhs = _read(res, m, M, family.lhs, params, n0, count, at)
-        rhs = None
-        if rel.rhs is not None or chi is not None:
-            rhs = 0
-            if rel.rhs is not None:
-                rhs = _read(res, m, M, rel.rhs, params, n0, count, at).astype(rhs_dtype)
-                rhs *= _periodic(factor, n0, count, at)
-            if chi is not None:
-                # uint64 times int64 words would give float64
-                rhs = rhs + _periodic(chi, n0, count, at) * lhs.astype(rhs_dtype, copy=False)
-            rhs %= M
-        bad = lhs if rhs is None else lhs != rhs
-        if keep is not None:
-            bad = np.logical_and(bad, keep if at is None else keep[at])
-
         n_max_seen = max(n_max_seen, n0 + last)
-        args = [amap.evaluate(n0 + last, params) for amap in maps]
-        arg_max_seen = max(arg_max_seen, *args)
-        found = int(np.count_nonzero(bad))
-        if found:
-            violations += found
-            room = max(0, max_counterexamples - len(counterexamples))
+        arg_max_seen = max(arg_max_seen, *(b + a * last for b, a in zip(starts, strides)))
+
+        few = nonzero is not None and len(nonzero) * len(maps) < count
+        if few or count <= _GATHER_LEN:
+            gathered.append(k)
+            rows.append((starts, strides, count))
+            sparse.append(few)
+            continue
+        words = [_read(res, m, M, b, a, count) for b, a in zip(starts, strides)]
+        bad, rhs = _mismatch(
+            words, M, dtype, factor, chi, lambda pattern: _periodic(pattern, n0, count)
+        )
+        if p is not None:
+            bad = np.logical_and(bad, _periodic(masks[mask_at[k] : mask_at[k] + p], n0, count))
+        hits = int(np.count_nonzero(bad))
+        if hits:
+            violations += hits
+            room = max(0, max_counterexamples - len(found))
             for j in np.flatnonzero(bad)[:room].tolist():
-                i = j if at is None else int(at[j])
-                arg = family.lhs.evaluate(n0 + i, params)
                 rhs_j = 0 if rhs is None else int(rhs[j])
-                counterexamples.append((n0 + i, arg, int(lhs[j]), rhs_j))
+                found.append((index, n0 + j, starts[0] + strides[0] * j, int(words[0][j]), rhs_j))
+
+    if rows:
+        first, stride = (np.array([row[f][0] for row in rows]) for f in (0, 1))
+        if side is not None:
+            primes = np.array([todo[k][4] for k in gathered])
+            mask_at = np.array(mask_at)[gathered]
+    for ids, args in _gathered_blocks(rows, sparse, nonzero) if rows else ():
+
+        def n_at(pos=slice(None)):  # n of the elements at pos, from the lhs arguments
+            return n0 + (args[0][pos] - first[ids[pos]]) // stride[ids[pos]]
+
+        words = [_reduce(res[a], m, M) for a in args]
+        bad, rhs = _mismatch(
+            words, M, dtype, factor, chi, lambda pattern: pattern[n_at() % len(pattern)]
+        )
+        hits = np.flatnonzero(bad)
+        if side is not None:
+            on = ids[hits]
+            hits = hits[masks[mask_at[on] + n_at(hits) % primes[on]]]
+        violations += len(hits)
+        hits = hits[:max_counterexamples]
+        for j, n in zip(hits.tolist(), n_at(hits).tolist()):
+            rhs_j = 0 if rhs is None else int(rhs[j])
+            found.append((todo[gathered[ids[j]]][0], n, int(args[0][j]), int(words[0][j]), rhs_j))
+    found.sort()
     return VerifyReport(
         family_id=family.id,
         statement=family.statement,
@@ -472,7 +647,7 @@ def verify(
         max_argument=arg_max_seen,
         cases=cases,
         violations=violations,
-        counterexamples=counterexamples,
+        counterexamples=[c[1:] for c in found[:max_counterexamples]],
     )
 
 
@@ -687,6 +862,40 @@ def family_by_id(fid: str) -> CongruenceFamily:
 # -- dissection chain --------------------------------------------------------
 
 
+_SIDE_NAMES = ("phi^3", "phi^2 psi(q^2)", "phi psi(q^2)^2", "psi(q^2)^3")
+_FIRST_SIGNS = (1, -1, 2, -3)
+_SECOND_SIGNS = (1, 1, 2, 3)
+
+
+def _chain_sides(order: int) -> tuple[dict, Series]:
+    """The chain's signed sides mod 5 at length 4 * order, keyed by (i,
+    sign) for the sides (phi^3, phi^2 psi2, phi psi2^2, psi2^3), psi2 =
+    psi(q^2); and phi(-q)^3 through 16 * order, interleaved from the first
+    signs' sides.  Each signed side is built once: 1 needs no multiply, and
+    2 is common to both sign sets.
+
+    The interleaving rests on the 2-dissection phi(-q) = phi(q^4) - 2q
+    psi(q^8): cubed, its class i mod 4 is (1, -6, 12, -8)[i] times the i-th
+    side at q^4, and those factors are the first signs mod 5.  So no
+    product at length 16 * order is formed.
+    """
+    ring = mod_ring(5)
+    t1 = 4 * order
+    phi = theta_series(ThetaKind.PHI_PLUS, ring, t1)
+    psi2 = theta_series(ThetaKind.PSI, ring, t1).substitute_power(2)
+    phi2 = phi * phi
+    psi2sq = psi2 * psi2
+    base = [phi2 * phi, phi2 * psi2, phi * psi2sq, psi2sq * psi2]
+    signed = {(i, 1): side for i, side in enumerate(base)}
+    for i, c in itertools.chain(enumerate(_FIRST_SIGNS), enumerate(_SECOND_SIGNS)):
+        if (i, c) not in signed:
+            signed[i, c] = base[i].scalar_mul(c)
+    cube = np.empty(16 * order, dtype=base[0].coeffs.dtype)
+    for i, c in enumerate(_FIRST_SIGNS):
+        cube[i::4] = signed[i, c].coeffs
+    return signed, Series(ring, cube)
+
+
 def verify_dissection_chain(
     order: int, table: CoeffTable | None = None
 ) -> list[IdentityCheck]:
@@ -696,55 +905,39 @@ def verify_dissection_chain(
     progressions pbar(20n + 5i) against (phi^3, -phi^2 psi2, 2 phi psi2^2,
     -3 psi2^3); and the four progressions pbar(4(20n + 5i)) against
     (phi^3, +phi^2 psi2, 2 phi psi2^2, +3 psi2^3), where psi2 = psi(q^2).
-    Needs pbar values through argument 80 * order - 1.
+    Needs pbar values through argument 80 * order - 1.  The first identity
+    rests on the 2-dissection of phi(-q), not on an independent cube
+    (``_chain_sides``).
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     need = 80 * order
     if table is None:
         table = overpartition_table(mod_ring(5), need, Method.THETA_INVERSION)
-    res, _ = _residues(table, 5)
+    res, m = _residues(table, 5)
     if table.length < need:
         raise ValueError(
             f"chain at order {order} needs pbar through argument {need - 1}; "
             f"table has length {table.length}"
         )
-    ring = mod_ring(5)
-    p5 = Series(ring, res[:need:5])  # pbar(5n) for n < 16 * order
-
-    checks = [
-        compare(
-            "pbar(5n) == phi(-q)^3 (mod 5)",
-            p5,
-            theta_series(ThetaKind.PHI_MINUS, ring, 16 * order) ** 3,
-        )
-    ]
-
-    t1 = 4 * order
-    phi = theta_series(ThetaKind.PHI_PLUS, ring, t1)
-    psi2 = theta_series(ThetaKind.PSI, ring, t1).substitute_power(2)
-    phi2 = phi * phi
-    psi2sq = psi2 * psi2
-    base = [phi2 * phi, phi2 * psi2, phi * psi2sq, psi2sq * psi2]
-    side_names = ["phi^3", "phi^2 psi(q^2)", "phi psi(q^2)^2", "psi(q^2)^3"]
-
-    first_signs = (1, -1, 2, -3)
-    second_signs = (1, 1, 2, 3)
-    for i in range(4):
+    p5 = Series(mod_ring(5), _read(res, m, 5, 0, 5, 16 * order))  # pbar(5n), n < 16 * order
+    signed, cube = _chain_sides(order)
+    checks = [compare("pbar(5n) == phi(-q)^3 (mod 5)", p5, cube)]
+    for i, c in enumerate(_FIRST_SIGNS):
         checks.append(
             compare(
-                f"pbar(20n + {5 * i}) == {first_signs[i]} {side_names[i]} (mod 5)",
+                f"pbar(20n + {5 * i}) == {c} {_SIDE_NAMES[i]} (mod 5)",
                 p5.extract_progression(4, i),
-                base[i].scalar_mul(first_signs[i]),
+                signed[i, c],
             )
         )
     p20 = p5.extract_progression(4, 0)
-    for i in range(4):
+    for i, c in enumerate(_SECOND_SIGNS):
         checks.append(
             compare(
-                f"pbar(80n + {20 * i}) == {second_signs[i]} {side_names[i]} (mod 5)",
+                f"pbar(80n + {20 * i}) == {c} {_SIDE_NAMES[i]} (mod 5)",
                 p20.extract_progression(4, i),
-                base[i].scalar_mul(second_signs[i]),
+                signed[i, c],
             )
         )
     return checks
@@ -769,6 +962,5 @@ def density_report(
             f"table has {table.length}"
         )
     res, m = _residues(table, modulus)
-    amap = ArgMap(offset=1)
-    zeros = limit - np.count_nonzero(_read(res, m, modulus, amap, {}, 0, limit))
+    zeros = limit - np.count_nonzero(_read(res, m, modulus, 1, 1, limit))
     return float(zeros / limit)

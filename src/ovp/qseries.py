@@ -277,13 +277,20 @@ class Series:
 
     # -- inversion -------------------------------------------------------
 
-    def invert(self) -> "Series":
+    def invert(self, *, consume: bool = False) -> "Series":
         """Multiplicative inverse to the same truncation order.
 
         The constant term must be a unit: +/-1 over ZZ, coprime to m over
         Z/m.  Over ZZ the cost is O(T * nnz) in the number of nonzero terms
         of self; over Z/m it is O(T log T), by Newton iteration with exact
         float64 FFT products.
+
+        With ``consume`` the series hands its vector over and is left with
+        order 0, so that the vector is freed before the Newton steps even
+        while the caller still holds the series: CPython 3.10 keeps a
+        call's arguments on the caller's stack until it returns, and
+        ``overpartition_table`` would hold phi(-q)'s vector (100 MB at
+        budget 10^8) through the inversion.
         """
         if self.order == 0:
             raise ValueError("cannot invert a series of order 0")
@@ -297,6 +304,8 @@ class Series:
             # r[0] = a0 and r[n] = -sum(a0 * c * r[n - e]) over the terms
             # c q^e of self with 0 < e <= n, since 1/a0 = a0
             kernel = [(e, a0 * c) for e, c in self.nonzero_terms() if e > 0]
+            if consume:
+                self._vacate()
             r = [a0] + [0] * (T - 1)
             for n in range(1, T):
                 s = 0
@@ -306,13 +315,15 @@ class Series:
                     s -= c * r[n - e]
                 r[n] = s
             return Series._of(self.ring, r)
-        ring, run = self.ring, _newton(self._coeffs, self.ring.modulus)
-        # run holds none of a sparse vector (phi(-q)'s; see ``_invert_mod``).
-        # From CPython 3.11 on a call hands its arguments' references to the
-        # callee, so a series that only the caller's expression made, as in
-        # ``overpartition_table``, is freed here, before the transforms.
-        del self
-        return Series._of(ring, run())
+        # run holds none of a sparse vector (phi(-q)'s; see ``_invert_mod``)
+        run = _newton(self._coeffs, self.ring.modulus)
+        if consume:
+            self._vacate()
+        return Series._of(self.ring, run())
+
+    def _vacate(self) -> None:
+        """Drop the vector, leaving order 0: ``invert(consume=True)``."""
+        object.__setattr__(self, "_coeffs", self._coeffs[:0].copy())
 
     # -- reindexing ------------------------------------------------------
 
@@ -374,7 +385,8 @@ class Series:
         return json.dumps(self.to_json_dict())
 
     @classmethod
-    def from_json_dict(cls, obj: dict) -> "Series":
+    def from_json(cls, text: str) -> "Series":
+        obj = json.loads(text)
         kind = obj.get("ring")
         order = int(obj["order"])
         coeffs = obj["coeffs"]
@@ -387,10 +399,6 @@ class Series:
         if kind == "mod":
             return cls(CoefficientRing(int(obj["modulus"])), [int(c) for c in coeffs])
         raise ValueError(f"unknown ring tag {kind!r}")
-
-    @classmethod
-    def from_json(cls, text: str) -> "Series":
-        return cls.from_json_dict(json.loads(text))
 
     def to_bytes(self) -> bytes:
         """Binary form of a residue series: magic, ring tag, modulus, order,
@@ -1157,8 +1165,9 @@ def _invert_mod(f: np.ndarray, m: int) -> np.ndarray:
     every four-step step, the terms and f below the last k2 of a
     one-column step (under 2^16 entries), and none of its T entries; a
     dense f is kept whole, with no positions.  ``_newton`` reads f and
-    returns the iteration, which holds only that, and ``Series.invert``
-    lets go of its series between the two.
+    returns the iteration, which holds only that, and
+    ``Series.invert(consume=True)`` lets go of the series' vector between
+    the two.
 
     Each step plans its limbs from its own lengths and f's largest term.
     Early steps need fewer limbs than the last, and phi(-q) is one limb, so

@@ -6,6 +6,7 @@ when the reader of stdout closes it early.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -209,6 +210,18 @@ def test_verify_all_json(capsys):
     assert all(f["pass"] for f in payload["families"])
     assert all(f["range"]["n_min"] == 0 for f in payload["families"])
     assert all(c["pass"] for c in payload["dissection_chain"])
+
+
+def test_verify_all_json_is_pinned(capsys):
+    # the whole report at budget 2 * 10^5, recorded before the sweep read
+    # assignments in one gathered pass per family and before the chain
+    # built phi(-q)^3 from the 2-dissection instead of a cube
+    argv = ["verify", "--all", "--budget", "200000", "--format", "json", "--no-cache"]
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "067cfd811f6fb503f7f7dc98166e8d9f34517ed85aef8fabf440ed3fd73d57eb"
+    )
 
 
 def test_verify_all_below_chain_budget_reports_chain_not_run(capsys):

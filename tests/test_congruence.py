@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import itertools
 import tracemalloc
@@ -19,9 +20,11 @@ from ovp.congruence import (
     SideCondition,
     VerifyReport,
     _axis_assignments,
-    _candidates,
+    _chain_sides,
     _nonzero_set,
+    _preimages,
     _primes_where,
+    _side_cases,
     density_report,
     family_by_id,
     planted_false_family,
@@ -31,6 +34,7 @@ from ovp.congruence import (
 )
 from ovp.hecke import _legendre_table, is_odd_prime, legendre
 from ovp.overpartition import CoeffTable
+from ovp.theta import ThetaKind, theta_series
 
 @pytest.fixture(scope="module")
 def table_mod120():
@@ -253,27 +257,51 @@ def _corrupted(table, kind):
 
 
 def test_sweep_matches_reference_loop_on_corrupted_table(table_mod120, monkeypatch):
-    reads = []
-    monkeypatch.setattr(
-        congruence, "_candidates", lambda *a: reads.append(1) or _candidates(*a)
-    )
+    # Each setting of (_GATHER_LEN, _GATHER_BLOCK) moves assignments between
+    # the three reads: S_M preimages and short dense progressions in the
+    # gathered pass, long dense progressions in strided views.  A block of 5
+    # splits the gathered pass many times, so its counterexample caps are
+    # met across blocks.
+    default = congruence._GATHER_LEN
+    settings = ((default, congruence._GATHER_BLOCK), (100, 64), (0, 5))
+    reads = collections.Counter()
+    blocks, read = congruence._gathered_blocks, congruence._read
+
+    def gathered(rows, sparse, S):
+        reads.update(sparse=sum(sparse), dense=len(sparse) - sum(sparse))
+        return blocks(rows, sparse, S)
+
+    monkeypatch.setattr(congruence, "_gathered_blocks", gathered)
+    monkeypatch.setattr(congruence, "_read", lambda *a: reads.update(strided=1) or read(*a))
     nonresidue = {f"nonresidue-{ell}" for ell in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)}
     for kind in ("any", "mod8", "words"):
         corrupted = _corrupted(table_mod120, kind)
-        reads.clear()
         failing = set()
+        seen = {}
         for fam in SWEEP_FAMILIES:
             want = _reference_verify(fam, corrupted, 5000, 16)
-            for cap in (0, 3, 16):
-                capped = dataclasses.replace(want, counterexamples=want.counterexamples[:cap])
-                assert verify(fam, corrupted, 5000, cap) == capped, (kind, fam.id, cap)
+            for gather_len, block in settings:
+                monkeypatch.setattr(congruence, "_GATHER_LEN", gather_len)
+                monkeypatch.setattr(congruence, "_GATHER_BLOCK", block)
+                reads.clear()
+                for cap in (0, 3, 16):
+                    capped = dataclasses.replace(want, counterexamples=want.counterexamples[:cap])
+                    got = verify(fam, corrupted, 5000, cap)
+                    assert got == capped, (kind, fam.id, gather_len, block, cap)
+                for path, rows in reads.items():
+                    seen[gather_len, path] = seen.get((gather_len, path), 0) + rows
             if not want.ok:
                 failing.add(fam.id)
         if kind == "words":
-            # the nonzero sets would outgrow the table: every sweep is strided
-            assert corrupted.nonzero == {8: None, 4: None} and not reads
+            # the nonzero sets would outgrow the table: no read is sparse
+            assert corrupted.nonzero == {8: None, 4: None}
+            assert not any(rows for (_, path), rows in seen.items() if path == "sparse")
         else:
-            assert reads and corrupted.nonzero[8] is not None
+            assert corrupted.nonzero[8] is not None
+            assert all(seen.get((gather_len, "sparse")) for gather_len, _ in settings)
+        assert seen.get((default, "dense")) and seen.get((100, "dense"))
+        assert seen.get((100, "strided")) and seen.get((0, "strided"))
+        assert not seen.get((0, "dense"))
         if kind == "any":
             assert len(failing) >= 20
         if kind == "mod8":
@@ -283,27 +311,60 @@ def test_sweep_matches_reference_loop_on_corrupted_table(table_mod120, monkeypat
             assert failing - false <= {f.id for f in SWEEP_FAMILIES if f.modulus % 4 == 0}
 
 
-def test_candidates_are_the_preimages_of_the_nonzero_set():
+def test_preimages_are_the_offsets_whose_arguments_lie_in_the_nonzero_set(monkeypatch):
     rng = np.random.default_rng(8)
-    params = {"k": 2, "r": 3}
-    maps = [
-        ArgMap(step=4, offset=3),
-        ArgMap(step=7, offset_axis="r"),
-        ArgMap(base=3, step=2, offset=1, factors=(AxisFactor("k", base=4),)),
+    # rows of (starts, strides, count): two maps of one row share a stride
+    # and a start mod it, and so do two rows, so some take a second pass;
+    # the rows of residues 0, 1, 2 and 3 mod 4 share one pass, though their
+    # ranges differ
+    rows = [
+        ([3, 7], [4, 4], 200),
+        ([11], [7], 140),
+        ([7], [4], 57),
+        ([96, 5], [24, 1], 1),
+        ([0, 2], [2, 3], 90),
+        ([1], [4], 30),
+        ([2, 9], [4, 7], 190),
+        ([404], [4], 50),
     ]
-    for n0, count in ((0, 1), (0, 200), (3, 57), (11, 140)):
-        top = max(amap.evaluate(n0 + count - 1, params) for amap in maps)
-        for density in (0.02, 0.3):
-            S = np.flatnonzero(rng.random(top + 1) < density)
-            S = np.union1d(S, [amap.evaluate(n0 + count - 1, params) for amap in maps])
-            members = set(S.tolist())
-            for chosen in ([maps[0]], maps[:2], maps[1:], maps):
-                want = [
-                    i for i in range(count)
-                    if any(amap.evaluate(n0 + i, params) in members for amap in chosen)
-                ]
-                got = _candidates(S, chosen, params, n0, count)
-                assert got.tolist() == want, (n0, count, density, len(chosen))
+    top = max(
+        b + a * (count - 1) for starts, strides, count in rows for b, a in zip(starts, strides)
+    )
+    span = max(count for _, _, count in rows)
+    for density in (0.02, 0.3):
+        S = np.flatnonzero(rng.random(top + 1) < density)
+        S = np.union1d(S, [96, 3 + 4 * 199])
+        members = set(S.tolist())
+        want = [
+            r * span + i
+            for r, (starts, strides, count) in enumerate(rows)
+            for i in range(count)
+            if any(b + a * i in members for b, a in zip(starts, strides))
+        ]
+        for block in (1 << 16, 3):
+            monkeypatch.setattr(congruence, "_GATHER_BLOCK", block)
+            assert _preimages(S, rows, span).tolist() == want, (density, block)
+
+
+@pytest.mark.parametrize("block", (1 << 16, 40))
+def test_side_cases_count_the_kept_n(block, monkeypatch):
+    # per assignment (p, count) from n0: the kept n0 <= n < n0 + count and
+    # the distance of the last one below n0 + count - 1, against a loop;
+    # blocks of 40 mask entries split the primes into several passes
+    monkeypatch.setattr(congruence, "_GATHER_BLOCK", block)
+    rng = np.random.default_rng(5)
+    primes = [3, 5, 7, 13, 31, 3, 13, 97, 11, 61]
+    for values in ((-1,), (1, -1), (0,), (1,)):
+        for n0 in (0, 1, 7, 40):
+            counts = rng.integers(1, 300, size=len(primes)).tolist()
+            masks, at, kept, back = _side_cases(primes, counts, n0, values)
+            for p, count, a, k, b in zip(primes, counts, at, kept, back):
+                want = [legendre(-n, p) in values for n in range(p)]
+                assert masks[a : a + p].tolist() == want
+                ns = [n for n in range(n0, n0 + count) if want[n % p]]
+                assert k == len(ns), (values, n0, p, count)
+                if ns:
+                    assert b == n0 + count - 1 - ns[-1], (values, n0, p, count)
 
 
 def test_nonzero_sets_mod_8_and_4_are_squares_and_twice_squares():
@@ -541,6 +602,17 @@ def test_dissection_chain_small_order():
     assert names[0] == "pbar(5n) == phi(-q)^3 (mod 5)"
     assert "pbar(20n + 5)" in names[2]
     assert "pbar(80n + 60)" in names[8]
+
+
+@pytest.mark.parametrize("order", (1, 7, 100, 2500))
+def test_chain_cube_is_the_interleaved_signed_sides(order):
+    # identity 1 reads phi(-q)^3 from the 2-dissection, not from a cube
+    signed, cube = _chain_sides(order)
+    want = theta_series(ThetaKind.PHI_MINUS, mod_ring(5), 16 * order) ** 3
+    assert cube.order == want.order == 16 * order
+    assert cube == want
+    for i, c in enumerate((1, -1, 2, -3)):
+        assert cube.extract_progression(4, i) == signed[i, c]
 
 
 def test_dissection_chain_with_provided_table(pbar_big):
