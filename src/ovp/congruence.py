@@ -37,6 +37,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .hecke import _legendre_table, is_odd_prime, legendre
+from .modfft import remainder
 from .overpartition import CoeffTable, Method, overpartition_table
 from .qseries import IdentityCheck, Series, compare, mod_ring
 from .theta import ThetaKind, theta_series
@@ -295,26 +296,12 @@ _GATHER_BLOCK = 1 << 16
 
 def _reduce(words: np.ndarray, m: int, M: int) -> np.ndarray:
     """Residues mod M of residues mod m.  When M == m they need no
-    reduction, and ``% M`` would raise: M need not fit the words' dtype
-    (m = 256 in uint8).  For M a power of two, ``& (M - 1)`` replaces the
-    remainder."""
+    reduction, and ``remainder`` would raise: M need not fit the words'
+    dtype (m = 256 in uint8).  For M a power of two, ``& (M - 1)``
+    replaces the remainder."""
     if m == M:
         return words
-    return words & (M - 1) if M & (M - 1) == 0 else _mod(words, M)
-
-
-def _mod(words: np.ndarray, M: int) -> np.ndarray:
-    """words % M, as words - (words // M) * M in a new contiguous array.
-    numpy's ``%`` divides word by word, while ``//`` by a scalar is
-    vectorised over contiguous words: on 200,001 uint8 words mod 5 ``%``
-    took 404 us and this 23 us.  Strided words are copied first, since
-    ``//`` on a view runs word by word as well."""
-    M = words.dtype.type(M)
-    if not words.flags.c_contiguous:
-        words = words.copy()
-    q = words // M
-    q *= M
-    return np.subtract(words, q, out=q)
+    return words & (M - 1) if M & (M - 1) == 0 else remainder(words, M)
 
 
 def _read(res, m: int, M: int, start: int, stride: int, count: int) -> np.ndarray:
@@ -378,9 +365,9 @@ def _preimages(S: np.ndarray, rows: list[tuple], span: int) -> np.ndarray:
                 x = S[at : min(hi, at + _GATHER_BLOCK)]
                 if len(residues) == 1:  # x lies within the one pair's range
                     d = x - first[0]
-                    keys.append(row[0] * span + d[_mod(d, a) == 0] // a)
+                    keys.append(row[0] * span + d[remainder(d, a) == 0] // a)
                     continue
-                c = _mod(x, a)
+                c = remainder(x, a)
                 k = np.searchsorted(residues, c).clip(max=len(residues) - 1)
                 hit = residues[k] == c
                 k, x = k[hit], x[hit]
@@ -464,7 +451,7 @@ def _mismatch(words, M: int, dtype, factor, chi, phase):
     if chi is not None:
         # uint64 times int64 words would give float64
         rhs = rhs + phase(chi) * lhs.astype(dtype, copy=False)
-    rhs = _mod(rhs, M)
+    rhs = remainder(rhs, M)
     return lhs != rhs, rhs
 
 

@@ -27,6 +27,7 @@ from ovp import (
     Series,
     hecke_apply,
     mod_ring,
+    modfft,
     overpartition_table,
     overpartition,
     qseries,
@@ -330,13 +331,13 @@ def test_pbar_big_certificate_through_full_length(pbar_big):
 def limb_plans(monkeypatch):
     """Every (w, counts) that ``_limb_plan`` returns while the test runs."""
     plans = []
-    plan = qseries._limb_plan
+    plan = modfft._limb_plan
 
     def spy(*args):
         plans.append(plan(*args))
         return plans[-1]
 
-    monkeypatch.setattr(qseries, "_limb_plan", spy)
+    monkeypatch.setattr(modfft, "_limb_plan", spy)
     return plans
 
 
@@ -407,7 +408,7 @@ def test_dense_products_at_the_one_limb_boundary(m, limb_plans):
     # mod m reach that far; below 65521 every residue is inside
     rng = random.Random(m)
     ring, n = mod_ring(m), LIMB_N
-    size = qseries._fft_len(2 * n - 1)
+    size = modfft._fft_len(2 * n - 1)
     assert (size - 1).bit_length() == 14
     cases = [(min(m // 2, LIMB_H1), [1, 1])]
     if LIMB_H1 < m // 2:
@@ -421,8 +422,8 @@ def test_dense_products_at_the_one_limb_boundary(m, limb_plans):
     # the same boundary in the nonzero count, at the widest residues mod m
     h = m // 2
     n1 = 2**46 // (14 * h * h)
-    assert qseries._limb_plan(m, size, (h, n1), (h, n1))[1] == [1, 1]
-    assert min(qseries._limb_plan(m, size, (h, n1 + 1), (h, n1 + 1))[1]) > 1
+    assert modfft._limb_plan(m, size, (h, n1), (h, n1))[1] == [1, 1]
+    assert min(modfft._limb_plan(m, size, (h, n1 + 1), (h, n1 + 1))[1]) > 1
 
 
 # Products through 32768 terms run transforms of size 65536 = 256 * 256, the
@@ -437,9 +438,9 @@ def test_dense_products_at_the_one_limb_boundary_on_the_four_step_path(m, limb_p
     # the one-limb region, and just outside it, in two limbs
     rng = random.Random(m)
     ring, n = mod_ring(m), FOUR_STEP_N
-    size = qseries._fft_len(2 * n - 1)
-    assert size == qseries._FOUR_STEP_MIN
-    assert qseries._fft_split(size) == (256, 256)
+    size = modfft._fft_len(2 * n - 1)
+    assert size == modfft._FOUR_STEP_MIN
+    assert modfft._fft_split(size) == (256, 256)
     cases = [(min(m // 2, FOUR_STEP_H1), [1, 1])]
     if FOUR_STEP_H1 < m // 2:
         cases.append((FOUR_STEP_H1 + 1, [2, 2]))
@@ -457,7 +458,7 @@ def test_wide_inversion_through_multi_limb_four_step_transforms(limb_plans):
     m, T = 2**31 - 1, 2 * 10**5 + 1
     _assert_inverts_phi_minus(overpartition_table(mod_ring(m), T))
     for k2, (_, counts) in zip((T // 2 + 1, T), limb_plans[-2:]):
-        assert qseries._fft_split(qseries._fft_len(k2))[0] > 1
+        assert modfft._fft_split(modfft._fft_len(k2))[0] > 1
         assert counts == [3, 1, 3]
 
 
@@ -469,7 +470,7 @@ def test_dense_series_inverts_through_whole_rows(m):
     coeffs = np.random.default_rng(m).integers(0, m, T)
     coeffs[0] = 1
     f = Series(mod_ring(m), coeffs)
-    assert qseries._fft_split(qseries._fft_len(T // 2 + 1))[0] > 1
+    assert modfft._fft_split(modfft._fft_len(T // 2 + 1))[0] > 1
     assert f * f.invert() == one(mod_ring(m), T)
 
 
@@ -494,20 +495,20 @@ def test_every_transform_size_splits():
     # up to 5 * 10^6 terms, odd ones included: an odd size has no even
     # factor to split off
     sizes = _smooth_sizes(10**7)
-    assert [qseries._fft_len(n) for n in (1, 7, 97, 65537, 10**6 + 1)] == [
+    assert [modfft._fft_len(n) for n in (1, 7, 97, 65537, 10**6 + 1)] == [
         1, 8, 100, 65610, 1012500,
     ]
-    assert all(qseries._fft_len(size) == size for size in sizes)
+    assert all(modfft._fft_len(size) == size for size in sizes)
     odd = 0
     for size in sizes:
-        n1, n2 = qseries._fft_split(size)
+        n1, n2 = modfft._fft_split(size)
         assert n1 * n2 == size
-        if size < qseries._FOUR_STEP_MIN:
+        if size < modfft._FOUR_STEP_MIN:
             assert n1 == 1
         else:
             assert 2 <= n2 <= n1 <= 5 * n2
             odd += size % 2
-        assert qseries._spectrum_len(size) == n1 * (n2 // 2 + 1)
+        assert modfft._FFTProduct(2, [size], (1, 0)).slots[0].shape == (1, n1 * (n2 // 2 + 1))
     assert odd > 20
 
 
@@ -541,7 +542,7 @@ def test_four_step_spectrum_is_numpys_in_its_order(size):
     # the spectrum of a grid loaded a column block at a time; an inverse
     # keeps the grid rows asked for in the real parts of the spectrum, as
     # many as it has rows
-    plan = qseries._FourStep(size)
+    plan = modfft._FourStep(size)
     x = np.random.default_rng(size).standard_normal(size)
     want = _spectrum_in_four_step_order(x, plan)
     grid = x.reshape(plan.n2, plan.n1)
@@ -560,15 +561,15 @@ def test_nonzero_column_spectrum_is_the_dense_one(size, monkeypatch):
     # and three mod 2^31 - 1: stage 1 on the held columns alone, built from
     # the positions and their values with no vector of the operand, gives
     # the spectra of whole rows bit for bit, with one column (N1 = 1) too
-    plan = qseries._FourStep(size)
+    plan = modfft._FourStep(size)
     rng = np.random.default_rng(size)
-    forward, held = qseries._FourStep.forward, []
+    forward, held = modfft._FourStep.forward, []
 
     def spy(self, specs, rows, load, cols=None):
         held.append(cols)
         forward(self, specs, rows, load, cols)
 
-    monkeypatch.setattr(qseries._FourStep, "forward", spy)
+    monkeypatch.setattr(modfft._FourStep, "forward", spy)
     for m, w, limbs in ((120, 7, 1), (2**31 - 1, 12, 3)):
         phi = theta_series(ThetaKind.PHI_MINUS, mod_ring(m), size).coeffs
         scattered = np.zeros(size, np.int64)
@@ -578,7 +579,7 @@ def test_nonzero_column_spectrum_is_the_dense_one(size, monkeypatch):
             exps = np.flatnonzero(x)
             spectra = []
             for source in ({"x": x}, {"terms": (exps, x[exps])}):
-                kernel = qseries._FFTProduct(m, [size], (limbs, 0))
+                kernel = modfft._FFTProduct(m, [size], (limbs, 0))
                 kernel.w = w
                 kernel.slots[0][:] = np.nan
                 kernel.spectra(size, 0, limbs, 0, size, **source)
@@ -595,8 +596,8 @@ def test_nonzero_column_spectrum_is_the_dense_one(size, monkeypatch):
 def test_each_held_column_is_loaded_and_transformed_once(monkeypatch):
     # 375 x 270 points in blocks of 121 columns, split between two threads
     # at column 187: the first thread's second block stops there
-    monkeypatch.setattr(qseries, "_THREADS", 2)
-    plan = qseries._FourStep(101250)
+    monkeypatch.setattr(modfft, "_THREADS", 2)
+    plan = modfft._FourStep(101250)
     assert (plan.n1, plan.cols, plan.parts) == (375, 121, 2)
     held = np.sort(np.random.default_rng(0).choice(plan.n1, 280, replace=False))
     loaded, transformed = [], []
@@ -625,11 +626,11 @@ BUDGET_GRIDS = [128000, 253125, 506250, 1012500, 100663296]
 def test_twiddle_blocks_take_no_more_than_blocks_of_64_rows(size, monkeypatch):
     # U, V and one block of B rows per thread against the same with B = 64,
     # read from the shapes of the tables: the roots are not computed
-    monkeypatch.setattr(qseries, "_THREADS", 2)
+    monkeypatch.setattr(modfft, "_THREADS", 2)
     monkeypatch.setattr(
-        qseries, "_roots", lambda size, rows, cols, parts: np.empty((len(rows), cols), complex)
+        modfft, "_roots", lambda size, rows, cols, parts: np.empty((len(rows), cols), complex)
     )
-    plan = qseries._FourStep(size)
+    plan = modfft._FourStep(size)
     assert plan.parts == 2 and len(plan.v) == plan.step
     assert len(plan.u) == -(-plan.rows // plan.step)
     rows = len(plan.u) + len(plan.v) + plan.parts * plan.step
@@ -641,8 +642,8 @@ def test_twiddle_blocks_take_no_more_than_blocks_of_64_rows(size, monkeypatch):
 def test_two_threads_take_rows_to_within_one_block(size, monkeypatch):
     # stages 2 and 3 split their blocks of B rows between the threads by
     # count; with 64 rows 451 split 256 / 195 and 161 split 64 / 97
-    monkeypatch.setattr(qseries, "_THREADS", 2)
-    plan = qseries._FourStep(size)
+    monkeypatch.setattr(modfft, "_THREADS", 2)
+    plan = modfft._FourStep(size)
     rows: dict[int, int] = {}
     lock = threading.Lock()
 
@@ -663,13 +664,13 @@ def test_product_at_an_offset_is_the_product(m, size):
     # times g; outputs s..s + k2 - k - 1 are g e with no wrap, also at k2 = N
     # (``_mul``, the reference, is itself checked against exact products)
     rng = np.random.default_rng(size)
-    n1 = qseries._fft_split(size)[0]
+    n1 = modfft._fft_split(size)[0]
     for k2 in (size, size - 1 - size // 3):
         k = -(-k2 // 2)
         g, e = (rng.integers(0, m, n) for n in (k, k2 - k))
         s = k % n1
-        w, (cg, ce) = qseries._limb_plan(m, size, (m // 2, k), (m // 2, k2 - k))
-        kernel = qseries._FFTProduct(m, [size], (ce + min(2, cg - 1), cg))
+        w, (cg, ce) = modfft._limb_plan(m, size, (m // 2, k), (m // 2, k2 - k))
+        kernel = modfft._FFTProduct(m, [size], (ce + min(2, cg - 1), cg))
         kernel.w = w
         kernel.spectra(size, 1, cg, 0, k, g)
         rows = -(-(s + k2 - k) // n1)
@@ -693,14 +694,14 @@ def test_outputs_fit_in_a_slot_and_the_check_holds():
     sizes = np.array(_smooth_sizes(2 * 10**6))
     k2 = np.arange(2, 10**6 + 1)
     size = sizes[np.searchsorted(sizes, k2)]
-    splits = {int(n): qseries._fft_split(int(n)) for n in np.unique(size)}
+    splits = {int(n): modfft._fft_split(int(n)) for n in np.unique(size)}
     n1 = np.array([splits[int(n)][0] for n in size])
     n2 = np.array([splits[int(n)][1] for n in size])
     k = -(-k2 // 2)
     assert (-(-k2 // n1) - k // n1 <= n2 // 2 + 1).all()
-    size = qseries._FOUR_STEP_MIN
-    plan = qseries._FourStep(size)
-    kernel = qseries._FFTProduct(120, [size], (1, 1))
+    size = modfft._FOUR_STEP_MIN
+    plan = modfft._FourStep(size)
+    kernel = modfft._FFTProduct(120, [size], (1, 1))
     kernel.w = 7
     with pytest.raises(ValueError, match="grid rows exceed"):
         kernel.spectra(size, 0, 1, 0, size + 1, np.zeros(size + 1, np.uint8))
@@ -731,7 +732,7 @@ def test_inversion_peak_bytes_per_coefficient():
     # twiddle blocks of 16 rows instead of 64, 24.9.
     T = 2 * 10**5 + 1
     f = theta_series(ThetaKind.PHI_MINUS, mod_ring(120), T).coeffs
-    assert _traced_peak(lambda: qseries._invert_mod(f, 120)) <= 25.5 * T
+    assert _traced_peak(lambda: modfft.inverse(f, 120, np.uint8)()) <= 25.5 * T
 
 
 def test_table_peak_bytes_per_coefficient():
@@ -751,15 +752,15 @@ def test_table_build_frees_phi_minus_before_the_newton_steps(monkeypatch):
     # (Below 2^16 entries every step loads f as whole rows, so the steps
     # keep it.)
     refs, dead = [], []
-    build, newton = overpartition.series_from_terms, qseries._newton
+    build, inverse = overpartition.series_from_terms, modfft.inverse
 
     def built(*args):
         series = build(*args)
         refs.append(weakref.ref(series.coeffs))
         return series
 
-    def iteration(f, m):
-        run = newton(f, m)
+    def iteration(f, m, dtype):
+        run = inverse(f, m, dtype)
 
         def steps():
             dead.append(refs[-1]() is None)
@@ -768,7 +769,7 @@ def test_table_build_frees_phi_minus_before_the_newton_steps(monkeypatch):
         return steps
 
     monkeypatch.setattr(overpartition, "series_from_terms", built)
-    monkeypatch.setattr(qseries, "_newton", iteration)
+    monkeypatch.setattr(modfft, "inverse", iteration)
     table = overpartition_table(mod_ring(120), 2 * 10**5 + 1)
     assert table.values[:11].tolist() == [v % 120 for v in PBAR_FIRST_11]
     assert dead == [True]
@@ -793,7 +794,7 @@ def test_dense_inversion_keeps_no_positions():
     coeffs = np.random.default_rng(7).integers(0, 120, T)
     coeffs[0] = 1
     f = Series(mod_ring(120), coeffs).coeffs
-    assert _traced_peak(lambda: qseries._invert_mod(f, 120)) <= 25.5 * T
+    assert _traced_peak(lambda: modfft.inverse(f, 120, np.uint8)()) <= 25.5 * T
 
 
 def test_dense_product_peak_bytes_per_coefficient():
@@ -804,7 +805,7 @@ def test_dense_product_peak_bytes_per_coefficient():
     n = 10**5
     rng = np.random.default_rng(5)
     a, b = (Series(mod_ring(120), rng.integers(0, 120, n)) for _ in range(2))
-    assert qseries._fft_split(qseries._fft_len(2 * n - 1))[0] > 1
+    assert modfft._fft_split(modfft._fft_len(2 * n - 1))[0] > 1
     assert _traced_peak(lambda: a * b) <= 49 * n
 
 
@@ -816,7 +817,7 @@ def test_one_thread_gives_the_same_bits(monkeypatch):
     a, b = (Series(mod_ring(m), _dense_residues(rng, n, m // 2, m)) for _ in range(2))
     runs = []
     for threads in (1, 2):
-        monkeypatch.setattr(qseries, "_THREADS", threads)
+        monkeypatch.setattr(modfft, "_THREADS", threads)
         table = overpartition_table(mod_ring(120), 10**5 + 1)
         runs.append((table.content_hash(), (a * b).coeffs.tobytes()))
     assert runs[0] == runs[1]
@@ -827,7 +828,7 @@ def test_concurrent_products_share_the_pool(monkeypatch):
     # more callers than CPUs, switching as often as the interpreter allows:
     # every product still equals the one made alone, so no piece of one
     # kernel's split lands in another's buffers
-    monkeypatch.setattr(qseries, "_THREADS", 2)
+    monkeypatch.setattr(modfft, "_THREADS", 2)
     m, n = 998244353, FOUR_STEP_N
     rng = random.Random(2)
     ring = mod_ring(m)
@@ -914,10 +915,10 @@ def test_centre_and_canonical_match_python_remainder(m):
             values += [base + m // 2 + 1, base - m // 2 - 1, base + 1, base - 1]
     x = np.array(values, dtype=np.float64)
     assert [int(v) for v in x] == values
-    centred = qseries._centre(x, m, np.empty(len(values)))
+    centred = modfft._centre(x, m, np.empty(len(values)))
     assert np.abs(centred).max() <= m / 2
     assert [int(c) % m for c in centred] == [v % m for v in values]
-    canonical = qseries._canonical(centred, m)
+    canonical = modfft._canonical(centred, m)
     assert [int(c) for c in canonical] == [v % m for v in values]
 
 
