@@ -297,11 +297,8 @@ _GATHER_BLOCK = 1 << 16
 def _reduce(words: np.ndarray, m: int, M: int) -> np.ndarray:
     """Residues mod M of residues mod m.  When M == m they need no
     reduction, and ``remainder`` would raise: M need not fit the words'
-    dtype (m = 256 in uint8).  For M a power of two, ``& (M - 1)``
-    replaces the remainder."""
-    if m == M:
-        return words
-    return words & (M - 1) if M & (M - 1) == 0 else remainder(words, M)
+    dtype (m = 256 in uint8)."""
+    return words if m == M else remainder(words, M)
 
 
 def _read(res, m: int, M: int, start: int, stride: int, count: int) -> np.ndarray:
@@ -458,8 +455,9 @@ def _mismatch(words, M: int, dtype, factor, chi, phase):
 def _gathered_blocks(rows: list[tuple], sparse: list[bool], S: np.ndarray | None):
     """The gathered pass in blocks of about ``_GATHER_BLOCK`` elements, in
     (row, offset) order: first the S_M preimages of the sparse rows, then
-    every offset of the others.  A block is (ids, args): the row id of each
-    element, and per map the arguments start + stride * i it reads."""
+    every offset of the others.  A block is (ids, i, args): the row id and
+    the offset i of each element, and per map the arguments start + stride
+    * i it reads."""
     maps = range(len(rows[0][0]))
     span = max(count for *_, count in rows)
     picked = [r for r, few in enumerate(sparse) if few]
@@ -469,7 +467,7 @@ def _gathered_blocks(rows: list[tuple], sparse: list[bool], S: np.ndarray | None
         for at in range(0, len(keys), _GATHER_BLOCK):
             ids, i = np.divmod(keys[at : at + _GATHER_BLOCK], span)
             args = [first[ids] + stride[ids] * i for first, stride in zip(firsts, strides)]
-            yield np.array(picked)[ids], args
+            yield np.array(picked)[ids], i, args
     batch, size = [], 0
     for r, few in enumerate(sparse):
         if not few:
@@ -484,7 +482,8 @@ def _gathered_blocks(rows: list[tuple], sparse: list[bool], S: np.ndarray | None
                 )])
                 for j in maps
             ]
-            yield np.repeat(batch, [rows[k][2] for k in batch]), args
+            counts = [rows[k][2] for k in batch]
+            yield np.repeat(batch, counts), np.concatenate([np.arange(c) for c in counts]), args
             batch, size = [], 0
 
 
@@ -600,27 +599,20 @@ def verify(
                 rhs_j = 0 if rhs is None else int(rhs[j])
                 found.append((index, n0 + j, starts[0] + strides[0] * j, int(words[0][j]), rhs_j))
 
-    if rows:
-        first, stride = (np.array([row[f][0] for row in rows]) for f in (0, 1))
-        if side is not None:
-            primes = np.array([todo[k][4] for k in gathered])
-            mask_at = np.array(mask_at)[gathered]
-    for ids, args in _gathered_blocks(rows, sparse, nonzero) if rows else ():
-
-        def n_at(pos=slice(None)):  # n of the elements at pos, from the lhs arguments
-            return n0 + (args[0][pos] - first[ids[pos]]) // stride[ids[pos]]
-
+    if rows and side is not None:
+        primes = np.array([todo[k][4] for k in gathered])
+        mask_at = np.array(mask_at)[gathered]
+    for ids, i, args in _gathered_blocks(rows, sparse, nonzero) if rows else ():
+        ns = n0 + i
         words = [_reduce(res[a], m, M) for a in args]
-        bad, rhs = _mismatch(
-            words, M, dtype, factor, chi, lambda pattern: pattern[n_at() % len(pattern)]
-        )
+        bad, rhs = _mismatch(words, M, dtype, factor, chi, lambda pat: pat[ns % len(pat)])
         hits = np.flatnonzero(bad)
         if side is not None:
             on = ids[hits]
-            hits = hits[masks[mask_at[on] + n_at(hits) % primes[on]]]
+            hits = hits[masks[mask_at[on] + ns[hits] % primes[on]]]
         violations += len(hits)
         hits = hits[:max_counterexamples]
-        for j, n in zip(hits.tolist(), n_at(hits).tolist()):
+        for j, n in zip(hits.tolist(), ns[hits].tolist()):
             rhs_j = 0 if rhs is None else int(rhs[j])
             found.append((todo[gathered[ids[j]]][0], n, int(args[0][j]), int(words[0][j]), rhs_j))
     found.sort()
@@ -837,13 +829,10 @@ def planted_false_family() -> CongruenceFamily:
 
 
 def family_by_id(fid: str) -> CongruenceFamily:
-    if fid == "planted-false":
-        return planted_false_family()
-    for fam in registry():
-        if fam.id == fid:
-            return fam
-    valid = ", ".join([f.id for f in registry()] + ["planted-false"])
-    raise KeyError(f"unknown family id {fid!r}; valid ids: {valid}")
+    families = {fam.id: fam for fam in [*registry(), planted_false_family()]}
+    if fid not in families:
+        raise KeyError(f"unknown family id {fid!r}; valid ids: {', '.join(families)}")
+    return families[fid]
 
 
 # -- dissection chain --------------------------------------------------------
@@ -854,33 +843,16 @@ _FIRST_SIGNS = (1, -1, 2, -3)
 _SECOND_SIGNS = (1, 1, 2, 3)
 
 
-def _chain_sides(order: int) -> tuple[dict, Series]:
-    """The chain's signed sides mod 5 at length 4 * order, keyed by (i,
-    sign) for the sides (phi^3, phi^2 psi2, phi psi2^2, psi2^3), psi2 =
-    psi(q^2); and phi(-q)^3 through 16 * order, interleaved from the first
-    signs' sides.  Each signed side is built once: 1 needs no multiply, and
-    2 is common to both sign sets.
-
-    The interleaving rests on the 2-dissection phi(-q) = phi(q^4) - 2q
-    psi(q^8): cubed, its class i mod 4 is (1, -6, 12, -8)[i] times the i-th
-    side at q^4, and those factors are the first signs mod 5.  So no
-    product at length 16 * order is formed.
-    """
+def _chain_sides(order: int) -> list[Series]:
+    """The chain's sides mod 5 at length 4 * order: phi^3, phi^2 psi2,
+    phi psi2^2 and psi2^3, where psi2 = psi(q^2)."""
     ring = mod_ring(5)
     t1 = 4 * order
     phi = theta_series(ThetaKind.PHI_PLUS, ring, t1)
     psi2 = theta_series(ThetaKind.PSI, ring, t1).substitute_power(2)
     phi2 = phi * phi
     psi2sq = psi2 * psi2
-    base = [phi2 * phi, phi2 * psi2, phi * psi2sq, psi2sq * psi2]
-    signed = {(i, 1): side for i, side in enumerate(base)}
-    for i, c in itertools.chain(enumerate(_FIRST_SIGNS), enumerate(_SECOND_SIGNS)):
-        if (i, c) not in signed:
-            signed[i, c] = base[i].scalar_mul(c)
-    cube = np.empty(16 * order, dtype=base[0].coeffs.dtype)
-    for i, c in enumerate(_FIRST_SIGNS):
-        cube[i::4] = signed[i, c].coeffs
-    return signed, Series(ring, cube)
+    return [phi2 * phi, phi2 * psi2, phi * psi2sq, psi2sq * psi2]
 
 
 def verify_dissection_chain(
@@ -892,9 +864,13 @@ def verify_dissection_chain(
     progressions pbar(20n + 5i) against (phi^3, -phi^2 psi2, 2 phi psi2^2,
     -3 psi2^3); and the four progressions pbar(4(20n + 5i)) against
     (phi^3, +phi^2 psi2, 2 phi psi2^2, +3 psi2^3), where psi2 = psi(q^2).
-    Needs pbar values through argument 80 * order - 1.  The first identity
-    rests on the 2-dissection of phi(-q), not on an independent cube
-    (``_chain_sides``).
+    Needs pbar values through argument 80 * order - 1.
+
+    The first identity is the next four read together, with no product at
+    length 16 * order: by the 2-dissection phi(-q) = phi(q^4) - 2q psi(q^8),
+    the class i mod 4 of phi(-q)^3 is (1, -6, 12, -8)[i] times the i-th side
+    at q^4, and those factors are the first signs mod 5.  So it fails where
+    one of them does, first at the least 4 * (first difference) + i.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
@@ -908,26 +884,20 @@ def verify_dissection_chain(
             f"table has length {table.length}"
         )
     p5 = Series(mod_ring(5), _read(res, m, 5, 0, 5, 16 * order))  # pbar(5n), n < 16 * order
-    signed, cube = _chain_sides(order)
-    checks = [compare("pbar(5n) == phi(-q)^3 (mod 5)", p5, cube)]
-    for i, c in enumerate(_FIRST_SIGNS):
-        checks.append(
-            compare(
-                f"pbar(20n + {5 * i}) == {c} {_SIDE_NAMES[i]} (mod 5)",
-                p5.extract_progression(4, i),
-                signed[i, c],
-            )
+    sides = _chain_sides(order)
+    levels = ((5, p5, _FIRST_SIGNS), (20, p5.extract_progression(4, 0), _SECOND_SIGNS))
+    checks = [
+        compare(
+            f"pbar({4 * step}n + {step * i}) == {c} {_SIDE_NAMES[i]} (mod 5)",
+            p.extract_progression(4, i),
+            sides[i].scalar_mul(c),
         )
-    p20 = p5.extract_progression(4, 0)
-    for i, c in enumerate(_SECOND_SIGNS):
-        checks.append(
-            compare(
-                f"pbar(80n + {20 * i}) == {c} {_SIDE_NAMES[i]} (mod 5)",
-                p20.extract_progression(4, i),
-                signed[i, c],
-            )
-        )
-    return checks
+        for step, p, signs in levels
+        for i, c in enumerate(signs)
+    ]
+    first = [4 * c.first_difference + i for i, c in enumerate(checks[:4]) if not c.ok]
+    name = "pbar(5n) == phi(-q)^3 (mod 5)"
+    return [IdentityCheck(name, p5.order, min(first, default=None)), *checks]
 
 
 # -- density -----------------------------------------------------------------

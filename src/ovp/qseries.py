@@ -107,8 +107,8 @@ def _residue_vector(coeffs, m: int) -> np.ndarray:
     arr = np.asarray(coeffs)
     if arr.dtype == object or arr.dtype.kind not in "iu":
         arr = np.array([int(c) % m for c in coeffs], dtype=np.int64)
-    elif arr.size and (int(arr.min()) < 0 or int(arr.max()) >= m):
-        # uint64 values past 2^63 would wrap as int64
+    elif arr.size and ((arr.dtype.kind == "i" and int(arr.min()) < 0) or int(arr.max()) >= m):
+        # unsigned words are never negative; uint64 values past 2^63 would wrap as int64
         wide = np.uint64 if arr.dtype.kind == "u" else np.int64
         arr = modfft.remainder(arr.astype(wide), m)
     arr = arr.astype(residue_dtype(m), copy=False).view()

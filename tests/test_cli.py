@@ -18,10 +18,11 @@ import numpy as np
 import pytest
 
 import ovp
-from ovp import Method, mod_ring
+from ovp import ZZ, Method, mod_ring
 from ovp.cache import store_table
 from ovp.cli import main
 from ovp.overpartition import CoeffTable
+from ovp.theta import ThetaKind, theta_series
 
 PBAR_TEXT = "1,2,4,8,14,24,40,64,100,154,232"
 
@@ -120,6 +121,14 @@ def test_compute_ck_csv(capsys):
     lines = out.splitlines()
     assert lines[0] == "n,c1,c2"
     assert lines[6] == "5,0,2"
+
+
+def test_compute_ck_text(capsys):
+    code, out, _ = _run(capsys, ["compute", "ck", "--k", "3", "-T", "6", "--no-cache"])
+    assert code == 0
+    assert out.splitlines() == [
+        "n c1 c2 c3", "0 0 0 0", "1 1 0 0", "2 0 1 0", "3 0 0 1", "4 1 0 0", "5 0 2 0",
+    ]
 
 
 def test_compute_rejects_bad_method(capsys):
@@ -399,6 +408,32 @@ def test_hecke_apply_multiplies_eigenform(capsys):
     )
     assert code == 0
     assert out == "4,24,48,32,24,96,96,0,48,120\n"
+
+
+def test_hecke_eigen_check_json(capsys):
+    code, out, _ = _run(
+        capsys,
+        [
+            "hecke", "--f", "phi-minus3", "--ell", "5", "--check-eigen",
+            "--format", "json", "-T", "400", "--no-cache",
+        ],
+    )
+    report = json.loads(out)
+    assert code == 0
+    assert (report["ell"], report["lambda"], report["pass"]) == (5, 6, True)
+
+
+def test_hecke_readme_json_image_is_four_times_phi_minus_cubed(capsys):
+    # the README's `ovp hecke --ell 3 --f phi-minus3 -T 1000 --format json`:
+    # phi(-q)^3 is an eigenform of T(9) with eigenvalue 3 + 1
+    code, out, _ = _run(
+        capsys,
+        ["hecke", "--ell", "3", "--f", "phi-minus3", "-T", "1000", "--format", "json"],
+    )
+    image = json.loads(out)
+    f = theta_series(ThetaKind.PHI_MINUS, ZZ, image["order"]) ** 3
+    assert code == 0 and image["name"] == "T(3^2) phi-minus3" and image["order"] == 112
+    assert [int(c) for c in image["coeffs"]] == [4 * c for c in f.coeffs.tolist()]
 
 
 def test_hecke_eigenvalue_needs_the_eigen_check(capsys):

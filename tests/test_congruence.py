@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ovp import ZZ, Method, congruence, mod_ring, overpartition_table
+from ovp import ZZ, Method, Series, congruence, mod_ring, overpartition_table
 from ovp.congruence import (
     ArgMap,
     AxisFactor,
@@ -607,12 +607,39 @@ def test_dissection_chain_small_order():
 @pytest.mark.parametrize("order", (1, 7, 100, 2500))
 def test_chain_cube_is_the_interleaved_signed_sides(order):
     # identity 1 reads phi(-q)^3 from the 2-dissection, not from a cube
-    signed, cube = _chain_sides(order)
-    want = theta_series(ThetaKind.PHI_MINUS, mod_ring(5), 16 * order) ** 3
-    assert cube.order == want.order == 16 * order
-    assert cube == want
+    sides = _chain_sides(order)
+    cube = np.empty(16 * order, dtype=np.int64)
     for i, c in enumerate((1, -1, 2, -3)):
-        assert cube.extract_progression(4, i) == signed[i, c]
+        assert sides[i].order == 4 * order
+        cube[i::4] = sides[i].scalar_mul(c).coeffs
+    want = theta_series(ThetaKind.PHI_MINUS, mod_ring(5), 16 * order) ** 3
+    assert want.order == 16 * order
+    assert Series(mod_ring(5), cube) == want
+
+
+@pytest.mark.parametrize(
+    "arg, failing",
+    [
+        (205, {
+            "pbar(5n) == phi(-q)^3 (mod 5)": 41,
+            "pbar(20n + 5) == -1 phi^2 psi(q^2) (mod 5)": 10,
+        }),
+        (280, {
+            "pbar(5n) == phi(-q)^3 (mod 5)": 56,
+            "pbar(20n + 0) == 1 phi^3 (mod 5)": 14,
+            "pbar(80n + 40) == 2 phi psi(q^2)^2 (mod 5)": 3,
+        }),
+    ],
+)
+def test_dissection_chain_fails_where_its_progressions_do(table_mod120, arg, failing):
+    # +24 changes pbar(arg) mod 5 only; identity 1 fails at arg / 5, as do
+    # the progressions through arg at their own exponents
+    values = table_mod120.values[:8000].copy()
+    values[arg] = (int(values[arg]) + 24) % 120
+    table = CoeffTable("pbar", "corrupted", mod_ring(120), values)
+    checks = verify_dissection_chain(100, table)
+    assert len(checks) == 9
+    assert {c.name: c.first_difference for c in checks if not c.ok} == failing
 
 
 def test_dissection_chain_with_provided_table(pbar_big):
