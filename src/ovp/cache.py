@@ -12,13 +12,14 @@ sidecar layout (bare payload plus ``.meta.json``) fails the digest check,
 so it is recomputed once and replaced; sidecars are never read.  Stores
 write a temp file of mode 0o666 less the umask and rename it into place.
 An unwritable directory degrades to compute-only with a warning.
+``hashlib`` (and with it OpenSSL, about 3 MB of resident pages) is
+imported at the first key or digest, not with the module, so a process
+that never touches the cache never loads it.
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
-import secrets
 import warnings
 from pathlib import Path
 
@@ -43,9 +44,15 @@ def _ring_tag(ring: CoefficientRing) -> str:
     return "exact" if ring.is_exact else f"mod{ring.modulus}"
 
 
+def _sha256(data: bytes | memoryview):
+    import hashlib
+
+    return hashlib.sha256(data)
+
+
 def table_key(name: str, method: str, ring: CoefficientRing, length: int) -> str:
     text = f"{name}|{method}|{_ring_tag(ring)}|{length}|v{__version__}"
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
+    return _sha256(text.encode()).hexdigest()[:16]
 
 
 def _path(
@@ -57,8 +64,9 @@ def _path(
 
 def _atomic_write(target: Path, *chunks: bytes) -> None:
     # Like mkstemp (exclusive create under a random name), but with mode
-    # 0o666 so that the kernel applies the umask, as open() would.
-    tmp = target.with_name(f".tmp-{secrets.token_hex(8)}")
+    # 0o666 so that the kernel applies the umask, as open() would.  The
+    # name is what secrets.token_hex(8) gives, without importing hmac.
+    tmp = target.with_name(f".tmp-{os.urandom(8).hex()}")
     flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
     fd = os.open(tmp, flags, 0o666)
     try:
@@ -78,7 +86,7 @@ def store_table(table: CoeffTable, cache_dir: str | Path | None = None) -> Path 
     payload = table.payload_bytes()
     try:
         directory.mkdir(parents=True, exist_ok=True)
-        _atomic_write(path, hashlib.sha256(payload).digest(), payload)
+        _atomic_write(path, _sha256(payload).digest(), payload)
     except OSError as exc:
         warnings.warn(f"cache directory {directory} not writable ({exc}); "
                       "computing without caching")
@@ -99,7 +107,7 @@ def load_table(
         # slices of a memoryview share the bytes read: nothing is copied
         blob = memoryview(path.read_bytes())
         payload = blob[_DIGEST_SIZE:]
-        if hashlib.sha256(payload).digest() != blob[:_DIGEST_SIZE]:
+        if _sha256(payload).digest() != blob[:_DIGEST_SIZE]:
             return None
         if ring.is_exact:
             series = Series.from_json(str(payload, "utf-8"))

@@ -300,20 +300,14 @@ def _add_common(p: argparse.ArgumentParser, *, order_default: int | None) -> Non
     p.add_argument("--no-cache", action="store_true", help="skip the table cache")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ovp",
-        description="Overpartition congruence toolkit",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("compute", help="coefficient tables: pbar, theta, ck")
+def _compute_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("target", choices=("pbar", "theta", "ck"))
     _add_common(p, order_default=100)
     _add_target_options(p, ("pbar", "theta", "ck"))
     p.set_defaults(func=_cmd_compute)
 
-    p = sub.add_parser("verify", help="verify congruence families")
+
+def _verify_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--all", action="store_true", help="entire registry + chain")
     p.add_argument(
         "--family",
@@ -333,7 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--list", action="store_true", help="list family ids and exit")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("hecke", help="apply T(l^2) / eigenform check")
+
+def _hecke_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--f", choices=("phi3", "phi-minus3"), default="phi3")
     p.add_argument("--ell", type=int, required=True, help="odd prime l")
     p.add_argument("--k", type=int, default=3, help="weight numerator (odd)")
@@ -348,7 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_hecke)
 
-    p = sub.add_parser("dissect", help="extract progression d*n + r")
+
+def _dissect_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--series",
         choices=("pbar",) + _THETA_NAMES,
@@ -359,8 +355,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, order_default=100)
     p.set_defaults(func=_cmd_dissect)
 
+
+def _export_arguments(p: argparse.ArgumentParser) -> None:
     # export is compute with --out required and CSV by default
-    p = sub.add_parser("export", help="write a table to --out")
     p.add_argument("--table", dest="target", choices=("pbar", "ck"), default="pbar")
     _add_target_options(p, ("pbar", "ck"))
     p.add_argument(
@@ -373,11 +370,38 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-cache", action="store_true")
     p.set_defaults(func=_cmd_compute)
 
+
+# command: (help, adds its arguments)
+_COMMANDS = {
+    "compute": ("coefficient tables: pbar, theta, ck", _compute_arguments),
+    "verify": ("verify congruence families", _verify_arguments),
+    "hecke": ("apply T(l^2) / eigenform check", _hecke_arguments),
+    "dissect": ("extract progression d*n + r", _dissect_arguments),
+    "export": ("write a table to --out", _export_arguments),
+}
+
+
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The parser for ``argv``: every command is registered with its help,
+    but only the one that ``argv`` names gets its arguments (all of them
+    when it names none), since adding them all costs about 20 parses."""
+    parser = argparse.ArgumentParser(
+        prog="ovp",
+        description="Overpartition congruence toolkit",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    # ovp's own options take no value, so the first word is the command
+    named = next((a for a in argv or () if not a.startswith("-")), None)
+    for name, (help_text, add_arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if named == name or named not in _COMMANDS:
+            add_arguments(p)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv)
     args = parser.parse_args(argv)
     try:
         status = args.func(args, parser)

@@ -18,7 +18,6 @@ squares.  Truncating at k = 2 gives pbar(n) mod 8 for n >= 1.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -113,6 +112,8 @@ class CoeffTable:
         return self.as_series().to_bytes()
 
     def content_hash(self) -> str:
+        import hashlib  # loads OpenSSL: only callers that hash pay for it
+
         return hashlib.sha256(self.payload_bytes()).hexdigest()
 
 

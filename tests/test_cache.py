@@ -6,11 +6,16 @@ import hashlib
 import json
 import os
 import struct
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ovp
 from ovp import ZZ, Method, mod_ring, overpartition_table
 from ovp.cache import (
     ENV_VAR,
@@ -147,6 +152,52 @@ def test_no_temp_files_left_behind(tmp_path):
     leftovers = [p.name for p in tmp_path.iterdir() if p.name.startswith(".tmp-")]
     assert leftovers == []
     assert len(list(tmp_path.iterdir())) == 2  # one file per table
+
+
+def test_failed_rename_warns_and_leaves_no_temp_file(tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.warns(UserWarning, match="rename refused"):
+        assert store_table(overpartition_table(mod_ring(8), 100), tmp_path) is None
+    assert list(tmp_path.iterdir()) == []
+
+
+def _python(code: str, *args: str) -> str:
+    src = str(Path(ovp.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code), *args],
+        capture_output=True, text=True, check=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    return done.stdout
+
+
+def test_openssl_loads_at_the_first_cache_access_only(tmp_path):
+    # hashlib loads OpenSSL (_hashlib), about 3 MB of resident pages; a
+    # process that computes without the cache should not pay for it
+    if _python("import sys; print('_hashlib' in sys.modules)") == "True\n":
+        pytest.skip("this interpreter loads _hashlib at start-up")
+    out = _python(
+        """
+        import sys
+        import ovp, ovp.cli
+        from ovp import ThetaKind, cache, mod_ring, overpartition_table, theta_series
+        def loaded():
+            return [m for m in ("_hashlib", "hmac") if m in sys.modules]
+        theta_series(ThetaKind.PHI_PLUS, mod_ring(2**31 - 1), 2001) ** 5
+        table = overpartition_table(mod_ring(8), 2001)
+        assert ovp.cli.main(["compute", "theta", "-T", "50", "--no-cache"]) == 0
+        print(loaded())
+        cache.store_table(table, sys.argv[1])
+        hit = cache.load_table("pbar", table.method, table.ring, 2001, sys.argv[1])
+        print(loaded(), hit is not None)
+        """,
+        str(tmp_path),
+    )
+    assert out.splitlines()[-2:] == ["[]", "['_hashlib'] True"]
 
 
 def test_residue_payload_is_one_byte_per_word_mod120(tmp_path):

@@ -18,9 +18,10 @@ import numpy as np
 import pytest
 
 import ovp
+import ovp.cli
 from ovp import ZZ, Method, mod_ring
 from ovp.cache import store_table
-from ovp.cli import main
+from ovp.cli import build_parser, main
 from ovp.overpartition import CoeffTable
 from ovp.theta import ThetaKind, theta_series
 
@@ -554,6 +555,71 @@ def test_export_requires_out(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["export", "--table", "pbar", "-T", "8"])
     assert exc.value.code == 2
+
+
+# -- parser ------------------------------------------------------------------------
+
+
+_USAGE_ERRORS = [
+    [],
+    ["bogus"],
+    ["compute"],
+    ["verify", "--family", "nope", "--no-cache"],
+    ["verify", "--no-cache"],
+    ["verify", "--all", "--budget", "0", "--no-cache"],
+    ["verify", "--all", "--budget", "x"],
+    ["compute", "pbar", "--method", "bogus", "--no-cache"],
+    ["compute", "pbar", "--mod", "1", "--no-cache"],
+    ["compute", "ck", "--k", "3", "-T", "50", "--mod", "3"],
+    ["compute", "theta", "-T", "5", "--method", "euler"],
+    ["compute", "pbar", "--budget", "3"],
+    ["hecke", "--ell", "9", "--no-cache"],
+    ["hecke", "--ell", "3", "--k", "1", "-T", "100", "--no-cache"],
+    ["hecke", "--ell", "5", "--eigenvalue", "7", "--no-cache"],
+    ["hecke", "--ell", "5", "--check-eigen", "--format", "csv"],
+    ["dissect", "--d", "4", "--r", "4", "--no-cache"],
+    ["export", "--table", "pbar", "-T", "8"],
+    ["export", "--table", "ck", "--mod", "3", "-T", "50", "--out", "unwritten.csv"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--help"], ["-h", "compute"]]
+    + [[command, "--help"] for command in ("compute", "verify", "hecke", "dissect", "export")]
+    + _USAGE_ERRORS,
+)
+def test_help_and_usage_errors_match_the_parser_of_every_command(
+    capsys, monkeypatch, tmp_path, argv
+):
+    # main adds arguments only to the command argv names; the bytes it
+    # prints must be those of the parser that adds every command's
+    monkeypatch.chdir(tmp_path)
+
+    def run():
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return code, *capsys.readouterr()
+
+    named = run()
+    every = ovp.cli.build_parser
+    monkeypatch.setattr(ovp.cli, "build_parser", lambda argv=None: every())
+    assert run() == named
+    assert named[0] in (0, 2) and named[1] + named[2]
+
+
+def test_parser_adds_arguments_to_the_named_command_only():
+    def arguments(argv):
+        sub = build_parser(argv)._subparsers._group_actions[0]
+        return {name: len(p._actions) - 1 for name, p in sub.choices.items()}  # less -h
+
+    assert arguments(["verify", "--all"]) == {
+        "compute": 0, "verify": 8, "hecke": 0, "dissect": 0, "export": 0,
+    }
+    assert arguments(["--help"]) == arguments(None) == arguments(["bogus"])
+    assert all(arguments(None).values())
 
 
 # -- caching through the CLI -------------------------------------------------------
