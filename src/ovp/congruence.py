@@ -16,12 +16,13 @@ choices), and an optional side condition on n.  verify() sweeps every
 parameter assignment and every n keeping all referenced arguments within a
 budget, and reports counterexamples instead of raising.  A case can fail
 only where some argument has pbar nonzero mod the family modulus M, so for
-M a power of two (the twelve families mod 4 or 8, 95.8% of the cases) it
-reads only the preimages of the table's sparse set of such arguments, when
-that set times the number of maps is smaller than the progression.  Those
-assignments and the short dense ones of a family are read in one gathered
-pass; long dense ones read strided views.  At budget 4*10^6 the 29-family
-sweep of a freshly loaded table takes about 10 ms (2-vCPU Xeon VM).
+M a power of two (the twelve families mod 4 or 8, 95.8% of the cases) an
+assignment with no side condition reads only the preimages of the table's
+sparse set of such arguments, when that set times the number of maps is
+smaller than the progression; a family's preimages are read in one
+gathered pass.  Every other assignment reads strided views.  At budget
+4*10^6 the 29-family sweep of a freshly loaded table takes about 12 ms
+(2-vCPU Xeon VM).
 
 Also here: the two-level dissection chain relating pbar(5n) mod 5 to theta
 products, and zero-density reports for pbar modulo powers of 2.
@@ -283,14 +284,8 @@ def _residues(table: CoeffTable, modulus: int) -> tuple[np.ndarray, int]:
     return table.values, table.ring.modulus
 
 
-# Dense assignments of at most this many offsets join their family's gathered
-# pass; longer ones read strided views.  The 29 families took 14.98 ms at
-# budget 4*10^6 with none gathered, 14.25 ms with 256 and 14.10-14.24 ms
-# from 512 to 2048; at 10^6, 8.51, 7.99 and 8.05-8.18 ms (sums of medians
-# of 31, in a slow phase of a 2-vCPU Xeon VM).
-_GATHER_LEN = 256
 # Elements per block of the gathered pass, and mask entries per pass of
-# ``_side_cases``: an int64 temporary holds 512 KB.
+# ``_side_masks``: an int64 temporary holds 512 KB.
 _GATHER_BLOCK = 1 << 16
 
 
@@ -382,19 +377,18 @@ def _periodic(pattern: np.ndarray, n0: int, count: int) -> np.ndarray:
     return np.tile(pattern, reps)[shift : shift + count]
 
 
-def _side_cases(primes: list[int], counts: list[int], n0: int, values: tuple) -> tuple:
-    """A side condition over assignments of these primes and counts.  For
-    each distinct prime p, the mask over n % p of the n with legendre(-n,
-    p) in ``values``; and per assignment, the offset of its prime's mask in
-    the masks end to end, how many of its n0 <= n < n0 + count are kept,
-    and how far below n0 + count - 1 the last of them lies.  Primes share
-    passes of about ``_GATHER_BLOCK`` mask entries: a table per prime took
-    about 20 us, and pbar-4k-5l2-mod5 meets 40 primes in 96 assignments at
-    4*10^6."""
-    p_all, count_all = np.array(primes), np.array(counts)
-    at, kept, back = (np.zeros(len(primes), dtype=np.int64) for _ in range(3))
-    parts, group, size, offset = [], [], 0, 0
-    distinct = np.unique(p_all).tolist()
+def _side_masks(primes: list[int], values: tuple) -> tuple:
+    """A side condition's masks, end to end: for each distinct prime p of
+    ``primes``, the mask over n % p of the n with legendre(-n, p) in
+    ``values``; and per entry of ``primes`` the offset of its prime's mask.
+    Primes share passes of about ``_GATHER_BLOCK`` mask entries: a table per
+    prime took about 20 us, and pbar-4k-5l2-mod5 meets 40 primes in 96
+    assignments at 4*10^6."""
+    distinct = sorted(set(primes))
+    offsets = dict(zip(distinct, itertools.accumulate(distinct, initial=0)))
+    # by the symbol of -r, so that -1 reads the last entry
+    kept_symbols = np.array([s in values for s in (0, 1, -1)])
+    parts, group, size = [], [], 0
     for q in distinct:
         group.append(q)
         size += q
@@ -408,29 +402,9 @@ def _side_cases(primes: list[int], counts: list[int], n0: int, values: tuple) ->
         symbol = np.full(size, -1, dtype=np.int8)  # legendre(r, p)
         symbol[base + r * r % mod] = 1
         symbol[ends - sizes] = 0
-        # by the symbol of -r, so that -1 reads the last entry
-        kept_symbols = np.array([s in values for s in (0, 1, -1)])
-        mask = kept_symbols[symbol[np.where(r, base + mod - r, base)]]
-        below = np.concatenate(([0], np.cumsum(mask)))  # kept entries below each entry
-        last = np.maximum.accumulate(np.where(mask, np.arange(size), -1))
-
-        mine = np.flatnonzero((p_all >= group[0]) & (p_all <= group[-1]))
-        p, count = p_all[mine], count_all[mine]
-        a = (ends - sizes)[np.searchsorted(sizes, p)]
-        full, rem = divmod(count, p)
-        lo = n0 % p
-        hi = lo + rem
-        kept[mine] = (
-            full * (below[a + p] - below[a])
-            + below[a + np.minimum(hi, p)] - below[a + lo]
-            + np.where(hi > p, below[a + np.maximum(hi - p, 0)] - below[a], 0)
-        )
-        end = a + (n0 + count - 1) % p
-        back[mine] = np.where(last[end] >= a, end - last[end], end + p - last[a + p - 1])
-        at[mine] = a + offset
-        parts.append(mask)
-        group, size, offset = [], 0, offset + size
-    return np.concatenate(parts), at.tolist(), kept.tolist(), back.tolist()
+        parts.append(kept_symbols[symbol[np.where(r, base + mod - r, base)]])
+        group, size = [], 0
+    return np.concatenate(parts), [offsets[p] for p in primes]
 
 
 def _mismatch(words, M: int, dtype, factor, chi, phase):
@@ -452,39 +426,17 @@ def _mismatch(words, M: int, dtype, factor, chi, phase):
     return lhs != rhs, rhs
 
 
-def _gathered_blocks(rows: list[tuple], sparse: list[bool], S: np.ndarray | None):
-    """The gathered pass in blocks of about ``_GATHER_BLOCK`` elements, in
-    (row, offset) order: first the S_M preimages of the sparse rows, then
-    every offset of the others.  A block is (ids, i, args): the row id and
-    the offset i of each element, and per map the arguments start + stride
-    * i it reads."""
-    maps = range(len(rows[0][0]))
+def _gathered_blocks(rows: list[tuple], S: np.ndarray):
+    """The gathered pass over the S_M preimages of these rows, in blocks of
+    about ``_GATHER_BLOCK`` elements, in (row, offset) order.  A block is
+    (ids, i, args): the row id and the offset i of each element, and per map
+    the arguments start + stride * i it reads."""
     span = max(count for *_, count in rows)
-    picked = [r for r, few in enumerate(sparse) if few]
-    if picked:
-        keys = _preimages(S, [rows[r] for r in picked], span)
-        firsts, strides = (np.array([rows[r][f] for r in picked]).T for f in (0, 1))
-        for at in range(0, len(keys), _GATHER_BLOCK):
-            ids, i = np.divmod(keys[at : at + _GATHER_BLOCK], span)
-            args = [first[ids] + stride[ids] * i for first, stride in zip(firsts, strides)]
-            yield np.array(picked)[ids], i, args
-    batch, size = [], 0
-    for r, few in enumerate(sparse):
-        if not few:
-            batch.append(r)
-            size += rows[r][2]
-        if batch and (size >= _GATHER_BLOCK or r == len(rows) - 1):
-            # an arange per row and map: short rows cost less this way than
-            # as offsets repeated from the row starts
-            args = [
-                np.concatenate([np.arange(b, b + a * c, a) for b, a, c in (
-                    (rows[k][0][j], rows[k][1][j], rows[k][2]) for k in batch
-                )])
-                for j in maps
-            ]
-            counts = [rows[k][2] for k in batch]
-            yield np.repeat(batch, counts), np.concatenate([np.arange(c) for c in counts]), args
-            batch, size = [], 0
+    keys = _preimages(S, rows, span)
+    firsts, strides = (np.array([row[f] for row in rows]).T for f in (0, 1))
+    for at in range(0, len(keys), _GATHER_BLOCK):
+        ids, i = np.divmod(keys[at : at + _GATHER_BLOCK], span)
+        yield ids, i, [first[ids] + stride[ids] * i for first, stride in zip(firsts, strides)]
 
 
 def verify(
@@ -506,13 +458,13 @@ def verify(
     truncation of the 2-adic expansion, pbar(n) mod 8 is nonzero only at
     n = 0, squares and twice squares, about 1.7 sqrt(T) of T.
 
-    Cases, n_max and max_argument are arithmetic per assignment.  An
-    assignment of ``count`` offsets is read at the preimages of S_M under
-    its maps when len(S_M) * len(maps) < count; such assignments and the
-    dense ones of at most ``_GATHER_LEN`` offsets join one gathered pass,
-    which reads pbar at start + stride * i for every (assignment, offset)
-    of the family at once.  Longer dense assignments read strided views.
-    Reports are the same whichever way an assignment is read.
+    Cases, n_max and max_argument are arithmetic per assignment, or read
+    from its mask of kept n under a side condition.  With no side condition,
+    an assignment of ``count`` offsets is read at the preimages of S_M under
+    its maps when len(S_M) * len(maps) < count; one gathered pass reads pbar
+    at start + stride * i for every such (assignment, offset) of the family
+    at once.  Every other assignment reads strided views.  Reports are the
+    same whichever way an assignment is read.
     """
     if budget is None:
         budget = table.length - 1
@@ -529,7 +481,7 @@ def verify(
     side = family.side
     n0 = family.n_start
     maps = family.arg_maps()
-    nonzero = _nonzero_set(table, res, M) if M & (M - 1) == 0 else None
+    nonzero = _nonzero_set(table, res, M) if side is None and M & (M - 1) == 0 else None
     # the factor and the symbol are taken mod M, so with pbar(B(n)) read mod
     # M the rhs is unsigned, where % is faster than on mixed signs, and below
     # 2 (M - 1)^2 (M = 65536 needs uint64, not uint32)
@@ -553,9 +505,7 @@ def verify(
             strides = [s * amap.step for amap, s in zip(maps, scales)]
             todo.append((index, starts, strides, count, params[side.axis] if side else None))
     if side is not None and todo:
-        masks, mask_at, kept, back = _side_cases(
-            [a[4] for a in todo], [a[3] for a in todo], n0, side.values
-        )
+        masks, mask_at = _side_masks([a[4] for a in todo], side.values)
 
     cases = 0
     violations = 0
@@ -564,33 +514,30 @@ def verify(
     # (assignment, n, arg, lhs, rhs): the first max_counterexamples of the
     # strided assignments, then of each gathered block
     found: list[tuple[int, int, int, int, int]] = []
-    gathered: list[int] = []  # indices into todo
+    gathered: list[int] = []  # assignment of each row
     rows: list[tuple[list[int], list[int], int]] = []  # (starts, strides, count)
-    sparse: list[bool] = []
     for k, (index, starts, strides, count, p) in enumerate(todo):
-        last = count - 1
+        last, kept = count - 1, count
         if p is not None:
-            if not kept[k]:
+            keep = _periodic(masks[mask_at[k] : mask_at[k] + p], n0, count)
+            kept = int(np.count_nonzero(keep))
+            if not kept:
                 continue
-            cases += kept[k]
-            last -= back[k]
-        else:
-            cases += count
+            last -= int(np.argmax(keep[::-1]))
+        cases += kept
         n_max_seen = max(n_max_seen, n0 + last)
         arg_max_seen = max(arg_max_seen, *(b + a * last for b, a in zip(starts, strides)))
 
-        few = nonzero is not None and len(nonzero) * len(maps) < count
-        if few or count <= _GATHER_LEN:
-            gathered.append(k)
+        if nonzero is not None and len(nonzero) * len(maps) < count:
+            gathered.append(index)
             rows.append((starts, strides, count))
-            sparse.append(few)
             continue
         words = [_read(res, m, M, b, a, count) for b, a in zip(starts, strides)]
         bad, rhs = _mismatch(
             words, M, dtype, factor, chi, lambda pattern: _periodic(pattern, n0, count)
         )
         if p is not None:
-            bad = np.logical_and(bad, _periodic(masks[mask_at[k] : mask_at[k] + p], n0, count))
+            bad = np.logical_and(bad, keep)
         hits = int(np.count_nonzero(bad))
         if hits:
             violations += hits
@@ -599,22 +546,16 @@ def verify(
                 rhs_j = 0 if rhs is None else int(rhs[j])
                 found.append((index, n0 + j, starts[0] + strides[0] * j, int(words[0][j]), rhs_j))
 
-    if rows and side is not None:
-        primes = np.array([todo[k][4] for k in gathered])
-        mask_at = np.array(mask_at)[gathered]
-    for ids, i, args in _gathered_blocks(rows, sparse, nonzero) if rows else ():
+    for ids, i, args in _gathered_blocks(rows, nonzero) if rows else ():
         ns = n0 + i
         words = [_reduce(res[a], m, M) for a in args]
         bad, rhs = _mismatch(words, M, dtype, factor, chi, lambda pat: pat[ns % len(pat)])
         hits = np.flatnonzero(bad)
-        if side is not None:
-            on = ids[hits]
-            hits = hits[masks[mask_at[on] + ns[hits] % primes[on]]]
         violations += len(hits)
         hits = hits[:max_counterexamples]
         for j, n in zip(hits.tolist(), ns[hits].tolist()):
             rhs_j = 0 if rhs is None else int(rhs[j])
-            found.append((todo[gathered[ids[j]]][0], n, int(args[0][j]), int(words[0][j]), rhs_j))
+            found.append((gathered[ids[j]], n, int(args[0][j]), int(words[0][j]), rhs_j))
     found.sort()
     return VerifyReport(
         family_id=family.id,

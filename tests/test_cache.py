@@ -218,6 +218,23 @@ def test_int64_word_payload_with_valid_digest_is_a_miss(tmp_path):
     assert load_table("pbar", table.method, mod_ring(120), 300, tmp_path) is None
 
 
+def test_digest_valid_payload_of_another_ring_or_order_is_a_miss(tmp_path):
+    # the payload's own header must match the key it is stored under
+    for ring, length, stored in (
+        (mod_ring(120), 300, overpartition_table(mod_ring(40), 300)),
+        (mod_ring(120), 300, overpartition_table(mod_ring(120), 299)),
+        (ZZ, 60, overpartition_table(ZZ, 59)),
+    ):
+        method = stored.method
+        path = _path(tmp_path, "pbar", method, ring, length)
+        payload = stored.payload_bytes()
+        path.write_bytes(hashlib.sha256(payload).digest() + payload)
+        assert load_table("pbar", method, ring, length, tmp_path) is None
+        payload = overpartition_table(ring, length).payload_bytes()
+        path.write_bytes(hashlib.sha256(payload).digest() + payload)
+        assert load_table("pbar", method, ring, length, tmp_path) is not None
+
+
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
 def test_cache_files_follow_the_umask(tmp_path, umask, mode):
     old = os.umask(umask)

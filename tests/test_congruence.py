@@ -24,7 +24,7 @@ from ovp.congruence import (
     _nonzero_set,
     _preimages,
     _primes_where,
-    _side_cases,
+    _side_masks,
     density_report,
     family_by_id,
     planted_false_family,
@@ -257,19 +257,15 @@ def _corrupted(table, kind):
 
 
 def test_sweep_matches_reference_loop_on_corrupted_table(table_mod120, monkeypatch):
-    # Each setting of (_GATHER_LEN, _GATHER_BLOCK) moves assignments between
-    # the three reads: S_M preimages and short dense progressions in the
-    # gathered pass, long dense progressions in strided views.  A block of 5
-    # splits the gathered pass many times, so its counterexample caps are
-    # met across blocks.
-    default = congruence._GATHER_LEN
-    settings = ((default, congruence._GATHER_BLOCK), (100, 64), (0, 5))
+    # An assignment is read at its S_M preimages in the gathered pass or in
+    # strided views; blocks of 64 and of 5 split the gathered pass many
+    # times, so its counterexample caps are met across blocks.
     reads = collections.Counter()
     blocks, read = congruence._gathered_blocks, congruence._read
 
-    def gathered(rows, sparse, S):
-        reads.update(sparse=sum(sparse), dense=len(sparse) - sum(sparse))
-        return blocks(rows, sparse, S)
+    def gathered(rows, S):
+        reads.update(sparse=len(rows))
+        return blocks(rows, S)
 
     monkeypatch.setattr(congruence, "_gathered_blocks", gathered)
     monkeypatch.setattr(congruence, "_read", lambda *a: reads.update(strided=1) or read(*a))
@@ -277,31 +273,25 @@ def test_sweep_matches_reference_loop_on_corrupted_table(table_mod120, monkeypat
     for kind in ("any", "mod8", "words"):
         corrupted = _corrupted(table_mod120, kind)
         failing = set()
-        seen = {}
+        reads.clear()
         for fam in SWEEP_FAMILIES:
             want = _reference_verify(fam, corrupted, 5000, 16)
-            for gather_len, block in settings:
-                monkeypatch.setattr(congruence, "_GATHER_LEN", gather_len)
+            for block in (1 << 16, 64, 5):
                 monkeypatch.setattr(congruence, "_GATHER_BLOCK", block)
-                reads.clear()
                 for cap in (0, 3, 16):
                     capped = dataclasses.replace(want, counterexamples=want.counterexamples[:cap])
                     got = verify(fam, corrupted, 5000, cap)
-                    assert got == capped, (kind, fam.id, gather_len, block, cap)
-                for path, rows in reads.items():
-                    seen[gather_len, path] = seen.get((gather_len, path), 0) + rows
+                    assert got == capped, (kind, fam.id, block, cap)
             if not want.ok:
                 failing.add(fam.id)
+        assert reads["strided"]
         if kind == "words":
             # the nonzero sets would outgrow the table: no read is sparse
             assert corrupted.nonzero == {8: None, 4: None}
-            assert not any(rows for (_, path), rows in seen.items() if path == "sparse")
+            assert not reads["sparse"]
         else:
             assert corrupted.nonzero[8] is not None
-            assert all(seen.get((gather_len, "sparse")) for gather_len, _ in settings)
-        assert seen.get((default, "dense")) and seen.get((100, "dense"))
-        assert seen.get((100, "strided")) and seen.get((0, "strided"))
-        assert not seen.get((0, "dense"))
+            assert reads["sparse"]
         if kind == "any":
             assert len(failing) >= 20
         if kind == "mod8":
@@ -348,23 +338,22 @@ def test_preimages_are_the_offsets_whose_arguments_lie_in_the_nonzero_set(monkey
 
 @pytest.mark.parametrize("block", (1 << 16, 40))
 def test_side_cases_count_the_kept_n(block, monkeypatch):
-    # per assignment (p, count) from n0: the kept n0 <= n < n0 + count and
-    # the distance of the last one below n0 + count - 1, against a loop;
-    # blocks of 40 mask entries split the primes into several passes
+    # per assignment (p, count) from n0: the mask of prime p against the
+    # scalar symbol, and the n0 <= n < n0 + count its tiling keeps against a
+    # loop; blocks of 40 mask entries split the primes into several passes
     monkeypatch.setattr(congruence, "_GATHER_BLOCK", block)
     rng = np.random.default_rng(5)
     primes = [3, 5, 7, 13, 31, 3, 13, 97, 11, 61]
     for values in ((-1,), (1, -1), (0,), (1,)):
+        masks, at = _side_masks(primes, values)
         for n0 in (0, 1, 7, 40):
             counts = rng.integers(1, 300, size=len(primes)).tolist()
-            masks, at, kept, back = _side_cases(primes, counts, n0, values)
-            for p, count, a, k, b in zip(primes, counts, at, kept, back):
+            for p, count, a in zip(primes, counts, at):
                 want = [legendre(-n, p) in values for n in range(p)]
                 assert masks[a : a + p].tolist() == want
+                keep = congruence._periodic(masks[a : a + p], n0, count)
                 ns = [n for n in range(n0, n0 + count) if want[n % p]]
-                assert k == len(ns), (values, n0, p, count)
-                if ns:
-                    assert b == n0 + count - 1 - ns[-1], (values, n0, p, count)
+                assert (n0 + np.flatnonzero(keep)).tolist() == ns, (values, n0, p, count)
 
 
 def test_nonzero_sets_mod_8_and_4_are_squares_and_twice_squares():

@@ -174,6 +174,11 @@ def test_narrow_residue_arithmetic_does_not_wrap():
     assert list(a.scalar_mul(199).coeffs) == [1, 197, 199]
 
 
+def test_repr_shows_ring_order_and_first_eight_coefficients():
+    assert repr(Series(ZZ, range(10))) == "Series(ZZ, order=10, [0, 1, 2, 3, 4, 5, 6, 7, ...])"
+    assert repr(Series(mod_ring(7), [1, 9, 3])) == "Series(Z/7, order=3, [1, 2, 3])"
+
+
 def test_series_is_immutable():
     f = Series(ZZ, [1, 2])
     with pytest.raises(AttributeError):
@@ -223,7 +228,7 @@ def test_ring_axioms_random(ring):
         assert a + (-a) == zero(ring, order)
         assert a * one(ring, order) == a
         assert a * zero(ring, order) == zero(ring, order)
-        assert a.scalar_mul(3) == a + a + a
+        assert a.scalar_mul(3) == a * 3 == a + a + a
         assert 2 * a == a + a
 
 
@@ -1138,6 +1143,12 @@ def test_binary_ops_reject_ring_mismatch():
             op()
     with pytest.raises(TypeError):
         a + 3
+    with pytest.raises(TypeError):
+        a.first_difference([1, 2])
+    # equality is False across rings, and left to the other operand for a
+    # non-Series
+    assert a != b
+    assert a.__eq__([1, 2]) is NotImplemented and a != [1, 2]
 
 
 # -- reindexing ----------------------------------------------------------------
@@ -1342,6 +1353,8 @@ def test_write_coeffs_matches_whole_output(series):
     write_coeffs(buf, series, "csv")
     rows = "".join(f"{n},{int(c)}\n" for n, c in enumerate(series.coeffs))
     assert buf.getvalue() == "n,value\n" + rows
+    with pytest.raises(ValueError, match="unknown format 'xml'"):
+        write_coeffs(io.StringIO(), series, "xml")
 
 
 def test_bytes_round_trip_mod():
@@ -1379,3 +1392,5 @@ def test_bytes_rejects_exact_and_malformed():
         Series.from_bytes(b"QS01" + bytes(5))
     with pytest.raises(ValueError, match="payload holds 2 words"):
         Series.from_bytes(blob[:-1])
+    with pytest.raises(ValueError, match="unknown ring tag 2"):
+        Series.from_bytes(blob[:4] + bytes([2]) + blob[5:])
