@@ -26,7 +26,7 @@ from . import cache
 from .congruence import family_by_id, registry, verify, verify_dissection_chain
 from .hecke import HeckeParams, eigenform_check, hecke_apply
 from .overpartition import CoeffTable, Method, canonical_method, overpartition_table
-from .qseries import ZZ, CoefficientRing, Series, mod_ring, write_coeffs
+from .qseries import CoefficientRing, Series, mod_ring, write_coeffs
 from .squares import squares_table
 from .theta import ThetaKind, theta_series
 
@@ -34,10 +34,6 @@ _THETA_NAMES = tuple(kind.value for kind in ThetaKind)
 
 _DEFAULT_VERIFY_BUDGET = 10**5
 _CHAIN_ORDER_CAP = 2500
-
-
-def _ring_from(mod: int | None) -> CoefficientRing:
-    return ZZ if mod is None else mod_ring(mod)
 
 
 @contextlib.contextmanager
@@ -107,12 +103,12 @@ def _cmd_compute(args, parser) -> int:
             parser.error(f"--{name} applies to {target} only, not to {args.target}")
     if args.target == "pbar":
         method = canonical_method(args.method)
-        table = _get_pbar_table(_ring_from(args.mod), args.order, method, args)
+        table = _get_pbar_table(CoefficientRing(args.mod), args.order, method, args)
         _emit_coeffs(table.as_series(), args, name="pbar", method=method)
         return 0
     if args.target == "theta":
         kind = ThetaKind(args.kind)
-        series = theta_series(kind, _ring_from(args.mod), args.order)
+        series = theta_series(kind, CoefficientRing(args.mod), args.order)
         _emit_coeffs(series, args, name=f"theta:{args.kind}")
         return 0
     # ck: representation counts by ordered sums of positive squares
@@ -232,7 +228,7 @@ def _cmd_hecke(args, parser) -> int:
         params = HeckeParams(k=args.k, N=args.level, ell=args.ell)
     except ValueError as exc:
         parser.error(str(exc))
-    ring = _ring_from(args.mod)
+    ring = CoefficientRing(args.mod)
     if args.f == "phi3":
         f = theta_series(ThetaKind.PHI_PLUS, ring, args.order) ** 3
     else:
@@ -269,7 +265,7 @@ def _cmd_hecke(args, parser) -> int:
 def _cmd_dissect(args, parser) -> int:
     if args.r < 0 or args.r >= args.d:
         parser.error(f"need 0 <= r < d, got r={args.r}, d={args.d}")
-    ring = _ring_from(args.mod)
+    ring = CoefficientRing(args.mod)
     if args.series == "pbar":
         table = _get_pbar_table(ring, args.order, Method.THETA_INVERSION, args)
         series = table.as_series()

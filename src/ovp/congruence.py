@@ -33,11 +33,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Generator, Iterable, Iterator
 
 import numpy as np
 
-from .hecke import _legendre_table, is_odd_prime, legendre
+from .hecke import is_odd_prime, legendre
 from .modfft import remainder
 from .overpartition import CoeffTable, Method, overpartition_table
 from .qseries import IdentityCheck, Series, compare, mod_ring
@@ -217,16 +217,13 @@ def _primes_where(mod: int, residues: tuple[int, ...]) -> Iterator[int]:
     return (p for p in odd if p % mod in residues and is_odd_prime(p))
 
 
-def _min_arg(family: CongruenceFamily, params: dict[str, int]) -> int:
-    """Smallest nontrivially checked argument under this assignment.
-
-    Uses n = 0 when the lhs offset is positive (the n = 0 case already
-    reads a nontrivial pbar value) and n = 1 otherwise, and takes the
-    largest argument over all referenced maps since every map must stay
-    within budget for an n to be checkable.
-    """
-    n0 = 0 if family.lhs.offset_value(params) > 0 else 1
-    return max(m.evaluate(n0, params) for m in family.arg_maps())
+def _last_n(family: CongruenceFamily, params: dict[str, int], budget: int) -> int:
+    """The largest n at which every map of this assignment stays within
+    budget."""
+    return min(
+        (budget // m.scale(params) - m.offset_value(params)) // m.step
+        for m in family.arg_maps()
+    )
 
 
 def _axis_values(axis) -> Iterable[int]:
@@ -241,26 +238,29 @@ def _axis_values(axis) -> Iterable[int]:
 
 def _axis_assignments(
     family: CongruenceFamily, axes: tuple, partial: dict[str, int], budget: int
-) -> Iterator[dict[str, int]]:
+) -> Generator[dict[str, int], None, bool]:
+    """Every assignment of ``axes`` extending ``partial`` that fits the
+    budget, and then whether there was one.  An assignment fits when some
+    n checks a nontrivial argument within budget: n = 0 when the lhs offset
+    is positive, else n = 1 (an offset of 0 starts n at 1).  Power and prime
+    values only grow the arguments, so such an axis stops at its first value
+    under which nothing fits; a choice axis tries all of its values."""
     if not axes:
-        if _min_arg(family, partial) <= budget:
+        n_min = 0 if family.lhs.offset_value(partial) > 0 else 1
+        fits = _last_n(family, partial, budget) >= n_min
+        if fits:
             yield dict(partial)
-        return
+        return fits
     axis, rest = axes[0], axes[1:]
-    # a value fits when the smallest values of the later axes do; for a
-    # leaf that is its own check, made once
-    smallest = {later.name: next(iter(_axis_values(later))) for later in rest}
+    any_fit = False
     for v in _axis_values(axis):
         partial[axis.name] = v
-        if _min_arg(family, {**partial, **smallest}) > budget:
-            if isinstance(axis, ChoiceAxis):
-                continue
-            break  # power and prime values only grow the arguments
-        if rest:
-            yield from _axis_assignments(family, rest, partial, budget)
-        else:
-            yield dict(partial)
+        fits = yield from _axis_assignments(family, rest, partial, budget)
+        any_fit |= fits
+        if not fits and not isinstance(axis, ChoiceAxis):
+            break
     del partial[axis.name]
+    return any_fit
 
 
 # -- verification ------------------------------------------------------------
@@ -490,16 +490,14 @@ def verify(
     if rel.rhs is not None:
         factor = np.array([c % M for c in rel.factor], dtype=dtype)
     if rel.prime is not None:
-        chi = (_legendre_table(rel.prime, negate=False) % M).astype(dtype)
+        chi = np.array([legendre(r, rel.prime) % M for r in range(rel.prime)], dtype=dtype)
 
     # (assignment, starts, strides, count, side prime) per assignment
     todo = []
     for index, params in enumerate(_axis_assignments(family, tuple(family.axes), {}, budget)):
         scales = [amap.scale(params) for amap in maps]
         offsets = [amap.offset_value(params) for amap in maps]
-        count = 1 - n0 + min(
-            (budget // s - o) // amap.step for amap, s, o in zip(maps, scales, offsets)
-        )
+        count = 1 - n0 + _last_n(family, params, budget)
         if count >= 1:
             starts = [s * (amap.step * n0 + o) for amap, s, o in zip(maps, scales, offsets)]
             strides = [s * amap.step for amap, s in zip(maps, scales)]

@@ -46,17 +46,6 @@ def legendre(a: int, ell: int) -> int:
     return 1 if r == 1 else -1
 
 
-def _legendre_table(p: int, negate: bool) -> np.ndarray:
-    """legendre(r, p), or legendre(-r, p) when negating, for r = 0..p-1."""
-    if not is_odd_prime(p):
-        raise ValueError(f"legendre symbol needs an odd prime, got {p}")
-    tab = np.full(p, -1, dtype=np.int64)
-    tab[0] = 0
-    r = np.arange(1, p, dtype=np.int64)
-    tab[r * r % p] = 1
-    return tab[-np.arange(p) % p] if negate else tab
-
-
 @dataclass(frozen=True)
 class HeckeParams:
     """Operator data: weight numerator k (odd), level N (4 | N), prime l."""
@@ -103,7 +92,7 @@ def hecke_apply(f: Series, params: HeckeParams) -> Series:
         )
     out_order = (f.order - 1) // l2 + 1
     twist = (-1) ** ((params.k - 1) // 2)
-    chi = np.resize(_legendre_table(ell, negate=twist < 0), out_order)
+    chi = np.resize(np.array([legendre(twist * r, ell) for r in range(ell)]), out_order)
     # Over Z/m the residues are read as int64 and the powers of l are
     # reduced, so each b(n) stays below m + 2m^2 < 2^63.  Over ZZ the
     # coefficients are Python ints, and chi multiplies them before any power

@@ -76,8 +76,7 @@ def squares_table(k_max: int, order: int) -> SquaresTable:
 def c1_array(order: int) -> np.ndarray:
     """c_1(n) for n < order as int64: 1 at positive squares, else 0."""
     out = np.zeros(order, dtype=np.int64)
-    for s, _ in theta_terms(ThetaKind.POSITIVE_SQUARES, order):
-        out[s] = 1
+    out[[s for s, _ in theta_terms(ThetaKind.POSITIVE_SQUARES, order)]] = 1
     return out
 
 

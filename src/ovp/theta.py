@@ -13,6 +13,7 @@ phi(q) = phi(q^4) + 2q psi(q^8) and its -q variant.
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 
 import numpy as np
@@ -28,35 +29,19 @@ class ThetaKind(Enum):
 
 
 def theta_terms(kind: ThetaKind, order: int) -> list[tuple[int, int]]:
-    """Sparse (exponent, coefficient) support of a theta series below order."""
+    """Sparse (exponent, coefficient) support of a theta series below order:
+    t(t+1)/2 < order holds for t < (isqrt(8 order - 7) + 1) // 2, and
+    k^2 < order for k <= isqrt(order - 1)."""
     if not isinstance(order, (int, np.integer)) or order < 1:
         raise ValueError(f"order must be a positive int, got {order!r}")
-    terms: list[tuple[int, int]] = []
-    if kind is ThetaKind.PHI_PLUS:
-        terms.append((0, 1))
-        k = 1
-        while k * k < order:
-            terms.append((k * k, 2))
-            k += 1
-    elif kind is ThetaKind.PHI_MINUS:
-        terms.append((0, 1))
-        k = 1
-        while k * k < order:
-            terms.append((k * k, 2 * (-1) ** k))
-            k += 1
-    elif kind is ThetaKind.PSI:
-        t = 0
-        while t * (t + 1) // 2 < order:
-            terms.append((t * (t + 1) // 2, 1))
-            t += 1
-    elif kind is ThetaKind.POSITIVE_SQUARES:
-        k = 1
-        while k * k < order:
-            terms.append((k * k, 1))
-            k += 1
-    else:
+    if kind is ThetaKind.PSI:
+        return [(t * (t + 1) // 2, 1) for t in range((math.isqrt(8 * int(order) - 7) + 1) // 2)]
+    if kind not in (ThetaKind.PHI_PLUS, ThetaKind.PHI_MINUS, ThetaKind.POSITIVE_SQUARES):
         raise ValueError(f"unknown theta kind {kind!r}")
-    return terms
+    # k = 0 gives 1 (no term for theta_+); k >= 1 gives 2, 2 (-1)^k or 1
+    c, sign = {ThetaKind.PHI_PLUS: (2, 1), ThetaKind.PHI_MINUS: (2, -1)}.get(kind, (1, 1))
+    first = int(kind is ThetaKind.POSITIVE_SQUARES)
+    return [(k * k, c * sign**k if k else 1) for k in range(first, math.isqrt(order - 1) + 1)]
 
 
 def theta_series(kind: ThetaKind, ring: CoefficientRing, order: int) -> Series:

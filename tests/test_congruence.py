@@ -14,7 +14,9 @@ from ovp import ZZ, Method, Series, congruence, mod_ring, overpartition_table
 from ovp.congruence import (
     ArgMap,
     AxisFactor,
+    ChoiceAxis,
     CongruenceFamily,
+    PowerAxis,
     PrimeAxis,
     Relation,
     SideCondition,
@@ -32,7 +34,7 @@ from ovp.congruence import (
     verify,
     verify_dissection_chain,
 )
-from ovp.hecke import _legendre_table, is_odd_prime, legendre
+from ovp.hecke import is_odd_prime, legendre
 from ovp.overpartition import CoeffTable
 from ovp.theta import ThetaKind, theta_series
 
@@ -446,10 +448,12 @@ def test_sweep_temporaries_stay_narrow(pbar_big):
 
 
 def test_legendre_table_matches_symbol():
+    # the one vector table of the symbol: each mask of _side_masks, per value
     for p in filter(is_odd_prime, range(3, 200)):
-        for negate in (False, True):
-            want = [legendre(-r if negate else r, p) for r in range(p)]
-            assert _legendre_table(p, negate).tolist() == want, (p, negate)
+        for s in (1, -1, 0):
+            masks, at = _side_masks([p], (s,))
+            want = [legendre(-r, p) == s for r in range(p)]
+            assert at == [0] and masks.tolist() == want, (p, s)
 
 
 def test_axis_assignment_budgets():
@@ -469,6 +473,31 @@ def test_axis_assignment_budgets():
     fam = family_by_id("pbar-845-13n-mod5")
     rs = [a["r"] for a in _axis_assignments(fam, tuple(fam.axes), {}, 10**5)]
     assert rs == [2, 5, 6, 7, 8, 11]
+
+
+def test_offset_zero_choice_does_not_hide_later_assignments(table_mod120):
+    # pbar(4^k (5n + r)) for r in {0, 1}: at k = 3 and budget 100 the choice
+    # r = 0 fits no n >= 1, yet r = 1 fits n = 0 (argument 64)
+    fam = CongruenceFamily(
+        id="offset-zero-choice",
+        statement="pbar(4^k (5n + r)) for r in {0, 1}",
+        modulus=5,
+        lhs=ArgMap(step=5, offset_axis="r", factors=(AxisFactor("k", base=4),)),
+        axes=(PowerAxis("k"), ChoiceAxis("r", (0, 1))),
+    )
+    budget = 100
+    assignments = list(_axis_assignments(fam, tuple(fam.axes), {}, budget))
+    assert {"k": 3, "r": 1} in assignments
+    # every n >= 0 within budget of every (k, r) with a nonzero argument there
+    cases = 0
+    for k in range(8):
+        for r in (0, 1):
+            args = [4**k * (5 * n + r) for n in range(budget + 1)]
+            args = [a for a in args if a <= budget]
+            if any(args):
+                cases += len(args)
+    assert cases == 57
+    assert verify(fam, table_mod120, budget).cases == cases
 
 
 def test_prime_axis_scans_terminate():

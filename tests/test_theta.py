@@ -63,6 +63,34 @@ def test_phi_support_size():
         assert f.nnz == 1 + math.isqrt(T - 1)
 
 
+def _theta_terms_by_loops(kind: ThetaKind, order: int) -> list[tuple[int, int]]:
+    if kind is ThetaKind.PSI:
+        terms, t = [], 0
+        while t * (t + 1) // 2 < order:
+            terms.append((t * (t + 1) // 2, 1))
+            t += 1
+        return terms
+    terms = [] if kind is ThetaKind.POSITIVE_SQUARES else [(0, 1)]
+    k = 1
+    while k * k < order:
+        c = {ThetaKind.PHI_PLUS: 2, ThetaKind.PHI_MINUS: 2 * (-1) ** k}.get(kind, 1)
+        terms.append((k * k, c))
+        k += 1
+    return terms
+
+
+def test_theta_terms_match_their_definition():
+    # every order to 3000, 10^6 + 1, and the orders about those whose last
+    # index is a square or a triangular number
+    edges = [k * k for k in (999, 1000, 9999)] + [t * (t + 1) // 2 for t in (1413, 1414, 9999)]
+    boundaries = {e + d for e in edges for d in (0, 1, 2)}
+    for order in [*range(1, 3001), 10**6 + 1, *sorted(boundaries)]:
+        for kind in ThetaKind:
+            assert theta_terms(kind, order) == _theta_terms_by_loops(kind, order), (kind, order)
+    with pytest.raises(ValueError, match="unknown theta kind"):
+        theta_terms("phi", 10)
+
+
 def test_theta_terms_validation():
     with pytest.raises(ValueError):
         theta_terms(ThetaKind.PSI, 0)
