@@ -280,15 +280,14 @@ def _cmd_dissect(args, parser) -> int:
 # -- parser ------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser, *, order_default: int | None) -> None:
-    if order_default is not None:
-        p.add_argument(
-            "-T",
-            "--order",
-            type=int,
-            default=order_default,
-            help=f"truncation order / table length (default {order_default})",
-        )
+def _add_common(p: argparse.ArgumentParser, *, order_default: int) -> None:
+    p.add_argument(
+        "-T",
+        "--order",
+        type=int,
+        default=order_default,
+        help=f"truncation order / table length (default {order_default})",
+    )
     p.add_argument("--mod", type=int, default=None, help="work in Z/m instead of ZZ")
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p.add_argument("--out", default=None, help="write output to this file")

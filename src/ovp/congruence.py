@@ -284,9 +284,11 @@ def _residues(table: CoeffTable, modulus: int) -> tuple[np.ndarray, int]:
     return table.values, table.ring.modulus
 
 
-# Elements per block of the gathered pass, and mask entries per pass of
-# ``_side_masks``: an int64 temporary holds 512 KB.
+# Elements per block of the gathered pass and of the scan for S_M, and mask
+# entries per pass of ``_side_masks``: an int64 temporary holds 512 KB.
 _GATHER_BLOCK = 1 << 16
+# Counterexamples a report lists, the first by (assignment, n).
+_COUNTEREXAMPLES = 16
 
 
 def _reduce(words: np.ndarray, m: int, M: int) -> np.ndarray:
@@ -306,9 +308,9 @@ def _nonzero_set(table: CoeffTable, res: np.ndarray, M: int) -> np.ndarray | Non
     """S_M, the sorted n < len(res) with res[n] % M != 0, for M a power of
     two, kept on the table; None when it would take more bytes than
     ``res``, as on a random table.  It is derived from a kept S_M' when M
-    divides M', or else built in one pass in blocks of 2^16, so temporaries
-    stay below 1 MB: ``np.flatnonzero`` reads a bool mask, as it took 0.6 ms
-    on one at 4*10^6 against 6.1 ms on the narrow words."""
+    divides M', or else built in one pass in blocks of ``_GATHER_BLOCK``,
+    so temporaries stay below 1 MB: ``np.flatnonzero`` reads a bool mask,
+    as it took 0.6 ms on one at 4*10^6 against 6.1 ms on the narrow words."""
     memo = table.nonzero
     if M in memo:
         return memo[M]
@@ -317,11 +319,11 @@ def _nonzero_set(table: CoeffTable, res: np.ndarray, M: int) -> np.ndarray | Non
         if wider is not None and k % M == 0:
             memo[M] = wider[(res[wider] & (M - 1)) != 0]
             return memo[M]
-    limit, step = res.nbytes // np.dtype(np.intp).itemsize, 1 << 16
-    mask = np.empty(min(step, len(res)), dtype=bool)
+    limit = res.nbytes // np.dtype(np.intp).itemsize
+    mask = np.empty(min(_GATHER_BLOCK, len(res)), dtype=bool)
     found, size = [], 0
-    for lo in range(0, len(res), step):
-        block = res[lo : lo + step]
+    for lo in range(0, len(res), _GATHER_BLOCK):
+        block = res[lo : lo + _GATHER_BLOCK]
         hit = np.flatnonzero(np.not_equal(block & (M - 1), 0, out=mask[: len(block)]))
         size += len(hit)
         if size > limit:
@@ -443,7 +445,6 @@ def verify(
     family: CongruenceFamily,
     table: CoeffTable,
     budget: int | None = None,
-    max_counterexamples: int = 16,
 ) -> VerifyReport:
     """Sweep all parameters and n of a family with arguments <= budget.
 
@@ -509,8 +510,8 @@ def verify(
     violations = 0
     n_max_seen = 0
     arg_max_seen = 0
-    # (assignment, n, arg, lhs, rhs): the first max_counterexamples of the
-    # strided assignments, then of each gathered block
+    # (assignment, n, arg, lhs, rhs): the first _COUNTEREXAMPLES of each
+    # strided assignment and of each gathered block
     found: list[tuple[int, int, int, int, int]] = []
     gathered: list[int] = []  # assignment of each row
     rows: list[tuple[list[int], list[int], int]] = []  # (starts, strides, count)
@@ -539,8 +540,7 @@ def verify(
         hits = int(np.count_nonzero(bad))
         if hits:
             violations += hits
-            room = max(0, max_counterexamples - len(found))
-            for j in np.flatnonzero(bad)[:room].tolist():
+            for j in np.flatnonzero(bad)[:_COUNTEREXAMPLES].tolist():
                 rhs_j = 0 if rhs is None else int(rhs[j])
                 found.append((index, n0 + j, starts[0] + strides[0] * j, int(words[0][j]), rhs_j))
 
@@ -550,7 +550,7 @@ def verify(
         bad, rhs = _mismatch(words, M, dtype, factor, chi, lambda pat: pat[ns % len(pat)])
         hits = np.flatnonzero(bad)
         violations += len(hits)
-        hits = hits[:max_counterexamples]
+        hits = hits[:_COUNTEREXAMPLES]
         for j, n in zip(hits.tolist(), ns[hits].tolist()):
             rhs_j = 0 if rhs is None else int(rhs[j])
             found.append((gathered[ids[j]], n, int(args[0][j]), int(words[0][j]), rhs_j))
@@ -565,7 +565,7 @@ def verify(
         max_argument=arg_max_seen,
         cases=cases,
         violations=violations,
-        counterexamples=[c[1:] for c in found[:max_counterexamples]],
+        counterexamples=[c[1:] for c in found[:_COUNTEREXAMPLES]],
     )
 
 

@@ -373,7 +373,7 @@ class _FFTProduct:
     operand's limb count.  Integer operands are read straight from their
     vectors, or from their nonzero terms, a column block at a time, and may
     be a whole transform long; ``product`` leaves its output in the real
-    parts of slot a, in the grid layout of ``_FourStep``, where the next
+    parts of slot 0, in the grid layout of ``_FourStep``, where the next
     forward transform of that slot reads it.  Every output a step reads is
     at most about half a transform long, so it fits there, as ``spectra``
     and ``product`` check.  The caller sets the limb width ``w`` from
@@ -479,17 +479,17 @@ class _FFTProduct:
 
         plan.forward(specs, rows, load, held)
 
-    def product(self, a: int, b: int, size: int, lo: int, hi: int) -> np.ndarray:
-        """Coefficients lo..hi-1 of the cyclic product of slots a and b.
+    def product(self, b: int, size: int, lo: int, hi: int) -> np.ndarray:
+        """Coefficients lo..hi-1 of the cyclic product of slots 0 and b.
 
         They are left as float residues centred into [-m/2, m/2] in the
-        real parts of slot a, grid rows lo // N1 to ceil(hi / N1) from its
+        real parts of slot 0, grid rows lo // N1 to ceil(hi / N1) from its
         first row, and returned as that view, valid until the slot is next
         written.  Slot b is kept.  Slots of ca and cb limbs take ca + cb - 1
         inverse transforms, one per power of 2^w, combined by Horner's rule
         in 2^w; each step stays below 2^63.  The transform for the power k
-        of 2^w runs in the spectrum of limb k of slot a, its last use, and
-        for k >= ca in one of min(2, cb - 1) more spectra of slot a, in
+        of 2^w runs in the spectrum of limb k of slot 0, its last use, and
+        for k >= ca in one of min(2, cb - 1) more spectra of slot 0, in
         turn: the running sum sits in the real parts of the one before.
 
         The rows fit in a slot when hi <= N and hi - lo <= lo, as in a
@@ -500,17 +500,17 @@ class _FFTProduct:
         2 lo > N, r0 >= N2 // 2 and ceil(hi / N1) <= N2.
         """
         plan = self._plan(size)
-        n1, m, ca, cb = plan.n1, self.m, self.limbs[a], self.limbs[b]
+        n1, m, ca, cb = plan.n1, self.m, self.limbs[0], self.limbs[b]
         r0, r1 = lo // n1, -(-hi // n1)
         if r1 - r0 > plan.rows:
             raise ValueError(f"{r1 - r0} grid rows exceed the {plan.rows} of a slot")
-        spec_a, spec_b = self.slots[a], self.slots[b]
+        spec_a, spec_b = self.slots[0], self.slots[b]
         if len(spec_a) < ca + min(2, cb - 1):
-            raise ValueError("slot a has no spectrum free for the product")
+            raise ValueError("slot 0 has no spectrum free for the product")
         scale = pow(2, self.w, m)
         prev = None
         for k in reversed(range(ca + cb - 1)):
-            # the pair (k, 0) first, while limb k of slot a is still unread
+            # the pair (k, 0) first, while limb k of slot 0 is still unread
             pairs = [(i, k - i) for i in range(min(k, ca - 1), max(0, k - cb + 1) - 1, -1)]
             dst = spec_a[k if k < ca else ca + (k - ca) % 2]
 
@@ -563,7 +563,7 @@ def product(a: np.ndarray, b: np.ndarray, nnz_a: int, nnz_b: int, m: int, dtype)
     bound_b = bound_a if square else (_centred_max(b, m), nnz_b)
     w, (ca, cb) = _limb_plan(m, size, bound_a, bound_b)
     # a product reads the limbs of slot b after it has spent those of slot
-    # a, so only a one-limb square runs in one slot
+    # 0, so only a one-limb square runs in one slot
     shared = square and ca == 1
     kernel = _FFTProduct(m, [size], (ca + min(2, cb - 1), 0 if shared else cb))
     kernel.w = w
@@ -571,14 +571,14 @@ def product(a: np.ndarray, b: np.ndarray, nnz_a: int, nnz_b: int, m: int, dtype)
     if not shared:
         kernel.spectra(size, 1, cb, 0, n, b)
     out = np.empty(n, dtype=dtype)
-    kernel.residues(kernel.product(0, 0 if shared else 1, size, 0, n), out)
+    kernel.residues(kernel.product(0 if shared else 1, size, 0, n), out)
     return out
 
 
 def inverse(f: np.ndarray, m: int, dtype) -> Callable[[], np.ndarray]:
     """Inverse mod m of the residue vector f, whose constant term must be a
-    unit, in two phases, so that ``Series.invert(consume=True)`` can let go
-    of the series' vector between them: this call reads f and returns the
+    unit, in two phases, so that ``Series.invert`` can let go of the
+    series' vector between them: this call reads f and returns the
     Newton iteration, a function of no arguments that holds only what its
     steps read of f and returns the inverse as a new vector of ``dtype``.
 
@@ -655,10 +655,10 @@ def inverse(f: np.ndarray, m: int, dtype) -> Callable[[], np.ndarray]:
             kernel.w = w
             kernel.spectra(size, 1, cg, 0, k, g[:k])
             kernel.spectra(size, 0, cf, 0, k2, f, (exps[:j], values[:j]) if terms else None)
-            kernel.product(0, 1, size, k, k2)
+            kernel.product(1, size, k, k2)
             s = k % kernel.plan.n1
             kernel.spectra(size, 0, ce, s, s + k2 - k)
-            kernel.residues(kernel.product(0, 1, size, s, s + k2 - k), g[k:k2], negate=True)
+            kernel.residues(kernel.product(1, size, s, s + k2 - k), g[k:k2], negate=True)
         return g
 
     return run

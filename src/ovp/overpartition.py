@@ -133,9 +133,9 @@ def overpartition_table(
     method = canonical_method(method)
     if method == Method.THETA_INVERSION:
         terms = theta_terms(ThetaKind.PHI_MINUS, length)
-        # mod m the inversion keeps phi(-q)'s terms, and the series hands
-        # its vector of length entries over to be freed (``Series.invert``)
-        values = series_from_terms(ring, length, terms).invert(consume=True).coeffs
+        # mod m the inversion keeps phi(-q)'s terms, and this series, bound
+        # to no name, is freed with its vector once they are read
+        values = series_from_terms(ring, length, terms).invert().coeffs
     elif method == Method.EULER_PRODUCT:
         values = _euler_values(length, ring.modulus)
     elif method == Method.ENUMERATION:

@@ -277,26 +277,20 @@ class Series:
 
     # -- inversion -------------------------------------------------------
 
-    def invert(self, *, consume: bool = False) -> "Series":
+    def invert(self) -> "Series":
         """Multiplicative inverse to the same truncation order.
 
         The constant term must be a unit: +/-1 over ZZ, coprime to m over
         Z/m.  Over ZZ the cost is O(T * nnz) in the number of nonzero terms
         of self; over Z/m it is O(T log T), by Newton iteration with exact
-        float64 FFT products.
-
-        With ``consume`` the series hands its vector over and is left with
-        order 0, so that the vector is freed before the Newton steps even
-        while the caller still holds the series: CPython 3.10 keeps a
-        call's arguments on the caller's stack until it returns, and
-        ``overpartition_table`` would hold phi(-q)'s vector (100 MB at
-        budget 10^8) through the inversion.
+        float64 FFT products.  The call drops its own reference to self
+        once the terms are read, so a series no caller holds is freed
+        before the steps run.
         """
         if self.order == 0:
             raise ValueError("cannot invert a series of order 0")
-        a0 = int(self._coeffs[0])
-        T = self.order
-        if self.ring.is_exact:
+        ring, a0, T = self.ring, int(self._coeffs[0]), self.order
+        if ring.is_exact:
             if a0 not in (1, -1):
                 raise ValueError(
                     f"constant term {a0} is not a unit in ZZ (need +1 or -1)"
@@ -304,8 +298,7 @@ class Series:
             # r[0] = a0 and r[n] = -sum(a0 * c * r[n - e]) over the terms
             # c q^e of self with 0 < e <= n, since 1/a0 = a0
             kernel = [(e, a0 * c) for e, c in self.nonzero_terms() if e > 0]
-            if consume:
-                self._vacate()
+            del self
             r = [a0] + [0] * (T - 1)
             for n in range(1, T):
                 s = 0
@@ -314,16 +307,11 @@ class Series:
                         break
                     s -= c * r[n - e]
                 r[n] = s
-            return Series._of(self.ring, r)
+            return Series._of(ring, r)
         # run holds none of a sparse vector (phi(-q)'s; see ``modfft.inverse``)
-        run = modfft.inverse(self._coeffs, self.ring.modulus, self._coeffs.dtype)
-        if consume:
-            self._vacate()
-        return Series._of(self.ring, run())
-
-    def _vacate(self) -> None:
-        """Drop the vector, leaving order 0: ``invert(consume=True)``."""
-        object.__setattr__(self, "_coeffs", self._coeffs[:0].copy())
+        run = modfft.inverse(self._coeffs, ring.modulus, self._coeffs.dtype)
+        del self
+        return Series._of(ring, run())
 
     # -- reindexing ------------------------------------------------------
 

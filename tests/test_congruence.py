@@ -281,8 +281,9 @@ def test_sweep_matches_reference_loop_on_corrupted_table(table_mod120, monkeypat
             for block in (1 << 16, 64, 5):
                 monkeypatch.setattr(congruence, "_GATHER_BLOCK", block)
                 for cap in (0, 3, 16):
+                    monkeypatch.setattr(congruence, "_COUNTEREXAMPLES", cap)
                     capped = dataclasses.replace(want, counterexamples=want.counterexamples[:cap])
-                    got = verify(fam, corrupted, 5000, cap)
+                    got = verify(fam, corrupted, 5000)
                     assert got == capped, (kind, fam.id, block, cap)
             if not want.ok:
                 failing.add(fam.id)
@@ -553,9 +554,7 @@ def test_planted_false_family_is_rejected(table_mod120):
     assert report.violations == 1319
     assert report.cases == 2000
     assert report.counterexamples[0] == (1, 5, 4, 0)
-    assert len(report.counterexamples) == 16  # default cap
-    short = verify(planted_false_family(), table_mod120, budget=10**4, max_counterexamples=3)
-    assert len(short.counterexamples) == 3
+    assert len(report.counterexamples) == congruence._COUNTEREXAMPLES == 16
 
 
 def test_fourfold_composition_mod8(pbar_big):

@@ -71,6 +71,9 @@ def test_ring_validation():
         CoefficientRing(2**31)
     with pytest.raises(TypeError):
         CoefficientRing(5.0)
+    for ring in (120, None, "Z/120"):
+        with pytest.raises(TypeError, match="must be a CoefficientRing"):
+            Series(ring, [1, 2])
 
 
 @pytest.mark.parametrize("m", [np.int64(120), np.uint16(120), np.int32(2**31 - 1)])
@@ -431,6 +434,15 @@ def test_dense_products_at_the_one_limb_boundary(m, limb_plans):
     assert min(modfft._limb_plan(m, size, (h, n1 + 1), (h, n1 + 1))[1]) > 1
 
 
+def test_limb_plan_refuses_operands_no_width_makes_exact():
+    # entries up to 2^30 with 10 nonzeros each take two limbs; with 10^40
+    # each, even one-bit limbs leave a norm product far above 2^92
+    m, size = 2**31 - 1, 1 << 20
+    assert modfft._limb_plan(m, size, (2**30, 10), (2**30, 10))[1] == [2, 2]
+    with pytest.raises(ValueError, match="no exact float64 FFT product"):
+        modfft._limb_plan(m, size, (2**30, 10**40), (2**30, 10**40))
+
+
 # Products through 32768 terms run transforms of size 65536 = 256 * 256, the
 # smallest size on the four-step path, ceil(log2) 16.
 FOUR_STEP_N = 32768
@@ -684,7 +696,7 @@ def test_product_at_an_offset_is_the_product(m, size):
         flat[s : s + k2 - k] = np.where(e > m // 2, e - m, e)
         kernel.spectra(size, 0, ce, s, s + k2 - k)
         got = np.empty(k2 - k, dtype=np.int64)
-        kernel.residues(kernel.product(0, 1, size, s, s + k2 - k), got)
+        kernel.residues(kernel.product(1, size, s, s + k2 - k), got)
         # the same product from index 0, as ``_mul`` makes it
         padded = np.append(e, np.zeros(2 * k - k2, e.dtype))
         want = Series(mod_ring(m), g) * Series(mod_ring(m), padded)
@@ -716,7 +728,27 @@ def test_outputs_fit_in_a_slot_and_the_check_holds():
     kernel.spectra(size, 0, 1, 0, plan.rows * plan.n1)
     kernel.spectra(size, 1, 1, 0, 1, np.ones(1, np.uint8))
     with pytest.raises(ValueError, match="grid rows exceed"):
-        kernel.product(0, 1, size, 0, plan.rows * plan.n1 + 1)
+        kernel.product(1, size, 0, plan.rows * plan.n1 + 1)
+
+
+def test_product_refuses_a_slot_0_with_no_spectrum_free():
+    # a one-limb slot 0 against a two-limb slot 1 runs two inverse
+    # transforms, and the second needs a spectrum of slot 0 beyond its limb
+    m, size, n = 120, 64, 32
+    x = np.arange(n, dtype=np.uint8) % m
+    for spare, fits in ((0, False), (1, True)):
+        kernel = modfft._FFTProduct(m, [size], (1 + spare, 2))
+        kernel.w = 4
+        kernel.spectra(size, 0, 1, 0, n, x)
+        kernel.spectra(size, 1, 2, 0, n, x)
+        if fits:
+            got = np.empty(n, dtype=np.int64)
+            kernel.residues(kernel.product(1, size, 0, n), got)
+            want = Series(mod_ring(m), x) * Series(mod_ring(m), x)
+            assert got.tolist() == want.coeffs.tolist()
+        else:
+            with pytest.raises(ValueError, match="no spectrum free"):
+                kernel.product(1, size, 0, n)
 
 
 def _traced_peak(fn) -> int:
@@ -745,24 +777,16 @@ def test_table_peak_bytes_per_coefficient():
     # ``overpartition_table`` does: 27.1 B per coefficient with twiddle
     # blocks of 64 rows and phi(-q)'s vector held through the inversion,
     # 25.7 with blocks of 16, and 25.0 with the vector freed once its terms
-    # are read.  The series hands its vector over, so it is freed on every
-    # CPython (3.10 keeps a call's arguments until it returns).
+    # are read.  The table build holds no reference to the series, and
+    # ``Series.invert`` drops its own once the terms are read.
     T = 2 * 10**5 + 1
     assert _traced_peak(lambda: overpartition_table(mod_ring(120), T)) <= 25.4 * T
 
 
-def test_table_build_frees_phi_minus_before_the_newton_steps(monkeypatch):
-    # a weakref to the vector of the phi(-q) the table build makes, read as
-    # the Newton steps start: the vector is dead by then on 3.10 as on 3.11.
-    # (Below 2^16 entries every step loads f as whole rows, so the steps
-    # keep it.)
-    refs, dead = [], []
-    build, inverse = overpartition.series_from_terms, modfft.inverse
-
-    def built(*args):
-        series = build(*args)
-        refs.append(weakref.ref(series.coeffs))
-        return series
+def _dead_as_steps_start(monkeypatch, refs) -> list[bool]:
+    """Whether the vector of the last weakref in refs is dead as each
+    Newton iteration of ``modfft.inverse`` starts its steps."""
+    dead, inverse = [], modfft.inverse
 
     def iteration(f, m, dtype):
         run = inverse(f, m, dtype)
@@ -773,20 +797,52 @@ def test_table_build_frees_phi_minus_before_the_newton_steps(monkeypatch):
 
         return steps
 
-    monkeypatch.setattr(overpartition, "series_from_terms", built)
     monkeypatch.setattr(modfft, "inverse", iteration)
+    return dead
+
+
+def test_table_build_frees_phi_minus_before_the_newton_steps(monkeypatch):
+    # a weakref to the vector of the phi(-q) the table build makes, read as
+    # the Newton steps start: the vector is dead by then.  (Below 2^16
+    # entries every step loads f as whole rows, so the steps keep it.)
+    refs = []
+    build = overpartition.series_from_terms
+
+    def built(*args):
+        series = build(*args)
+        refs.append(weakref.ref(series.coeffs))
+        return series
+
+    monkeypatch.setattr(overpartition, "series_from_terms", built)
+    dead = _dead_as_steps_start(monkeypatch, refs)
     table = overpartition_table(mod_ring(120), 2 * 10**5 + 1)
     assert table.values[:11].tolist() == [v % 120 for v in PBAR_FIRST_11]
     assert dead == [True]
 
 
 @pytest.mark.parametrize("ring", (ZZ, mod_ring(120)), ids=str)
-def test_consumed_series_hands_its_vector_over(ring):
-    f = theta_series(ThetaKind.PHI_MINUS, ring, 3000)
-    want = f.invert()
-    vector = weakref.ref(f.coeffs)
-    assert f.invert(consume=True) == want
-    assert f.order == 0 and vector() is None
+def test_consumed_series_hands_its_vector_over(ring, monkeypatch):
+    # a series its caller holds keeps its order and coefficients through
+    # ``invert``; mod m the vector of one that no caller holds is dead as
+    # the Newton steps start, and that of a held one is not
+    T = 3000 if ring.is_exact else 2 * 10**5 + 1
+    refs = []
+    dead = _dead_as_steps_start(monkeypatch, refs)
+
+    def phi_minus():
+        series = theta_series(ThetaKind.PHI_MINUS, ring, T)
+        refs.append(weakref.ref(series.coeffs))
+        return series
+
+    f = phi_minus()
+    before = f.coeffs.copy()
+    inverse = f.invert()
+    assert f.order == T and np.array_equal(f.coeffs, before)
+    assert inverse * f == one(ring, T)
+    # bound to a name: inside an assert the temporary would stay alive
+    inverse = phi_minus().invert()
+    assert inverse * f == one(ring, T)
+    assert dead == ([] if ring.is_exact else [False, True])
 
 
 def test_dense_inversion_keeps_no_positions():
@@ -1145,6 +1201,11 @@ def test_binary_ops_reject_ring_mismatch():
         a + 3
     with pytest.raises(TypeError):
         a.first_difference([1, 2])
+    # an int scales from the left, a float is refused
+    assert (2 * a).coeffs.tolist() == (np.int64(2) * a).coeffs.tolist() == [2, 4]
+    assert a.__rmul__(1.5) is NotImplemented
+    with pytest.raises(TypeError):
+        1.5 * a
     # equality is False across rings, and left to the other operand for a
     # non-Series
     assert a != b
