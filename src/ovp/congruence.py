@@ -162,8 +162,6 @@ class CongruenceFamily:
 class VerifyReport:
     family_id: str
     statement: str
-    modulus: int
-    budget: int
     n_min: int
     n_max: int
     max_argument: int
@@ -284,8 +282,8 @@ def _residues(table: CoeffTable, modulus: int) -> tuple[np.ndarray, int]:
     return table.values, table.ring.modulus
 
 
-# Elements per block of the gathered pass and of the scan for S_M, and mask
-# entries per pass of ``_side_masks``: an int64 temporary holds 512 KB.
+# Elements per block of the gathered pass and of the scan for S_M: an int64
+# temporary holds 512 KB.
 _GATHER_BLOCK = 1 << 16
 # Counterexamples a report lists, the first by (assignment, n).
 _COUNTEREXAMPLES = 16
@@ -301,7 +299,7 @@ def _reduce(words: np.ndarray, m: int, M: int) -> np.ndarray:
 def _read(res, m: int, M: int, start: int, stride: int, count: int) -> np.ndarray:
     """pbar(start + stride * i) mod M for i < count, from a strided view of
     the residues mod m."""
-    return _reduce(res[start : start + stride * (count - 1) + 1 : stride], m, M)
+    return _reduce(res[start : start + stride * count : stride], m, M)
 
 
 def _nonzero_set(table: CoeffTable, res: np.ndarray, M: int) -> np.ndarray | None:
@@ -357,10 +355,6 @@ def _preimages(S: np.ndarray, rows: list[tuple], span: int) -> np.ndarray:
             lo, hi = np.searchsorted(S, (first.min(), last.max() + 1)).tolist()
             for at in range(lo, hi, _GATHER_BLOCK):
                 x = S[at : min(hi, at + _GATHER_BLOCK)]
-                if len(residues) == 1:  # x lies within the one pair's range
-                    d = x - first[0]
-                    keys.append(row[0] * span + d[remainder(d, a) == 0] // a)
-                    continue
                 c = remainder(x, a)
                 k = np.searchsorted(residues, c).clip(max=len(residues) - 1)
                 hit = residues[k] == c
@@ -383,30 +377,20 @@ def _side_masks(primes: list[int], values: tuple) -> tuple:
     """A side condition's masks, end to end: for each distinct prime p of
     ``primes``, the mask over n % p of the n with legendre(-n, p) in
     ``values``; and per entry of ``primes`` the offset of its prime's mask.
-    Primes share passes of about ``_GATHER_BLOCK`` mask entries: a table per
-    prime took about 20 us, and pbar-4k-5l2-mod5 meets 40 primes in 96
-    assignments at 4*10^6."""
-    distinct = sorted(set(primes))
-    offsets = dict(zip(distinct, itertools.accumulate(distinct, initial=0)))
+    All primes share one pass: a table per prime took about 20 us, and
+    pbar-4k-5l2-mod5 meets 40 primes in 96 assignments at 4*10^6."""
+    sizes = np.array(sorted(set(primes)))
+    starts = np.cumsum(sizes) - sizes
+    offsets = dict(zip(sizes.tolist(), starts.tolist()))
+    base = np.repeat(starts, sizes)
+    mod = np.repeat(sizes, sizes)
+    r = np.arange(len(base)) - base
+    symbol = np.full(len(base), -1, dtype=np.int8)  # legendre(r, p)
+    symbol[base + r * r % mod] = 1
+    symbol[starts] = 0
     # by the symbol of -r, so that -1 reads the last entry
     kept_symbols = np.array([s in values for s in (0, 1, -1)])
-    parts, group, size = [], [], 0
-    for q in distinct:
-        group.append(q)
-        size += q
-        if size < _GATHER_BLOCK and q != distinct[-1]:
-            continue
-        sizes = np.array(group)
-        ends = np.cumsum(sizes)
-        base = np.repeat(ends - sizes, sizes)
-        mod = np.repeat(sizes, sizes)
-        r = np.arange(size) - base
-        symbol = np.full(size, -1, dtype=np.int8)  # legendre(r, p)
-        symbol[base + r * r % mod] = 1
-        symbol[ends - sizes] = 0
-        parts.append(kept_symbols[symbol[np.where(r, base + mod - r, base)]])
-        group, size = [], 0
-    return np.concatenate(parts), [offsets[p] for p in primes]
+    return kept_symbols[symbol[np.where(r, base + mod - r, base)]], [offsets[p] for p in primes]
 
 
 def _mismatch(words, M: int, dtype, factor, chi, phase):
@@ -558,8 +542,6 @@ def verify(
     return VerifyReport(
         family_id=family.id,
         statement=family.statement,
-        modulus=M,
-        budget=budget,
         n_min=n0,
         n_max=n_max_seen,
         max_argument=arg_max_seen,

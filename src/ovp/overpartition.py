@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .qseries import CoefficientRing, Series, series_from_terms
-from .squares import SquaresTable, c1_array, c2_array
+from .squares import SquaresTable
 from .theta import ThetaKind, theta_terms
 
 
@@ -99,9 +99,6 @@ class CoeffTable:
                 f"index {n} requires length >= {n + 1}"
             )
         return int(self.values[n])
-
-    def __getitem__(self, n: int) -> int:
-        return self.value(n)
 
     def as_series(self) -> Series:
         return Series(self.ring, self.values)
@@ -269,13 +266,15 @@ def mod8_truncation(n: int) -> int:
 
 
 def mod8_residues(length: int) -> np.ndarray:
-    """Vector of the mod-8 truncation for all n < length (entry 0 is 1)."""
+    """Vector of the mod-8 truncation for all n < length (entry 0 is 1), in
+    closed form: c_2(n) is odd exactly at n = 2 a^2, where (a, a) is its one
+    representation fixed by the swap, so the truncation is 2 at odd squares,
+    6 at even squares, 4 at twice the squares and 0 elsewhere."""
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
-    r1 = c1_array(length)
-    r2 = c2_array(length)
-    base = -2 * r1 + 4 * r2
-    sign = np.where(np.arange(length) % 2 == 0, 1, -1)
-    out = (base * sign) % 8
+    out = np.zeros(length, dtype=np.int64)
+    k = np.arange(1, math.isqrt(length - 1) + 1)
+    out[k * k] = 6 - 4 * (k % 2)
+    out[2 * k[: math.isqrt((length - 1) // 2)] ** 2] = 4  # the a with 2 a^2 < length
     out[0] = 1
     return out

@@ -33,13 +33,12 @@ class SquaresTable:
 
     def value(self, k: int, n: int) -> int:
         """c_k(n); n < 0 returns 0, k outside [1, k_max] is an error."""
-        if not 1 <= k <= self.k_max:
-            raise ValueError(f"k must be in [1, {self.k_max}], got {k}")
+        row = self.row(k)
         if n < 0:
             return 0
         if n >= self.order:
             raise ValueError(f"n = {n} outside table order {self.order}")
-        return self.rows[k - 1][n]
+        return row[n]
 
     def row(self, k: int) -> tuple[int, ...]:
         if not 1 <= k <= self.k_max:

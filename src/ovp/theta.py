@@ -66,12 +66,8 @@ def check_two_dissection(
         phi_minus = theta_series(ThetaKind.PHI_MINUS, CoefficientRing(), order)
     ring = phi_plus.ring
     phi_q4 = theta_series(ThetaKind.PHI_PLUS, ring, order).substitute_power(4)
-    # 2q psi(q^8) = sum(2 q^(4t(t+1)+1)) built directly on its sparse support
-    support = []
-    t = 0
-    while 4 * t * (t + 1) + 1 < order:
-        support.append((4 * t * (t + 1) + 1, 2))
-        t += 1
+    # 2q psi(q^8) = sum(2 q^(8e+1)) over psi's exponents e, on its sparse support
+    support = [(8 * e + 1, 2) for e, _ in theta_terms(ThetaKind.PSI, order) if 8 * e + 1 < order]
     shifted = series_from_terms(ring, order, support)
     return [
         compare("phi(q) = phi(q^4) + 2q psi(q^8)", phi_plus, phi_q4 + shifted),

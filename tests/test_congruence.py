@@ -125,8 +125,6 @@ def _reference_verify(family, table, budget, max_counterexamples=16):
     return VerifyReport(
         family_id=family.id,
         statement=family.statement,
-        modulus=M,
-        budget=budget,
         n_min=family.n_start,
         n_max=n_max,
         max_argument=arg_max,
@@ -343,7 +341,7 @@ def test_preimages_are_the_offsets_whose_arguments_lie_in_the_nonzero_set(monkey
 def test_side_cases_count_the_kept_n(block, monkeypatch):
     # per assignment (p, count) from n0: the mask of prime p against the
     # scalar symbol, and the n0 <= n < n0 + count its tiling keeps against a
-    # loop; blocks of 40 mask entries split the primes into several passes
+    # loop; all primes share one pass, whatever the gathered pass's block
     monkeypatch.setattr(congruence, "_GATHER_BLOCK", block)
     rng = np.random.default_rng(5)
     primes = [3, 5, 7, 13, 31, 3, 13, 97, 11, 61]
@@ -357,6 +355,16 @@ def test_side_cases_count_the_kept_n(block, monkeypatch):
                 keep = congruence._periodic(masks[a : a + p], n0, count)
                 ns = [n for n in range(n0, n0 + count) if want[n % p]]
                 assert (n0 + np.flatnonzero(keep)).tolist() == ns, (values, n0, p, count)
+
+
+def test_strided_read_of_no_offsets_is_empty(table_mod120):
+    # count - 1 steps from the start would slice res[0 : -4 : 5], nearly the
+    # whole progression, at count = 0
+    res = table_mod120.values
+    assert congruence._read(res, 120, 5, 0, 5, 0).size == 0
+    for start, stride, count in ((0, 5, 1), (3, 5, 7), (1, 1, 40), (2, 8, 1250)):
+        want = [int(res[start + stride * i]) % 5 for i in range(count)]
+        assert congruence._read(res, 120, 5, start, stride, count).tolist() == want
 
 
 def test_nonzero_sets_mod_8_and_4_are_squares_and_twice_squares():

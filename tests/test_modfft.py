@@ -1,5 +1,6 @@
-"""The residue-word kernel of ``ovp.modfft``: its word remainder and its two
-entry calls, a product and an inverse mod m.
+"""The residue-word kernel of ``ovp.modfft``: its word remainder, its two
+entry calls, a product and an inverse mod m, and what an inverse costs:
+its Newton steps, limb plans and transforms, counted by spies.
 
 The FFT kernel's own tests (limb plans, four-step layout, thread split,
 traced peaks and the pinned pbar digests) run through ``Series`` in
@@ -7,6 +8,8 @@ traced peaks and the pinned pbar digests) run through ``Series`` in
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
@@ -66,4 +69,77 @@ def test_product_and_inverse_return_the_callers_dtype(m, dtype):
     assert inverse.dtype == dtype
     # numpy's counts, whose products would wrap in int64 inside the plan
     one = modfft.product(a, inverse, np.count_nonzero(a), np.count_nonzero(inverse), m, dtype)
+    assert one[0] == 1 and not one[1:].any()
+
+
+PBAR_FIRST_11 = [1, 2, 4, 8, 14, 24, 40, 64, 100, 154, 232]
+
+
+@pytest.fixture
+def kernel_cost(monkeypatch) -> dict:
+    """What the kernel does while the test runs: every (w, counts) that
+    ``_limb_plan`` returns, the spectra that ``_FourStep.forward`` fills, the
+    sizes of the forward transforms that run on held columns only (a sparse
+    load), and the ``_FourStep.inverse`` calls."""
+    cost = {"plans": [], "spectra": 0, "held": [], "inverses": 0}
+    plan, forward, inverse = modfft._limb_plan, modfft._FourStep.forward, modfft._FourStep.inverse
+
+    def spy_plan(*args):
+        cost["plans"].append(plan(*args))
+        return cost["plans"][-1]
+
+    def spy_forward(self, specs, rows, load, held=None):
+        cost["spectra"] += len(specs)
+        if held is not None:
+            cost["held"].append(self.size)
+        return forward(self, specs, rows, load, held)
+
+    def spy_inverse(self, *args):
+        cost["inverses"] += 1
+        return inverse(self, *args)
+
+    monkeypatch.setattr(modfft, "_limb_plan", spy_plan)
+    monkeypatch.setattr(modfft._FourStep, "forward", spy_forward)
+    monkeypatch.setattr(modfft._FourStep, "inverse", spy_inverse)
+    return cost
+
+
+@pytest.mark.parametrize(
+    "m, dtype, T, steps, spectra, inverses, last_plan",
+    [
+        # one limb each: three spectra and two inverse transforms a step
+        (120, np.uint8, 10**6 + 1, 20, 60, 40, (7, [1, 1, 1])),
+        # g and e take two limbs of 15 bits, at the width where a bound of
+        # one more bit per residue would take three
+        (998244353, np.int64, 1 << 14, 14, 70, 70, (15, [2, 1, 2])),
+    ],
+)
+def test_inverse_of_phi_minus_costs_pinned_transforms(
+    kernel_cost, m, dtype, T, steps, spectra, inverses, last_plan
+):
+    # one plan per Newton step, and the transforms they run, for 1 / phi(-q)
+    f = np.zeros(T, dtype=dtype)
+    k = np.arange(1, math.isqrt(T - 1) + 1)
+    f[k * k] = np.where(k % 2, m - 2, 2)
+    f[0] = 1
+    g = modfft.inverse(f, m, dtype)()
+    assert g[:11].tolist() == [v % m for v in PBAR_FIRST_11]
+    assert len(kernel_cost["plans"]) == steps and kernel_cost["plans"][-1] == last_plan
+    assert (kernel_cost["spectra"], kernel_cost["inverses"]) == (spectra, inverses)
+
+
+@pytest.mark.parametrize("extra", (0, 1))
+def test_sparse_load_takes_at_most_four_isqrt_nonzeros(kernel_cost, extra):
+    # T = 2^17: the last two steps, to k2 = 2^16 and 2^17, are four-step
+    # transforms.  f has 1 nonzero below 2^16 and 4 isqrt(2^17) + extra
+    # below 2^17, so only with extra = 0 does the last step load its terms.
+    m, T = 120, 1 << 17
+    rng = np.random.default_rng(17)
+    f = np.zeros(T, dtype=np.uint8)
+    f[0] = 1
+    at = rng.choice(np.arange(T // 2, T), 4 * math.isqrt(T) + extra - 1, replace=False)
+    f[at] = rng.integers(1, m, len(at))
+    g = modfft.inverse(f, m, np.uint8)()
+    assert kernel_cost["held"] == ([1 << 16, T] if extra == 0 else [1 << 16])
+    one = modfft.product(f, g, np.count_nonzero(f), np.count_nonzero(g), m, np.uint8)
     assert one[0] == 1 and not one[1:].any()

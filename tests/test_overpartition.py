@@ -116,7 +116,7 @@ def test_table_value_conventions():
     table = overpartition_table(ZZ, 10)
     assert table.value(-1) == 0
     assert table.value(-100) == 0
-    assert table[4] == 14
+    assert table.value(4) == 14
     assert table.length == 10
     with pytest.raises(ValueError, match="holds 10 values; index 10"):
         table.value(10)
